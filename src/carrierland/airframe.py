@@ -98,6 +98,14 @@ class AeroModel:
             raise ValueError("alpha_min must be below alpha_max")
         if self.cm_de >= 0.0:
             raise ValueError("cm_de must be negative (nose-down elevator authority)")
+        # Cubic tables are evaluated in unrolled Horner form.  A nonzero
+        # leading coefficient c3 makes it bit-identical to _polyval,
+        # whose first step is 0.0 * alpha + c3 == c3.
+        tables = (self.cl_base, self.cd_base, self.cm_base)
+        cubic = all(len(c) == 4 and c[3] != 0.0 for c in tables)
+        object.__setattr__(
+            self, "_horner",
+            tuple(c for table in tables for c in table) if cubic else None)
 
     def check_alpha(self, alpha: float) -> None:
         if not (self.alpha_min <= alpha <= self.alpha_max):
@@ -108,10 +116,21 @@ class AeroModel:
 
     def coefficients(self, alpha: float, q_hat: float, delta_e: float):
         """Return (C_L, C_D, C_M) at the given alpha, q_hat and elevator."""
-        self.check_alpha(alpha)
-        cl = _polyval(self.cl_base, alpha) + self.cl_q * q_hat + self.cl_de * delta_e
-        cd = _polyval(self.cd_base, alpha) + self.cd_de * delta_e
-        cm = _polyval(self.cm_base, alpha) + self.cm_q * q_hat + self.cm_de * delta_e
+        if not (self.alpha_min <= alpha <= self.alpha_max):
+            self.check_alpha(alpha)
+        horner = self._horner
+        if horner is None:
+            cl_a = _polyval(self.cl_base, alpha)
+            cd_a = _polyval(self.cd_base, alpha)
+            cm_a = _polyval(self.cm_base, alpha)
+        else:
+            l0, l1, l2, l3, d0, d1, d2, d3, m0, m1, m2, m3 = horner
+            cl_a = ((l3 * alpha + l2) * alpha + l1) * alpha + l0
+            cd_a = ((d3 * alpha + d2) * alpha + d1) * alpha + d0
+            cm_a = ((m3 * alpha + m2) * alpha + m1) * alpha + m0
+        cl = cl_a + self.cl_q * q_hat + self.cl_de * delta_e
+        cd = cd_a + self.cd_de * delta_e
+        cm = cm_a + self.cm_q * q_hat + self.cm_de * delta_e
         return cl, cd, cm
 
     def to_dict(self) -> dict:

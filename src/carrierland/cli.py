@@ -119,7 +119,13 @@ def resolve_config(args, controller_choice=True) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
         with open(args.config) as f:
-            data = json.load(f)
+            try:
+                data = json.load(f)
+            except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"--config {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"--config {args.config}: expected a JSON "
+                              "object of config keys")
         cfg = config_from_dict(data, base=cfg)
     overrides: dict = {}
     for item in args.set:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +95,9 @@ class LandingPoint:
     z_l: float
 
 
-@dataclass(frozen=True)
-class WindSample:
+class WindSample(NamedTuple):
+    """Total gust (u_g, w_g) and its components, inertial axes, m/s."""
+
     u_g: float
     w_g: float
     u1: float = 0.0
@@ -235,7 +237,8 @@ class WindField:
     The turbulence filters are exact zero-order-hold discretizations of
     first-order lags with corner frequency v_ref/length_scale, scaled so
     the stationary output variance matches the spatial-spectrum level
-    (sigma^2 = pi * psd / (2 * length_scale), documented convention).
+    (sigma^2 = turb_norm * psd / length_scale; see WindParams.turb_norm,
+    default 0.5).
     """
 
     def __init__(self, params: WindParams, rng_u: np.random.Generator,

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 from .integrate import rk4_step
 
+_pow = math.pow
+
 
 class NonFiniteEstimate(RuntimeError):
     """Observer state became NaN or infinite."""
@@ -48,6 +50,11 @@ class ObserverParams:
         violations = validate_params(self, raise_on_error=False)
         if violations:
             raise ValueError("invalid observer parameters: " + "; ".join(violations))
+        # injection gains and exponents, computed once for observer_derivative
+        eps = self.epsilon
+        object.__setattr__(self, "_injection", (
+            self.k3 / eps, self.k2 / (eps * eps), -(self.k1 / (eps ** 3)),
+            self.alpha3, self.alpha2, self.alpha1))
 
     @property
     def alpha2(self) -> float:
@@ -90,27 +97,26 @@ class ObserverState:
         return (self.x1, self.x2, self.x3)
 
 
-def _frac_pow(e: float, a: float) -> float:
-    """|e|^a * sign(e), continuous through zero."""
-    if e > 0.0:
-        return math.pow(e, a)
-    if e < 0.0:
-        return -math.pow(-e, a)
-    return 0.0
-
-
 def observer_derivative(state, y_op: float, h: float, p: ObserverParams):
     """(x1', x2', x3') of the observer driven by measurement y_op and input h.
 
-    `state` is anything indexable as (x1, x2, x3).
+    `state` is anything indexable as (x1, x2, x3).  The injection terms
+    are |e|^a * sign(e), continuous through zero (and zero for e = NaN).
     """
     x1, x2, x3 = state[0], state[1], state[2]
     e = x1 - y_op
-    eps = p.epsilon
-    d1 = x2 - (p.k3 / eps) * _frac_pow(e, p.alpha3)
-    d2 = x3 + h - (p.k2 / (eps * eps)) * _frac_pow(e, p.alpha2)
-    d3 = -(p.k1 / (eps ** 3)) * _frac_pow(e, p.alpha1)
-    return d1, d2, d3
+    g3, g2, g1, a3, a2, a1 = p._injection
+    if e > 0.0:
+        f3 = _pow(e, a3)
+        f2 = _pow(e, a2)
+        f1 = _pow(e, a1)
+    elif e < 0.0:
+        f3 = -_pow(-e, a3)
+        f2 = -_pow(-e, a2)
+        f1 = -_pow(-e, a1)
+    else:
+        f3 = f2 = f1 = 0.0
+    return x2 - g3 * f3, x3 + h - g2 * f2, g1 * f1
 
 
 def estimate_step(obs: ObserverState, y_op: float, h: float,

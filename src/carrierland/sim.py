@@ -114,12 +114,23 @@ class ScenarioConfig:
             raise ConfigError("dt must be > 0")
         if self.duration is not None and not self.duration > 0.0:
             raise ConfigError("duration must be > 0")
+        if not math.isfinite(self.dt):
+            raise ConfigError("dt must be finite")
+        if not math.isfinite(self.resolved_duration() / self.dt):
+            raise ConfigError("duration must be finite, and so must "
+                              "duration / dt")
         if self.trace_decimation < 1:
             raise ConfigError("trace_decimation must be >= 1")
         if self.dt_noise < self.dt:
             raise ConfigError("dt_noise must be >= dt")
         if self.noise_dt < self.dt:
             raise ConfigError("noise_dt must be >= dt")
+        if not (math.isfinite(self.dt_noise) and math.isfinite(self.noise_dt)):
+            raise ConfigError("dt_noise and noise_dt must be finite")
+        if self.scenario == "sink_step" and self.sink_rate_cmd == 0.0:
+            raise ConfigError("sink_rate_cmd must be nonzero for sink_step")
+        if self.wind_on and not self.v_wd > 0.0:
+            raise ConfigError("v_wd must be > 0 when wind is on")
         if self.initial_range <= 0.0:
             raise ConfigError("initial_range must be > 0")
         if self.seed < 0:
@@ -400,12 +411,77 @@ class Simulation:
         u_heave = env.ship.u_heave
         u_pitch = env.ship.u_pitch
         ship_since_draw = env.ship.steps_since_draw
+        x_g = ship_params.x_g
+        wind_sample = env.wind.sample
+        noise_sample = env.noise.sample
+        guid_step, sink_step = guid.step, sink.step
+        opd_step, pid_step, vel_step = opd.step, pid.step, vel.step
 
         omega_a = ELEVATOR_OMEGA
         zeta_a = ELEVATOR_ZETA
         two_zw = 2.0 * zeta_a * omega_a
         w2a = omega_a * omega_a
         tau_eng = ENGINE_TAU
+
+        # run constants, read into locals once
+        sin, cos, atan2, hypot = math.sin, math.cos, math.atan2, math.hypot
+        isfinite = math.isfinite
+        tan_gs = math.tan(glide_slope)
+        metric_skip = cfg.metric_skip_s
+        c_bar = params.c_bar
+        rho = params.rho
+        s_ref = params.s_ref
+        mass = params.m
+        grav = params.g
+        j_y = params.j_y
+        t_max = params.t_max
+        elevator_min = params.elevator_min
+        elevator_max = params.elevator_max
+        coefficients = model.coefficients
+
+        # inputs held over the four RK4 stages of a step; f reads them
+        # from its closure and the loop sets them once per step
+        u_g = w_g = 0.0
+        windy = False
+        de_cmd = thrust_cmd = 0.0
+        y_op = h_theta = 0.0
+        u_h = u_p = 0.0
+
+        def f(_t, s):
+            """Coupled derivative of the 20-state system with held inputs."""
+            (sv, sth, sal, sq, _sx, _sz, st_eng, sde, sde_rate,
+             sx1, sx2, sx3, h0, h1, h2, h3, p0, p1, p2, p3) = s
+            ga = sth - sal
+            sin_g = sin(ga)
+            cos_g = cos(ga)
+            if windy:
+                vax = sv * cos_g - u_g
+                vaz = sv * sin_g - w_g
+                v_air = hypot(vax, vaz)
+                alpha_air = sth - atan2(vaz, vax)
+            else:
+                v_air = sv
+                alpha_air = sal
+            q_hat = sq * c_bar / (2.0 * v_air)
+            cl, cd, cm = coefficients(alpha_air, q_hat, sde)
+            qbar_s = 0.5 * rho * v_air * v_air * s_ref
+            lift = qbar_s * cl
+            drag = qbar_s * cd
+            moment = qbar_s * c_bar * cm
+            sin_a = sin(sal)
+            cos_a = cos(sal)
+            dv = (st_eng * cos_a - drag) / mass - grav * sin_g
+            dal = sq - (st_eng * sin_a + lift) / (mass * sv) \
+                + grav * cos_g / sv
+            do1, do2, do3 = observer_derivative(
+                (sx1, sx2, sx3), y_op, h_theta, obs_p)
+            dh0, dh1, dh2, dh3 = _ship_filter_derivative((h0, h1, h2, h3), u_h)
+            dp0, dp1, dp2, dp3 = _ship_filter_derivative((p0, p1, p2, p3), u_p)
+            return (dv, sq, dal, moment / j_y,
+                    sv * cos_g + u_g, sv * sin_g + w_g,
+                    (thrust_cmd - st_eng) / tau_eng, sde_rate,
+                    w2a * (de_cmd - sde) - two_zw * sde_rate,
+                    do1, do2, do3, dh0, dh1, dh2, dh3, dp0, dp1, dp2, dp3)
 
         trace: list[tuple] = []
         t_hist: list[float] = []
@@ -429,9 +505,7 @@ class Simulation:
         decim = cfg.trace_decimation
         for k in range(n_steps):
             (v, th, al, q, x, z, t_eng, de, de_rate,
-             ox1, ox2, ox3, *ship_states) = y
-            hf = tuple(ship_states[0:4])
-            pf = tuple(ship_states[4:8])
+             ox1, ox2, ox3, h0, h1, h2, h3, p0, p1, p2, p3) = y
 
             # --- per-step draws (held over the four RK4 stages)
             if ship_since_draw < 0 or ship_since_draw + 1 >= hold_steps:
@@ -441,36 +515,39 @@ class Simulation:
                 ship_since_draw = 0
             else:
                 ship_since_draw += 1
-            z_g = 1.21 * hf[0]
-            theta_s = 0.773 * pf[2]
-            lp_x = ship_params.x_g - 81.0 * math.cos(theta_s)
-            lp_z = z_g - 81.0 * math.sin(theta_s)
-            wind = env.wind.sample(t, x, ship_params.x_g)
-            noise = env.noise.sample(t)
+            z_g = 1.21 * h0
+            theta_s = 0.773 * p2
+            lp_x = x_g - 81.0 * cos(theta_s)
+            lp_z = z_g - 81.0 * sin(theta_s)
+            wind = wind_sample(t, x, x_g)
+            noise = noise_sample(t)
+            u_g = wind.u_g
+            w_g = wind.w_g
+            windy = u_g != 0.0 or w_g != 0.0
 
             gamma = th - al
             theta_meas = th + noise
             y_op = theta_meas - theta_star
-            zdot = v * math.sin(gamma) + wind.w_g
-            xdot = v * math.cos(gamma) + wind.u_g
+            zdot = v * sin(gamma) + w_g
+            xdot = v * cos(gamma) + u_g
 
             # --- control stack (zero-order hold over the step)
             z_r = 0.0
             zdot_r = 0.0
             if approach:
-                z_r = lp_z + math.tan(glide_slope) * (lp_x - x)
+                z_r = lp_z + tan_gs * (lp_x - x)
                 if ship_on:
-                    th_s_rate = 0.773 * pf[3]
-                    xl_rate = 81.0 * math.sin(theta_s) * th_s_rate
-                    zl_rate = 1.21 * hf[1] - 81.0 * math.cos(theta_s) * th_s_rate
+                    th_s_rate = 0.773 * p3
+                    xl_rate = 81.0 * sin(theta_s) * th_s_rate
+                    zl_rate = 1.21 * h1 - 81.0 * cos(theta_s) * th_s_rate
                 else:
                     xl_rate = zl_rate = 0.0
-                ff = zl_rate + math.tan(glide_slope) * (xl_rate - xdot)
-                zdot_r = guid.step(z_r, z, dt, feedforward=ff)
-                theta_r = sink.step(zdot_r, zdot, dt)
+                ff = zl_rate + tan_gs * (xl_rate - xdot)
+                zdot_r = guid_step(z_r, z, dt, feedforward=ff)
+                theta_r = sink_step(zdot_r, zdot, dt)
             elif sink_scenario:
                 zdot_r = zdot_cmd
-                theta_r = sink.step(zdot_r, zdot, dt)
+                theta_r = sink_step(zdot_r, zdot, dt)
             else:
                 theta_r = theta_cmd
             if theta_r < theta_r_lo:
@@ -490,15 +567,15 @@ class Simulation:
                 abort_reason = f"{type(exc).__name__}: {exc}"
                 break
 
-            obs_state = ObserverState(ox1, ox2, ox3)
             if use_pid:
-                de_cmd = pid.step(theta_r, theta_meas, dt)
+                de_cmd = pid_step(theta_r, theta_meas, dt)
                 dde_deg = (de_cmd - trim.delta_e_star) * RAD2DEG
                 h_theta = gains.dqdot_dq * ox2 + gains.dqdot_dde * dde_deg
             else:
-                de_cmd, h_theta = opd.step(theta_r, theta_meas, obs_state)
+                de_cmd, h_theta = opd_step(theta_r, theta_meas,
+                                           ObserverState(ox1, ox2, ox3))
 
-            thrust_cmd = vel.step(v_star, v, vdot_prev, dt)
+            thrust_cmd = vel_step(v_star, v, vdot_prev, dt)
             de_cmd, thrust_cmd, flags = saturate_inputs(de_cmd, thrust_cmd,
                                                         params)
             if flags.elevator:
@@ -518,7 +595,7 @@ class Simulation:
                 d_true = qdot_now - h_theta
                 trace.append((
                     t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
-                    zdot_r, z_r, ox1, ox2, ox3, d_true, wind.u_g, wind.w_g,
+                    zdot_r, z_r, ox1, ox2, ox3, d_true, u_g, w_g,
                     wind.u1, wind.u2, wind.u3, wind.w1, wind.w2, wind.w3,
                     z_g, theta_s, lp_x, lp_z, noise,
                     1 if flags.elevator else 0, 1 if flags.thrust else 0,
@@ -531,55 +608,17 @@ class Simulation:
                 zdot_hist.append(zdot)
             if approach:
                 dev_hist.append((t, abs(z - z_r)))
-                if t >= cfg.metric_skip_s:
+                if t >= metric_skip:
                     theta_err_sq += (th - theta_r) ** 2
                     theta_err_n += 1
 
             # --- coupled derivative with held inputs
             u_h = u_heave if ship_on else 0.0
             u_p = u_pitch if ship_on else 0.0
-
-            def f(_t, s):
-                (sv, sth, sal, sq, sx, sz, st_eng, sde, sde_rate,
-                 sx1, sx2, sx3, h0, h1, h2, h3, p0, p1, p2, p3) = s
-                ga = sth - sal
-                sin_g = math.sin(ga)
-                cos_g = math.cos(ga)
-                if wind.u_g != 0.0 or wind.w_g != 0.0:
-                    vax = sv * cos_g - wind.u_g
-                    vaz = sv * sin_g - wind.w_g
-                    v_air = math.hypot(vax, vaz)
-                    alpha_air = sth - math.atan2(vaz, vax)
-                else:
-                    v_air = sv
-                    alpha_air = sal
-                q_hat = sq * params.c_bar / (2.0 * v_air)
-                cl, cd, cm = model.coefficients(alpha_air, q_hat, sde)
-                qbar_s = 0.5 * params.rho * v_air * v_air * params.s_ref
-                lift = qbar_s * cl
-                drag = qbar_s * cd
-                moment = qbar_s * params.c_bar * cm
-                sin_a = math.sin(sal)
-                cos_a = math.cos(sal)
-                m = params.m
-                dv = (st_eng * cos_a - drag) / m - params.g * sin_g
-                dal = sq - (st_eng * sin_a + lift) / (m * sv) \
-                    + params.g * cos_g / sv
-                dq = moment / params.j_y
-                dx = sv * cos_g + wind.u_g
-                dz = sv * sin_g + wind.w_g
-                d_eng = (thrust_cmd - st_eng) / tau_eng
-                dd_rate = w2a * (de_cmd - sde) - two_zw * sde_rate
-                do1, do2, do3 = observer_derivative(
-                    (sx1, sx2, sx3), y_op, h_theta, obs_p)
-                dh = _ship_filter_derivative((h0, h1, h2, h3), u_h)
-                dp = _ship_filter_derivative((p0, p1, p2, p3), u_p)
-                return (dv, sq, dal, dq, dx, dz, d_eng, sde_rate, dd_rate,
-                        do1, do2, do3) + dh + dp
-
             try:
                 y = rk4_step(f, (v, th, al, q, x, z, t_eng, de, de_rate,
-                                 ox1, ox2, ox3) + hf + pf, t, dt)
+                                 ox1, ox2, ox3, h0, h1, h2, h3,
+                                 p0, p1, p2, p3), t, dt)
             except (OutOfTableRange, NonFiniteDerivative) as exc:
                 aborted = True
                 abort_time = t
@@ -587,25 +626,33 @@ class Simulation:
                 break
 
             # project actuator states onto their physical ranges
-            y = list(y)
-            if y[6] < 0.0:
-                y[6] = 0.0
-            elif y[6] > params.t_max:
-                y[6] = params.t_max
-            if y[7] < params.elevator_min:
-                y[7] = params.elevator_min
-                if y[8] < 0.0:
-                    y[8] = 0.0
-            elif y[7] > params.elevator_max:
-                y[7] = params.elevator_max
-                if y[8] > 0.0:
-                    y[8] = 0.0
-            if not all(math.isfinite(c) for c in y):
+            t_eng, de, de_rate = y[6], y[7], y[8]
+            projected = False
+            if t_eng < 0.0:
+                t_eng = 0.0
+                projected = True
+            elif t_eng > t_max:
+                t_eng = t_max
+                projected = True
+            if de < elevator_min:
+                de = elevator_min
+                if de_rate < 0.0:
+                    de_rate = 0.0
+                projected = True
+            elif de > elevator_max:
+                de = elevator_max
+                if de_rate > 0.0:
+                    de_rate = 0.0
+                projected = True
+            if projected:
+                y = y[:6] + (t_eng, de, de_rate) + y[9:]
+            # a finite sum implies finite terms; finite terms can still
+            # overflow the sum, so a non-finite sum checks each term
+            if not isfinite(sum(y)) and not all(map(isfinite, y)):
                 aborted = True
                 abort_time = t
                 abort_reason = "non-finite state after step"
                 break
-            y = tuple(y)
 
             vdot_prev = (y[0] - v_prev) / dt
             v_prev = y[0]
@@ -710,11 +757,34 @@ def compare_controllers(config: ScenarioConfig,
 
 
 def write_trace_csv(path, trace, header=TRACE_HEADER) -> None:
-    """Write a trace with deterministic float formatting."""
+    """Write a trace with deterministic float formatting.
+
+    Rows are written one at a time.  A row of plain floats and ints is
+    formatted by one %-template built from its column types, which
+    gives the bytes _fmt gives; any other row goes through _fmt.
+    """
+    templates: dict[tuple, str | None] = {}
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+        write = fh.write
+        write(",".join(header) + "\n")
         for row in trace:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            kinds = tuple(map(type, row))
+            try:
+                template = templates[kinds]
+            except KeyError:
+                template = templates[kinds] = _row_template(kinds)
+            if template is None:
+                write(",".join(_fmt(v) for v in row) + "\n")
+            else:
+                write(template % tuple(row))
+
+
+def _row_template(kinds) -> str | None:
+    """%-template matching _fmt for rows of exactly float and int columns."""
+    fields = {float: "%.10g", int: "%d"}
+    if not all(k in fields for k in kinds):
+        return None
+    return ",".join(fields[k] for k in kinds) + "\n"
 
 
 def _fmt(v) -> str:

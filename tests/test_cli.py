@@ -130,3 +130,51 @@ def test_help_covers_config_keys():
     text = sub.format_help()
     for key in CONFIG_KEYS:
         assert key in text
+
+
+def _usage_error(capsys, *argv):
+    """Run the CLI, expect exit 2, return the one-line stderr message."""
+    assert run_cli(*argv) == EXIT_USAGE
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    return err
+
+
+def test_zero_sink_rate_command_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, "run", "--scenario", "sink_step",
+                       "--set", "sink_rate_cmd=0", "--out", str(tmp_path))
+    assert "sink_rate_cmd" in err
+
+
+def test_infinite_duration_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, "run", "--duration", "inf",
+                       "--out", str(tmp_path))
+    assert "duration" in err
+
+
+def test_non_finite_dt_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, "run", "--dt", "inf", "--set", "dt_noise=inf",
+                       "--set", "noise_dt=inf", "--out", str(tmp_path))
+    assert "dt must be finite" in err
+    err = _usage_error(capsys, "run", "--duration", "1e300", "--dt", "1e-300",
+                       "--out", str(tmp_path))
+    assert "duration / dt" in err
+
+
+def test_zero_wind_over_deck_with_wind_is_a_usage_error(tmp_path, capsys):
+    err = _usage_error(capsys, "run", "--wind", "on", "--set", "v_wd=0",
+                       "--out", str(tmp_path))
+    assert "v_wd" in err
+
+
+def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"seed": 1,\n')
+    err = _usage_error(capsys, "run", "--config", str(bad),
+                       "--out", str(tmp_path / "out"))
+    assert str(bad) in err
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]\n")
+    err = _usage_error(capsys, "run", "--config", str(not_an_object),
+                       "--out", str(tmp_path / "out"))
+    assert "JSON object" in err
