@@ -26,36 +26,20 @@ ELEVATOR_ZETA = 0.509
 
 
 @dataclass
-class EngineState:
-    thrust_actual: float = 0.0   # N
-
-
-@dataclass
-class ElevatorState:
-    deflection: float = 0.0      # rad
-    deflection_rate: float = 0.0  # rad/s
-
-
-@dataclass
 class SaturationFlags:
     elevator: bool = False
     thrust: bool = False
 
 
-def engine_derivative(state: EngineState, thrust_cmd: float,
-                      tau: float = ENGINE_TAU) -> float:
-    """d(thrust)/dt of the first-order engine lag."""
-    return (thrust_cmd - state.thrust_actual) / tau
+# elevator servo terms, computed once
+_W2 = ELEVATOR_OMEGA * ELEVATOR_OMEGA
+_TWO_ZW = 2.0 * ELEVATOR_ZETA * ELEVATOR_OMEGA
 
 
-def elevator_derivative(state: ElevatorState, delta_e_cmd: float,
-                        omega: float = ELEVATOR_OMEGA,
-                        zeta: float = ELEVATOR_ZETA):
-    """(d(deflection)/dt, d(rate)/dt) of the second-order elevator servo."""
-    ddefl = state.deflection_rate
-    drate = omega * omega * (delta_e_cmd - state.deflection) \
-        - 2.0 * zeta * omega * state.deflection_rate
-    return ddefl, drate
+def actuator_derivative(thrust, de, de_rate, thrust_cmd, de_cmd):
+    """(T', delta_e', delta_e'') of the engine lag and the elevator servo."""
+    return ((thrust_cmd - thrust) / ENGINE_TAU, de_rate,
+            _W2 * (de_cmd - de) - _TWO_ZW * de_rate)
 
 
 def saturate_inputs(delta_e_cmd: float, thrust_cmd: float,
@@ -83,24 +67,31 @@ def saturate_inputs(delta_e_cmd: float, thrust_cmd: float,
     return de, th, flags
 
 
-def clamp_actuator_states(engine: EngineState, elevator: ElevatorState,
-                          params: AircraftParams) -> None:
+def project_actuator_states(thrust, de, de_rate, params: AircraftParams):
     """Project actuator states back onto their physical ranges.
 
-    The elevator rate is zeroed when the surface is pinned at a stop.
+    Returns (thrust, de, de_rate, projected).  The elevator rate is
+    zeroed when it drives the surface further into the stop it is
+    pinned at; `projected` tells whether any state was moved.
     """
-    if engine.thrust_actual < 0.0:
-        engine.thrust_actual = 0.0
-    elif engine.thrust_actual > params.t_max:
-        engine.thrust_actual = params.t_max
-    if elevator.deflection < params.elevator_min:
-        elevator.deflection = params.elevator_min
-        if elevator.deflection_rate < 0.0:
-            elevator.deflection_rate = 0.0
-    elif elevator.deflection > params.elevator_max:
-        elevator.deflection = params.elevator_max
-        if elevator.deflection_rate > 0.0:
-            elevator.deflection_rate = 0.0
+    projected = False
+    if thrust < 0.0:
+        thrust = 0.0
+        projected = True
+    elif thrust > params.t_max:
+        thrust = params.t_max
+        projected = True
+    if de < params.elevator_min:
+        de = params.elevator_min
+        if de_rate < 0.0:
+            de_rate = 0.0
+        projected = True
+    elif de > params.elevator_max:
+        de = params.elevator_max
+        if de_rate > 0.0:
+            de_rate = 0.0
+        projected = True
+    return thrust, de, de_rate, projected
 
 
 def elevator_peak_overshoot(zeta: float = ELEVATOR_ZETA) -> float:

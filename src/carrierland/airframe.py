@@ -42,6 +42,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+_sin, _cos, _atan2, _hypot = math.sin, math.cos, math.atan2, math.hypot
+
 
 class OutOfTableRange(RuntimeError):
     """Angle of attack left the aerodynamic table's valid range."""
@@ -71,6 +73,10 @@ class AircraftParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.elevator_min < 0.0 < self.elevator_max:
             raise ValueError("elevator range must straddle zero")
+        # constants of rigid_body_derivative, unpacked once per call;
+        # 0.5 * rho is the first product of the dynamic pressure anyway
+        object.__setattr__(self, "_rigid_body", (
+            self.c_bar, 0.5 * self.rho, self.s_ref, self.m, self.g, self.j_y))
 
 
 @dataclass(frozen=True)
@@ -203,18 +209,11 @@ class AircraftState:
     def gamma(self) -> float:
         return self.theta - self.alpha
 
-    def as_tuple(self):
-        return (self.v_t, self.theta, self.alpha, self.q, self.x, self.z)
-
 
 @dataclass
 class ControlInputs:
     delta_e: float        # elevator deflection, rad
     thrust: float         # engine thrust, N
-
-    def delta_t(self, params: AircraftParams) -> float:
-        """Throttle fraction corresponding to the thrust value."""
-        return self.thrust / params.t_max
 
 
 def _polyval(coeffs, x: float) -> float:
@@ -229,16 +228,41 @@ def dynamic_pressure(v_t: float, rho: float) -> float:
     return 0.5 * rho * v_t * v_t
 
 
-def aero_forces(state: AircraftState, inputs: ControlInputs,
-                model: AeroModel, params: AircraftParams):
-    """Lift, drag and pitching moment (N, N, N m) at the current state."""
-    v = state.v_t
-    if v == 0.0:
-        return 0.0, 0.0, 0.0
-    q_hat = state.q * params.c_bar / (2.0 * v)
-    cl, cd, cm = model.coefficients(state.alpha, q_hat, inputs.delta_e)
-    qbar_s = dynamic_pressure(v, params.rho) * params.s_ref
-    return qbar_s * cl, qbar_s * cd, qbar_s * params.c_bar * cm
+def rigid_body_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
+                          model: AeroModel, params: AircraftParams):
+    """(V_T', theta', alpha', q', x', z') on flat floats, no finite check.
+
+    (u_g, w_g) is the wind in inertial axes, m/s; (0.0, 0.0) is calm
+    air.  Wind shifts the airspeed and angle of attack of the
+    aerodynamic lookup and advects the inertial trajectory.  The
+    scenario engine's RK4 derivative calls this kernel directly;
+    state_derivative wraps it for dataclass callers.
+    """
+    gamma = theta - alpha
+    sin_g = _sin(gamma)
+    cos_g = _cos(gamma)
+    if u_g != 0.0 or w_g != 0.0:
+        vax = v * cos_g - u_g
+        vaz = v * sin_g - w_g
+        v_air = _hypot(vax, vaz)
+        alpha_air = theta - _atan2(vaz, vax)
+    else:
+        v_air = v
+        alpha_air = alpha
+
+    c_bar, half_rho, s_ref, m, g, j_y = params._rigid_body
+    q_hat = q * c_bar / (2.0 * v_air) if v_air > 0.0 else 0.0
+    cl, cd, cm = model.coefficients(alpha_air, q_hat, delta_e)
+    qbar_s = half_rho * v_air * v_air * s_ref
+    lift = qbar_s * cl
+    drag = qbar_s * cd
+    moment = qbar_s * c_bar * cm
+    return ((thrust * _cos(alpha) - drag) / m - g * sin_g,
+            q,
+            q - (thrust * _sin(alpha) + lift) / (m * v) + g * cos_g / v,
+            moment / j_y,
+            v * cos_g + u_g,
+            v * sin_g + w_g)
 
 
 def state_derivative(state: AircraftState, inputs: ControlInputs,
@@ -246,48 +270,16 @@ def state_derivative(state: AircraftState, inputs: ControlInputs,
     """Time derivative (V_T', theta', alpha', q', x', z') of the full state.
 
     `wind` is any object with u_g/w_g attributes (m/s, inertial axes) or
-    None for calm air.  The relative wind shifts the airspeed and angle
-    of attack used in the aerodynamic lookup; the same wind advects the
-    inertial trajectory.
+    None for calm air.  Raises NonFiniteDerivative when a component is
+    NaN or infinite.
     """
-    v = state.v_t
-    theta = state.theta
-    alpha = state.alpha
-    q = state.q
-    gamma = theta - alpha
-    sin_g = math.sin(gamma)
-    cos_g = math.cos(gamma)
-
     if wind is not None and (wind.u_g != 0.0 or wind.w_g != 0.0):
-        vax = v * cos_g - wind.u_g
-        vaz = v * sin_g - wind.w_g
-        v_air = math.hypot(vax, vaz)
-        alpha_air = theta - math.atan2(vaz, vax)
         u_g, w_g = wind.u_g, wind.w_g
     else:
-        v_air = v
-        alpha_air = alpha
         u_g = w_g = 0.0
-
-    q_hat = q * params.c_bar / (2.0 * v_air) if v_air > 0.0 else 0.0
-    cl, cd, cm = model.coefficients(alpha_air, q_hat, inputs.delta_e)
-    qbar_s = 0.5 * params.rho * v_air * v_air * params.s_ref
-    lift = qbar_s * cl
-    drag = qbar_s * cd
-    moment = qbar_s * params.c_bar * cm
-
-    thrust = inputs.thrust
-    m = params.m
-    g = params.g
-
-    v_dot = (thrust * math.cos(alpha) - drag) / m - g * sin_g
-    theta_dot = q
-    alpha_dot = q - (thrust * math.sin(alpha) + lift) / (m * v) + g * cos_g / v
-    q_dot = moment / params.j_y
-    x_dot = v * cos_g + u_g
-    z_dot = v * sin_g + w_g
-
-    out = (v_dot, theta_dot, alpha_dot, q_dot, x_dot, z_dot)
+    out = rigid_body_derivative(state.v_t, state.theta, state.alpha, state.q,
+                                inputs.delta_e, inputs.thrust, u_g, w_g,
+                                model, params)
     for d in out:
         if not math.isfinite(d):
             raise NonFiniteDerivative(f"non-finite state derivative: {out}")

@@ -28,11 +28,11 @@ import math
 import os
 import sys
 
-from .airframe import AeroModel, AircraftParams, default_aero_model
+from .airframe import AircraftParams
 from .sim import (CONFIG_KEYS, ConfigError, RunResult, ScenarioConfig,
                   compare_controllers, config_from_dict, config_to_dict,
-                  run_scenario, write_trace_csv)
-from .trimlin import eigenmodes, linearize, solve_trim
+                  load_aero_model, run_scenario, write_trace_csv)
+from .trimlin import TrimNotConverged, eigenmodes, linearize, solve_trim
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,12 +157,19 @@ def out_dir_for(args, name: str) -> str:
     return os.path.join(root, name)
 
 
-def cmd_trim(args) -> int:
+def _trim_from_args(args):
+    """(params, model, trim point) of the trim and linearize commands."""
     params = AircraftParams()
-    model = (AeroModel.from_file(args.aero_model) if args.aero_model
-             else default_aero_model())
+    model = load_aero_model(args.aero_model)
     kwargs = {} if args.airspeed is None else {"v_target": args.airspeed}
-    tp = solve_trim(params, model, **kwargs)
+    try:
+        return params, model, solve_trim(params, model, **kwargs)
+    except TrimNotConverged as exc:
+        raise ConfigError(f"no trim point: {exc}") from exc
+
+
+def cmd_trim(args) -> int:
+    _, _, tp = _trim_from_args(args)
     print(f"airspeed        {tp.v_t_star:12.4f} m/s")
     print(f"alpha = theta   {math.degrees(tp.alpha_star):12.4f} deg")
     print(f"pitch rate      {tp.q_star:12.4f} rad/s")
@@ -175,11 +182,7 @@ def cmd_trim(args) -> int:
 
 
 def cmd_linearize(args) -> int:
-    params = AircraftParams()
-    model = (AeroModel.from_file(args.aero_model) if args.aero_model
-             else default_aero_model())
-    kwargs = {} if args.airspeed is None else {"v_target": args.airspeed}
-    tp = solve_trim(params, model, **kwargs)
+    params, model, tp = _trim_from_args(args)
     lm = linearize(tp, params, model)
     print("A (dV_T, dtheta, dalpha, dq):")
     for row in lm.a:

@@ -81,16 +81,6 @@ class OuterGains:
     integrator_limit: float = 10.0   # clamp on each integrator state
 
 
-@dataclass
-class ControlCommand:
-    delta_e_cmd: float      # rad, after controller-side saturation
-    thrust_cmd: float       # N, before engine clamp
-    theta_r: float = 0.0    # rad
-    zdot_r: float = 0.0     # m/s, positive up
-    v_r: float = 0.0        # m/s
-    h_theta: float = 0.0    # known observer input, rad/s^2
-
-
 def derive_pitch_gains(t_settle: float, damping: float, dqdot_dq: float):
     """(kp, kd) placing the pitch error poles for a 2% settling target.
 

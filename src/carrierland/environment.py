@@ -72,6 +72,8 @@ class ShipState:
     u_pitch: float = 0.0
     steps_since_draw: int = -1
 
+    # the filter outputs, as deck_motion forms them; kept as plain
+    # expressions because long deck runs read them every step
     @property
     def z_g(self) -> float:
         return SHIP_HEAVE_NUM * self.heave_filter[0]
@@ -79,14 +81,6 @@ class ShipState:
     @property
     def theta_s(self) -> float:
         return SHIP_PITCH_NUM * self.pitch_filter[2]
-
-    @property
-    def z_g_rate(self) -> float:
-        return SHIP_HEAVE_NUM * self.heave_filter[1]
-
-    @property
-    def theta_s_rate(self) -> float:
-        return SHIP_PITCH_NUM * self.pitch_filter[3]
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,44 @@ class WindSample(NamedTuple):
 
 
 CALM = WindSample(0.0, 0.0)
+
+
+def deck_motion(h0, h1, p2, p3, x_g):
+    """Deck attitude and landing point from the deck-filter states.
+
+    Takes the heave filter's first two states (h0, h1), the pitch
+    filter's last two (p2, p3) and the ship's centre of mass x_g.
+    Returns (z_g, theta_s, x_l, z_l, x_l', z_l'): heave, deck pitch, the
+    landing point and its rates.
+    """
+    z_g = SHIP_HEAVE_NUM * h0
+    theta_s = SHIP_PITCH_NUM * p2
+    sin_s = math.sin(theta_s)
+    cos_s = math.cos(theta_s)
+    theta_s_rate = SHIP_PITCH_NUM * p3
+    return (z_g, theta_s,
+            x_g - LANDING_POINT_OFFSET * cos_s,
+            z_g - LANDING_POINT_OFFSET * sin_s,
+            LANDING_POINT_OFFSET * sin_s * theta_s_rate,
+            SHIP_HEAVE_NUM * h1 - LANDING_POINT_OFFSET * cos_s * theta_s_rate)
+
+
+def held_ship_inputs(k, u_heave, u_pitch, hold, rng, p: ShipParams):
+    """Advance the held white-noise inputs of the deck filters one step.
+
+    k counts the steps since the last draw (-1: none yet).  When the
+    hold of `hold` steps runs out, both inputs are redrawn from rng, or
+    kept when rng is None (ship motion off).  Returns
+    (k, u_heave, u_pitch).
+    """
+    if k < 0 or k + 1 >= hold:
+        if rng is not None:
+            u_heave = rng.normal(
+                0.0, _held_sigma(p.heave_power_db, p.dt_noise) * p.noise_gain)
+            u_pitch = rng.normal(
+                0.0, _held_sigma(p.pitch_power_db, p.dt_noise) * p.noise_gain)
+        return 0, u_heave, u_pitch
+    return k + 1, u_heave, u_pitch
 
 
 def _ship_filter_derivative(x, u):
@@ -156,18 +188,9 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
     between; dt must divide dt_noise.
     """
     p = params or ShipParams()
-    hold_steps = max(1, round(p.dt_noise / dt))
-    k = state.steps_since_draw
-    if k < 0 or k + 1 >= hold_steps:
-        sig_h = _held_sigma(p.heave_power_db, p.dt_noise) * p.noise_gain
-        sig_p = _held_sigma(p.pitch_power_db, p.dt_noise) * p.noise_gain
-        u_h = rng.normal(0.0, sig_h)
-        u_p = rng.normal(0.0, sig_p)
-        k = 0
-    else:
-        u_h, u_p = state.u_heave, state.u_pitch
-        k += 1
-
+    k, u_h, u_p = held_ship_inputs(state.steps_since_draw, state.u_heave,
+                                   state.u_pitch, max(1, round(p.dt_noise / dt)),
+                                   rng, p)
     hf = _ship_filter_rk4(state.heave_filter, u_h, dt)
     pf = _ship_filter_rk4(state.pitch_filter, u_p, dt)
     return ShipState(heave_filter=hf, pitch_filter=pf,
@@ -176,18 +199,10 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
 
 def landing_point(state: ShipState, params: ShipParams | None = None) -> LandingPoint:
     """Touchdown-point position for the current deck attitude."""
-    p = params or ShipParams()
-    th = state.theta_s
-    return LandingPoint(x_l=p.x_g - LANDING_POINT_OFFSET * math.cos(th),
-                        z_l=state.z_g - LANDING_POINT_OFFSET * math.sin(th))
-
-
-def landing_point_rates(state: ShipState):
-    """(x_l', z_l') from the deck filter state derivatives."""
-    th = state.theta_s
-    th_rate = state.theta_s_rate
-    return (LANDING_POINT_OFFSET * math.sin(th) * th_rate,
-            state.z_g_rate - LANDING_POINT_OFFSET * math.cos(th) * th_rate)
+    x_g = (params or ShipParams()).x_g
+    h, p = state.heave_filter, state.pitch_filter
+    _, _, x_l, z_l, _, _ = deck_motion(h[0], h[1], p[2], p[3], x_g)
+    return LandingPoint(x_l=x_l, z_l=z_l)
 
 
 @dataclass
@@ -343,7 +358,9 @@ class Environment:
 
     def __post_init__(self):
         streams = rng_streams(self.seed)
-        self._ship_rng = streams["ship"]
+        # the deck-noise stream; None with ship motion off, so the held
+        # inputs are never redrawn and the deck stays level
+        self.ship_rng = streams["ship"] if self.ship_on else None
         self.ship = ShipState()
         self.wind = WindField(self.wind_params, streams["wind_u"],
                               streams["wind_w"], self.dt, self.v_ref,
@@ -351,23 +368,12 @@ class Environment:
         self.noise = PitchNoise(streams["noise"], self.dt,
                                 dt_noise=self.noise_dt,
                                 enabled=self.noise_on)
-        if self.ship_on and self.warmup_s > 0.0:
+        if self.ship_rng is not None and self.warmup_s > 0.0:
             n = int(round(self.warmup_s / self.dt))
             for _ in range(n):
-                self.ship = ship_step(self.ship, self.dt, self._ship_rng,
+                self.ship = ship_step(self.ship, self.dt, self.ship_rng,
                                       self.ship_params)
 
-    def step_ship(self) -> None:
-        if self.ship_on:
-            self.ship = ship_step(self.ship, self.dt, self._ship_rng,
-                                  self.ship_params)
-
     def landing_point(self) -> LandingPoint:
-        if not self.ship_on:
-            return LandingPoint(self.ship_params.x_g - LANDING_POINT_OFFSET, 0.0)
+        # with ship motion off the filters stay at rest: a level deck
         return landing_point(self.ship, self.ship_params)
-
-    def landing_point_rates(self):
-        if not self.ship_on:
-            return (0.0, 0.0)
-        return landing_point_rates(self.ship)

@@ -29,13 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .integrate import rk4_step
-
 _pow = math.pow
-
-
-class NonFiniteEstimate(RuntimeError):
-    """Observer state became NaN or infinite."""
 
 
 @dataclass(frozen=True)
@@ -82,6 +76,8 @@ def validate_params(p, raise_on_error: bool = False) -> list[str]:
         v.append("alpha1 must lie in the open interval (0, 1)")
     if not 0.0 < p.epsilon < 1.0:
         v.append("epsilon must lie in the open interval (0, 1)")
+    elif p.epsilon ** 3 == 0.0:
+        v.append("epsilon**3 underflows to 0; the gain k1/eps^3 is undefined")
     if raise_on_error and v:
         raise ValueError("; ".join(v))
     return v
@@ -92,9 +88,6 @@ class ObserverState:
     x1: float = 0.0   # estimate of the measured variable
     x2: float = 0.0   # estimate of its rate
     x3: float = 0.0   # estimate of the lumped disturbance
-
-    def as_tuple(self):
-        return (self.x1, self.x2, self.x3)
 
 
 def observer_derivative(state, y_op: float, h: float, p: ObserverParams):
@@ -118,14 +111,3 @@ def observer_derivative(state, y_op: float, h: float, p: ObserverParams):
         f3 = f2 = f1 = 0.0
     return x2 - g3 * f3, x3 + h - g2 * f2, g1 * f1
 
-
-def estimate_step(obs: ObserverState, y_op: float, h: float,
-                  p: ObserverParams, dt: float) -> ObserverState:
-    """Advance the observer one step (RK4, measurement and input held)."""
-    def f(_t, s):
-        return observer_derivative(s, y_op, h, p)
-
-    x1, x2, x3 = rk4_step(f, obs.as_tuple(), 0.0, dt)
-    if not (math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3)):
-        raise NonFiniteEstimate(f"observer state non-finite: {(x1, x2, x3)}")
-    return ObserverState(x1, x2, x3)

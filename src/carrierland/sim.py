@@ -4,9 +4,15 @@ aircraft / actuator / observer / deck-motion system, scenario
 orchestration and metric extraction.
 
 The integrated state concatenates aircraft (6), engine (1), elevator
-(2), observer (3) and the two deck-motion filters (8).  Controller
-commands, the measured pitch, the wind sample and all white-noise draws
-are computed once per step and held across the four RK4 stages.
+(2), observer (3) and the two deck-motion filters (8).  The RK4
+derivative only concatenates the component kernels:
+airframe.rigid_body_derivative, actuation.actuator_derivative,
+observer.observer_derivative and the deck-filter derivative.  After each
+step actuation.project_actuator_states clamps the actuator states;
+environment.deck_motion gives the landing point and its rates and
+environment.held_ship_inputs the held deck noise.  Controller commands,
+the measured pitch, the wind sample and all white-noise draws are
+computed once per step and held across the four RK4 stages.
 
 Scenarios:
     pitch_step  step the pitch reference by a fixed angle at t = 0;
@@ -22,22 +28,26 @@ every sample drawn and every float written to the trace.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
 from .airframe import (AeroModel, AircraftParams, AircraftState,
                        ControlInputs, NonFiniteDerivative, OutOfTableRange,
-                       default_aero_model, state_derivative)
-from .actuation import (ELEVATOR_OMEGA, ELEVATOR_ZETA, ENGINE_TAU,
+                       default_aero_model, rigid_body_derivative,
+                       state_derivative)
+from .actuation import (actuator_derivative, project_actuator_states,
                         saturate_inputs)
 from .control import (RAD2DEG, GuidancePID, OuterGains, PitchGains,
                       PitchOPD, PitchPID, SinkPI, VelocityPID,
                       flight_path_generator)
 from .environment import (Environment, ShipParams, WindParams,
-                          _held_sigma, _ship_filter_derivative)
+                          _ship_filter_derivative, deck_motion,
+                          held_ship_inputs)
 from .integrate import rk4_step
 from .observer import ObserverParams, ObserverState, observer_derivative
-from .trimlin import LinearModel, TrimPoint, linearize, solve_trim
+from .trimlin import (LinearModel, TrimNotConverged, TrimPoint, linearize,
+                      solve_trim)
 
 TRACE_HEADER = (
     "t", "v_t", "theta", "alpha", "q", "x", "z", "gamma", "delta_e",
@@ -121,21 +131,68 @@ class ScenarioConfig:
                               "duration / dt")
         if self.trace_decimation < 1:
             raise ConfigError("trace_decimation must be >= 1")
-        if self.dt_noise < self.dt:
-            raise ConfigError("dt_noise must be >= dt")
-        if self.noise_dt < self.dt:
-            raise ConfigError("noise_dt must be >= dt")
-        if not (math.isfinite(self.dt_noise) and math.isfinite(self.noise_dt)):
-            raise ConfigError("dt_noise and noise_dt must be finite")
+        for key in ("dt_noise", "noise_dt"):
+            # each noise sample is held for a whole number of steps
+            steps = getattr(self, key) / self.dt
+            if steps < 1.0:
+                raise ConfigError(f"{key} must be >= dt")
+            if not math.isfinite(steps):
+                raise ConfigError(f"{key} / dt must be finite")
+            if abs(steps - round(steps)) > 1e-9 * steps:
+                raise ConfigError(f"dt must divide {key}")
+        if not (self.ship_warmup_s >= 0.0
+                and math.isfinite(self.ship_warmup_s / self.dt)):
+            raise ConfigError("ship_warmup_s must be >= 0 and finite, and so "
+                              "must ship_warmup_s / dt")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ConfigError("t_max must be > 0 and finite")
+        if not 0.0 <= self.turb_norm < math.inf:
+            raise ConfigError("turb_norm must be >= 0 and finite")
+        # numpy rejects a negative scale, -0.0 included
+        if not (math.copysign(1.0, self.ship_noise_gain) > 0.0
+                and self.ship_noise_gain < math.inf):
+            raise ConfigError("ship_noise_gain must be >= +0.0 and finite")
+        if not math.isfinite(self.glide_slope_deg):
+            raise ConfigError("glide_slope_deg must be finite")
+        if not self.theta_r_low_deg <= self.theta_r_high_deg:
+            raise ConfigError("theta_r_low_deg must be <= theta_r_high_deg")
+        if not (self.pitch.dqdot_dde != 0.0
+                and math.isfinite(self.pitch.dqdot_dde)):
+            raise ConfigError("pitch.dqdot_dde must be nonzero and finite")
+        if not (self.pitch.rate_filter_tau >= 0.0
+                and self.outer.deriv_filter_tau >= 0.0):
+            raise ConfigError("pid.tau and guid.tau must be >= 0")
+        if not self.outer.sink_notch_zeta >= 0.0:
+            raise ConfigError("sink.notch_zeta must be >= 0")
+        if self.scenario == "approach" and (self.outer.ki_v == 0.0
+                                            or self.outer.ki_s == 0.0):
+            # the approach preloads both integrators through 1 / ki
+            raise ConfigError("vel.ki and sink.ki must be nonzero for "
+                              "approach")
         if self.scenario == "sink_step" and self.sink_rate_cmd == 0.0:
             raise ConfigError("sink_rate_cmd must be nonzero for sink_step")
         if self.wind_on and not self.v_wd > 0.0:
             raise ConfigError("v_wd must be > 0 when wind is on")
+        if self.wind_on and not math.isfinite(self.wake_extent / self.v_wd):
+            # bounds the phase of the periodic wake, which scales as X / v_wd
+            raise ConfigError("wake_extent / v_wd must be finite when wind "
+                              "is on")
         if self.initial_range <= 0.0:
             raise ConfigError("initial_range must be > 0")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         self.observer_params()
+        load_aero_model(self.aero_model_path)
+
+
+def load_aero_model(path: str | None) -> AeroModel:
+    """The model in the JSON file at path; the default model for no path."""
+    if not path:
+        return default_aero_model()
+    try:
+        return AeroModel.from_file(path)
+    except (ValueError, TypeError) as exc:   # bad JSON or bad model
+        raise ConfigError(f"aero model {path}: {exc}") from exc
 
 
 # Dotted override keys accepted by config files and the CLI, mapped to
@@ -214,9 +271,10 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 def config_from_dict(d: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Build a configuration from canonical keys, rejecting unknown ones."""
-    cfg = replace(base) if base is not None else ScenarioConfig()
-    cfg.pitch = replace(cfg.pitch)
-    cfg.outer = replace(cfg.outer)
+    cfg = copy.copy(base) if base is not None else ScenarioConfig()
+    # copies, not replace(): an invalid gain is validate()'s to report
+    cfg.pitch = copy.copy(cfg.pitch)
+    cfg.outer = copy.copy(cfg.outer)
     unknown = [k for k in d if k not in CONFIG_KEYS]
     if unknown:
         raise ConfigError(
@@ -288,7 +346,9 @@ class RunResult:
 def settle_time(t, y, target: float, band_fraction: float = 0.02):
     """First time after which y stays inside the +-band around target.
 
-    The band is band_fraction of |target|.  Returns None when the signal
+    The band is band_fraction of |target|, the absolute target, not the
+    step size: on a 1 deg pitch step to theta* + 1 deg ~ 8.1 deg the 2 %
+    band is ~0.16 deg, 16 % of the step.  Returns None when the signal
     never enters the band or leaves it again before the window ends.
     """
     band = band_fraction * abs(target)
@@ -300,6 +360,38 @@ def settle_time(t, y, target: float, band_fraction: float = 0.02):
     if last_out == len(y) - 1:
         return None
     return t[last_out + 1]
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf where that overflows.
+
+    ``x ** 2`` and ``x * x`` can differ in the last bit; the power is
+    kept so that metric values stay as they were.
+    """
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
+                   dt: float) -> None:
+    """Settling, steady-state and overshoot metrics of a step response.
+
+    The step goes from `start` to `target`.  The steady-state error is
+    the mean over the last second relative to |target|; the overshoot is
+    the peak excursion past the target relative to the step size.
+    """
+    st = settle_time(t, y, target)
+    metrics.settle_time_2pct = st
+    metrics.settled = st is not None
+    tail = y[-max(1, int(1.0 / dt)):]
+    metrics.steady_state_error = abs(
+        sum(tail) / len(tail) - target) / abs(target)
+    step_size = target - start
+    if step_size != 0.0:
+        metrics.overshoot = max(
+            0.0, max((yi - target) / step_size for yi in y))
 
 
 class Simulation:
@@ -315,10 +407,12 @@ class Simulation:
                       if config.t_max else AircraftParams())
         self.params = params
         if model is None:
-            model = (AeroModel.from_file(config.aero_model_path)
-                     if config.aero_model_path else default_aero_model())
+            model = load_aero_model(config.aero_model_path)
         self.model = model
-        self.trim = solve_trim(params, model)
+        try:
+            self.trim = solve_trim(params, model)
+        except TrimNotConverged as exc:
+            raise ConfigError(f"no trim point: {exc}") from exc
         self.linear = linearize(self.trim, params, model)
         self.obs_params = config.observer_params()
         gains = replace(config.pitch)
@@ -401,15 +495,8 @@ class Simulation:
             + env.ship.heave_filter + env.ship.pitch_filter
 
         ship_params = env.ship_params
-        ship_on = cfg.ship_on
-        sig_h = _held_sigma(ship_params.heave_power_db, ship_params.dt_noise) \
-            * ship_params.noise_gain
-        sig_p = _held_sigma(ship_params.pitch_power_db, ship_params.dt_noise) \
-            * ship_params.noise_gain
-        ship_rng = env._ship_rng
-        hold_steps = max(1, round(cfg.dt_noise / dt))
-        u_heave = env.ship.u_heave
-        u_pitch = env.ship.u_pitch
+        ship_rng = env.ship_rng
+        hold = max(1, round(ship_params.dt_noise / dt))
         ship_since_draw = env.ship.steps_since_draw
         x_g = ship_params.x_g
         wind_sample = env.wind.sample
@@ -417,71 +504,32 @@ class Simulation:
         guid_step, sink_step = guid.step, sink.step
         opd_step, pid_step, vel_step = opd.step, pid.step, vel.step
 
-        omega_a = ELEVATOR_OMEGA
-        zeta_a = ELEVATOR_ZETA
-        two_zw = 2.0 * zeta_a * omega_a
-        w2a = omega_a * omega_a
-        tau_eng = ENGINE_TAU
-
         # run constants, read into locals once
-        sin, cos, atan2, hypot = math.sin, math.cos, math.atan2, math.hypot
+        sin, cos = math.sin, math.cos
         isfinite = math.isfinite
         tan_gs = math.tan(glide_slope)
         metric_skip = cfg.metric_skip_s
-        c_bar = params.c_bar
-        rho = params.rho
-        s_ref = params.s_ref
-        mass = params.m
-        grav = params.g
-        j_y = params.j_y
-        t_max = params.t_max
-        elevator_min = params.elevator_min
-        elevator_max = params.elevator_max
-        coefficients = model.coefficients
 
         # inputs held over the four RK4 stages of a step; f reads them
         # from its closure and the loop sets them once per step
         u_g = w_g = 0.0
-        windy = False
         de_cmd = thrust_cmd = 0.0
         y_op = h_theta = 0.0
-        u_h = u_p = 0.0
+        u_h = env.ship.u_heave
+        u_p = env.ship.u_pitch
 
         def f(_t, s):
             """Coupled derivative of the 20-state system with held inputs."""
             (sv, sth, sal, sq, _sx, _sz, st_eng, sde, sde_rate,
              sx1, sx2, sx3, h0, h1, h2, h3, p0, p1, p2, p3) = s
-            ga = sth - sal
-            sin_g = sin(ga)
-            cos_g = cos(ga)
-            if windy:
-                vax = sv * cos_g - u_g
-                vaz = sv * sin_g - w_g
-                v_air = hypot(vax, vaz)
-                alpha_air = sth - atan2(vaz, vax)
-            else:
-                v_air = sv
-                alpha_air = sal
-            q_hat = sq * c_bar / (2.0 * v_air)
-            cl, cd, cm = coefficients(alpha_air, q_hat, sde)
-            qbar_s = 0.5 * rho * v_air * v_air * s_ref
-            lift = qbar_s * cl
-            drag = qbar_s * cd
-            moment = qbar_s * c_bar * cm
-            sin_a = sin(sal)
-            cos_a = cos(sal)
-            dv = (st_eng * cos_a - drag) / mass - grav * sin_g
-            dal = sq - (st_eng * sin_a + lift) / (mass * sv) \
-                + grav * cos_g / sv
-            do1, do2, do3 = observer_derivative(
-                (sx1, sx2, sx3), y_op, h_theta, obs_p)
-            dh0, dh1, dh2, dh3 = _ship_filter_derivative((h0, h1, h2, h3), u_h)
-            dp0, dp1, dp2, dp3 = _ship_filter_derivative((p0, p1, p2, p3), u_p)
-            return (dv, sq, dal, moment / j_y,
-                    sv * cos_g + u_g, sv * sin_g + w_g,
-                    (thrust_cmd - st_eng) / tau_eng, sde_rate,
-                    w2a * (de_cmd - sde) - two_zw * sde_rate,
-                    do1, do2, do3, dh0, dh1, dh2, dh3, dp0, dp1, dp2, dp3)
+            return (rigid_body_derivative(sv, sth, sal, sq, sde, st_eng,
+                                          u_g, w_g, model, params)
+                    + actuator_derivative(st_eng, sde, sde_rate,
+                                          thrust_cmd, de_cmd)
+                    + observer_derivative((sx1, sx2, sx3), y_op, h_theta,
+                                          obs_p)
+                    + _ship_filter_derivative((h0, h1, h2, h3), u_h)
+                    + _ship_filter_derivative((p0, p1, p2, p3), u_p))
 
         trace: list[tuple] = []
         t_hist: list[float] = []
@@ -508,22 +556,14 @@ class Simulation:
              ox1, ox2, ox3, h0, h1, h2, h3, p0, p1, p2, p3) = y
 
             # --- per-step draws (held over the four RK4 stages)
-            if ship_since_draw < 0 or ship_since_draw + 1 >= hold_steps:
-                if ship_on:
-                    u_heave = ship_rng.normal(0.0, sig_h)
-                    u_pitch = ship_rng.normal(0.0, sig_p)
-                ship_since_draw = 0
-            else:
-                ship_since_draw += 1
-            z_g = 1.21 * h0
-            theta_s = 0.773 * p2
-            lp_x = x_g - 81.0 * cos(theta_s)
-            lp_z = z_g - 81.0 * sin(theta_s)
+            ship_since_draw, u_h, u_p = held_ship_inputs(
+                ship_since_draw, u_h, u_p, hold, ship_rng, ship_params)
+            z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate = deck_motion(
+                h0, h1, p2, p3, x_g)
             wind = wind_sample(t, x, x_g)
             noise = noise_sample(t)
             u_g = wind.u_g
             w_g = wind.w_g
-            windy = u_g != 0.0 or w_g != 0.0
 
             gamma = th - al
             theta_meas = th + noise
@@ -536,12 +576,6 @@ class Simulation:
             zdot_r = 0.0
             if approach:
                 z_r = lp_z + tan_gs * (lp_x - x)
-                if ship_on:
-                    th_s_rate = 0.773 * p3
-                    xl_rate = 81.0 * sin(theta_s) * th_s_rate
-                    zl_rate = 1.21 * h1 - 81.0 * cos(theta_s) * th_s_rate
-                else:
-                    xl_rate = zl_rate = 0.0
                 ff = zl_rate + tan_gs * (xl_rate - xdot)
                 zdot_r = guid_step(z_r, z, dt, feedforward=ff)
                 theta_r = sink_step(zdot_r, zdot, dt)
@@ -600,7 +634,7 @@ class Simulation:
                     z_g, theta_s, lp_x, lp_z, noise,
                     1 if flags.elevator else 0, 1 if flags.thrust else 0,
                 ))
-                obs_err_sq += (ox3 - d_true) ** 2
+                obs_err_sq += _square(ox3 - d_true)
 
             t_hist.append(t)
             theta_hist.append(th)
@@ -609,12 +643,10 @@ class Simulation:
             if approach:
                 dev_hist.append((t, abs(z - z_r)))
                 if t >= metric_skip:
-                    theta_err_sq += (th - theta_r) ** 2
+                    theta_err_sq += _square(th - theta_r)
                     theta_err_n += 1
 
             # --- coupled derivative with held inputs
-            u_h = u_heave if ship_on else 0.0
-            u_p = u_pitch if ship_on else 0.0
             try:
                 y = rk4_step(f, (v, th, al, q, x, z, t_eng, de, de_rate,
                                  ox1, ox2, ox3, h0, h1, h2, h3,
@@ -625,25 +657,8 @@ class Simulation:
                 abort_reason = f"{type(exc).__name__}: {exc}"
                 break
 
-            # project actuator states onto their physical ranges
-            t_eng, de, de_rate = y[6], y[7], y[8]
-            projected = False
-            if t_eng < 0.0:
-                t_eng = 0.0
-                projected = True
-            elif t_eng > t_max:
-                t_eng = t_max
-                projected = True
-            if de < elevator_min:
-                de = elevator_min
-                if de_rate < 0.0:
-                    de_rate = 0.0
-                projected = True
-            elif de > elevator_max:
-                de = elevator_max
-                if de_rate > 0.0:
-                    de_rate = 0.0
-                projected = True
+            t_eng, de, de_rate, projected = project_actuator_states(
+                y[6], y[7], y[8], params)
             if projected:
                 y = y[:6] + (t_eng, de, de_rate) + y[9:]
             # a finite sum implies finite terms; finite terms can still
@@ -670,30 +685,11 @@ class Simulation:
         if trace:
             metrics.observer_rms_error = math.sqrt(obs_err_sq / len(trace))
         if pitch_scenario and t_hist:
-            target = theta_cmd
-            st = settle_time(t_hist, theta_hist, target)
-            metrics.settle_time_2pct = st
-            metrics.settled = st is not None
-            tail = max(1, int(1.0 / dt))
-            tail_vals = theta_hist[-tail:]
-            metrics.steady_state_error = abs(
-                sum(tail_vals) / len(tail_vals) - target) / abs(target)
-            step_size = target - theta_star
-            if step_size != 0.0:
-                peak = max((th - target) / step_size for th in theta_hist)
-                metrics.overshoot = max(0.0, peak)
+            _step_response(metrics, t_hist, theta_hist, theta_star,
+                           theta_cmd, dt)
         if sink_scenario and zdot_hist:
-            target = zdot_cmd
-            st = settle_time(t_hist, zdot_hist, target)
-            metrics.settle_time_2pct = st
-            metrics.settled = st is not None
-            tail = max(1, int(1.0 / dt))
-            tail_vals = zdot_hist[-tail:]
-            metrics.steady_state_error = abs(
-                sum(tail_vals) / len(tail_vals) - target) / abs(target)
-            direction = -1.0 if target < 0.0 else 1.0  # starts from level flight
-            peak = max((zd - target) * direction for zd in zdot_hist)
-            metrics.overshoot = max(0.0, peak / abs(target))
+            # starts from level flight
+            _step_response(metrics, t_hist, zdot_hist, 0.0, zdot_cmd, dt)
         if approach and dev_hist:
             skip = self.cfg.metric_skip_s
             devs = [d for (tt, d) in dev_hist if tt >= skip]
@@ -712,9 +708,8 @@ class Simulation:
     # ------------------------------------------------------------------
     def _qdot(self, v, th, al, q, de, thrust, wind) -> float:
         """Pitch acceleration at the given point (for d_true and truth mode)."""
-        st = AircraftState(v, th, al, q)
-        return state_derivative(st, ControlInputs(de, thrust),
-                                wind if (wind.u_g or wind.w_g) else None,
+        return state_derivative(AircraftState(v, th, al, q),
+                                ControlInputs(de, thrust), wind,
                                 self.model, self.params)[3]
 
 

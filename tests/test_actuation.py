@@ -2,22 +2,29 @@ import math
 
 import pytest
 
-from carrierland.actuation import (ELEVATOR_ZETA, EngineState, ElevatorState,
-                                   clamp_actuator_states, elevator_derivative,
-                                   elevator_peak_overshoot, engine_derivative,
-                                   saturate_inputs)
+from carrierland.actuation import (ELEVATOR_ZETA, actuator_derivative,
+                                   elevator_peak_overshoot,
+                                   project_actuator_states, saturate_inputs)
 from carrierland.airframe import AircraftParams
 from carrierland.integrate import rk4_step
 
 PARAMS = AircraftParams()
 
 
+def engine_derivative(thrust, thrust_cmd):
+    return actuator_derivative(thrust, 0.0, 0.0, thrust_cmd, 0.0)[0]
+
+
+def elevator_derivative(de, de_rate, de_cmd):
+    return actuator_derivative(0.0, de, de_rate, 0.0, de_cmd)[1:]
+
+
 def test_engine_steady_state():
-    assert engine_derivative(EngineState(5000.0), 5000.0) == 0.0
+    assert engine_derivative(5000.0, 5000.0) == 0.0
 
 
 def test_engine_rate_example():
-    assert engine_derivative(EngineState(1000.0), 0.0) == pytest.approx(-1600.0)
+    assert engine_derivative(1000.0, 0.0) == pytest.approx(-1600.0)
 
 
 def test_engine_step_reaches_one_e_fold():
@@ -25,7 +32,7 @@ def test_engine_step_reaches_one_e_fold():
     y = (0.0,)
     dt = 0.001
     for k in range(625):
-        y = rk4_step(lambda _t, s: (engine_derivative(EngineState(s[0]), cmd),),
+        y = rk4_step(lambda _t, s: (engine_derivative(s[0], cmd),),
                      y, k * dt, dt)
     assert y[0] / cmd == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
 
@@ -35,7 +42,7 @@ def test_engine_step_monotone():
     y = (0.0,)
     prev = 0.0
     for k in range(2000):
-        y = rk4_step(lambda _t, s: (engine_derivative(EngineState(s[0]), cmd),),
+        y = rk4_step(lambda _t, s: (engine_derivative(s[0], cmd),),
                      y, k * 0.001, 0.001)
         assert y[0] >= prev
         prev = y[0]
@@ -43,12 +50,11 @@ def test_engine_step_monotone():
 
 
 def test_elevator_steady_state():
-    st = ElevatorState(deflection=0.05, deflection_rate=0.0)
-    assert elevator_derivative(st, 0.05) == (0.0, 0.0)
+    assert elevator_derivative(0.05, 0.0, 0.05) == (0.0, 0.0)
 
 
 def test_elevator_rate_example():
-    dd, dr = elevator_derivative(ElevatorState(0.0, 0.0), 0.1)
+    dd, dr = elevator_derivative(0.0, 0.0, 0.1)
     assert dd == 0.0
     assert dr == pytest.approx(30.74 ** 2 * 0.1, rel=1e-12)  # ~94.49
 
@@ -60,7 +66,7 @@ def test_elevator_overshoot_matches_second_order_formula():
     dt = 0.0005
     for k in range(8000):
         def f(_t, s):
-            return elevator_derivative(ElevatorState(s[0], s[1]), cmd)
+            return elevator_derivative(s[0], s[1], cmd)
         y = rk4_step(f, y, k * dt, dt)
         peak = max(peak, y[0])
     expected = elevator_peak_overshoot(ELEVATOR_ZETA)  # ~15.6 %
@@ -98,9 +104,21 @@ def test_saturation_idempotent(de, thrust):
 
 
 def test_actuator_state_projection():
-    eng = EngineState(thrust_actual=2 * PARAMS.t_max)
-    ele = ElevatorState(deflection=-1.0, deflection_rate=-2.0)
-    clamp_actuator_states(eng, ele, PARAMS)
-    assert eng.thrust_actual == PARAMS.t_max
-    assert ele.deflection == PARAMS.elevator_min
-    assert ele.deflection_rate == 0.0  # pinned at the stop
+    thrust, de, de_rate, projected = project_actuator_states(
+        2 * PARAMS.t_max, -1.0, -2.0, PARAMS)
+    assert thrust == PARAMS.t_max
+    assert de == PARAMS.elevator_min
+    assert de_rate == 0.0  # pinned at the stop
+    assert projected
+
+
+def test_actuator_projection_keeps_rate_leaving_the_stop():
+    thrust, de, de_rate, projected = project_actuator_states(
+        -5.0, 1.0, -2.0, PARAMS)
+    assert (thrust, de, de_rate) == (0.0, PARAMS.elevator_max, -2.0)
+    assert projected
+
+
+def test_actuator_projection_interior_untouched():
+    state = (0.5 * PARAMS.t_max, -0.1, 3.0)
+    assert project_actuator_states(*state, PARAMS) == state + (False,)

@@ -4,8 +4,8 @@ import math
 import pytest
 
 from carrierland.airframe import (AeroModel, AircraftParams, AircraftState,
-                                  ControlInputs, OutOfTableRange,
-                                  aero_forces, dynamic_pressure,
+                                  ControlInputs, NonFiniteDerivative,
+                                  OutOfTableRange, dynamic_pressure,
                                   state_derivative)
 from carrierland.environment import WindSample
 from carrierland.integrate import rk4_step
@@ -24,41 +24,47 @@ def test_dynamic_pressure_unit_case():
     assert dynamic_pressure(1.0, 2.0) == 1.0
 
 
-def test_aero_forces_zero_airspeed(model, params):
-    st = AircraftState(0.0, 0.2, 0.1, 0.3)
-    assert aero_forces(st, ControlInputs(0.1, 0.0), model, params) == (0, 0, 0)
-
-
 def test_trim_lift_balance(model, params, trim):
     """At trim the vertical balance L + T sin(alpha) = m g holds exactly,
     and the weight-carrying reference coefficient mg/(qbar S) is 1.2395."""
-    lift, drag, moment = aero_forces(trim.state(), trim.inputs(), model, params)
-    mg = params.m * params.g
-    assert lift + trim.thrust_star * math.sin(trim.alpha_star) == \
-        pytest.approx(mg, rel=1e-9)
+    # level trim has q = 0, so q_hat = 0
+    cl, cd, _ = model.coefficients(trim.alpha_star, 0.0, trim.delta_e_star)
     q_s = dynamic_pressure(trim.v_t_star, params.rho) * params.s_ref
+    mg = params.m * params.g
+    assert q_s * cl + trim.thrust_star * math.sin(trim.alpha_star) == \
+        pytest.approx(mg, rel=1e-9)
     assert mg / q_s == pytest.approx(1.2395, abs=2e-4)
-    assert drag >= 0.0
+    assert cd >= 0.0
 
 
 def test_trim_moment_zero(model, params, trim):
-    _, _, moment = aero_forces(trim.state(), trim.inputs(), model, params)
+    _, _, cm = model.coefficients(trim.alpha_star, 0.0, trim.delta_e_star)
+    assert abs(cm) < 1e-10
+    d = state_derivative(trim.state(), trim.inputs(), None, model, params)
     q_sc = dynamic_pressure(trim.v_t_star, params.rho) * params.s_ref * params.c_bar
-    assert abs(moment / q_sc) < 1e-10
+    assert abs(d[3] * params.j_y / q_sc) < 1e-10
 
 
 def test_alpha_out_of_range_raises(model, params):
     st = AircraftState(69.1, 0.0, math.radians(45.0), 0.0)
     with pytest.raises(OutOfTableRange):
-        aero_forces(st, ControlInputs(0.0, 0.0), model, params)
+        state_derivative(st, ControlInputs(0.0, 0.0), None, model, params)
 
 
 def test_drag_positive_over_domain(model, params):
     for alpha_deg in range(-5, 41):
         for de in (params.elevator_min, 0.0, params.elevator_max):
-            st = AircraftState(69.1, 0.0, math.radians(alpha_deg), 0.0)
-            _, drag, _ = aero_forces(st, ControlInputs(de, 0.0), model, params)
-            assert drag > 0.0
+            alpha = math.radians(alpha_deg)
+            # level path, engine off: V' = -D/m
+            st = AircraftState(69.1, alpha, alpha, 0.0)
+            d = state_derivative(st, ControlInputs(de, 0.0), None, model, params)
+            assert d[0] < 0.0
+
+
+def test_non_finite_derivative_raises(model, params):
+    st = AircraftState(math.inf, 0.1, 0.1, 0.0)
+    with pytest.raises(NonFiniteDerivative):
+        state_derivative(st, ControlInputs(0.0, 0.0), None, model, params)
 
 
 def test_trim_derivatives_vanish(model, params, trim):

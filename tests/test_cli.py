@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+
+import pytest
 
 from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
                              build_parser, main)
-from carrierland.sim import CONFIG_KEYS
+from carrierland.sim import CONFIG_KEYS, CONTROLLERS, SCENARIOS
 
 
 def run_cli(*argv):
@@ -178,3 +184,137 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     err = _usage_error(capsys, "run", "--config", str(not_an_object),
                        "--out", str(tmp_path / "out"))
     assert "JSON object" in err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("--scenario", "approach", "--set", "ship_warmup_s=inf"),
+     "ship_warmup_s must be >= 0 and finite"),
+    (("--set", "ship_warmup_s=-1"), "ship_warmup_s must be >= 0"),
+    (("--set", "dt_noise=1e308"), "dt_noise / dt must be finite"),
+    (("--set", "noise_dt=1e308"), "noise_dt / dt must be finite"),
+    (("--set", "t_max=-5"), "t_max must be > 0"),
+    (("--set", "t_max=1000"), "no trim point"),
+    (("--wind", "on", "--set", "turb_norm=-1"), "turb_norm must be >= 0"),
+    (("--set", "ship_noise_gain=nan"), "ship_noise_gain must be >="),
+    (("--set", "ship_noise_gain=-0.0"), "ship_noise_gain must be >="),
+    (("--set", "glide_slope_deg=inf"), "glide_slope_deg must be finite"),
+    (("--wind", "on", "--set", "v_wd=1e-320"), "wake_extent / v_wd"),
+    (("--set", "pitch.dqdot_dde=0"), "pitch.dqdot_dde must be nonzero"),
+    (("--scenario", "approach", "--set", "vel.ki=0"), "vel.ki and sink.ki"),
+    (("--scenario", "approach", "--set", "sink.ki=0"), "vel.ki and sink.ki"),
+    (("--controller", "pid", "--set", "pid.tau=-0.001"), "pid.tau"),
+    (("--set", "guid.tau=-0.001"), "guid.tau"),
+    (("--set", "sink.notch_zeta=-1"), "sink.notch_zeta must be >= 0"),
+    (("--set", "theta_r_low_deg=9", "--set", "theta_r_high_deg=8"),
+     "theta_r_low_deg must be <= theta_r_high_deg"),
+    (("--dt", "0.003"), "dt must divide dt_noise"),
+    (("--set", "noise_dt=0.0105"), "dt must divide noise_dt"),
+])
+def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
+    err = _usage_error(capsys, "run", *argv, "--duration", "0.1",
+                       "--out", str(tmp_path))
+    assert fragment in err
+
+
+def test_hold_intervals_accept_exact_multiples(tmp_path, capsys):
+    # 0.1 / 0.001 and 0.01 / 0.0005 are whole up to rounding
+    assert run_cli("run", "--dt", "0.0005", "--set", "dt_noise=0.1",
+                   "--duration", "0.05", "--out", str(tmp_path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("model_json, fragment", [
+    ({"cl_base": [0.1]}, "missing keys"),
+    ("not json", "aero model"),
+    ([1, 2], "aero model"),
+])
+def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
+                                              fragment):
+    path = tmp_path / "aero.json"
+    path.write_text(model_json if isinstance(model_json, str)
+                    else json.dumps(model_json))
+    err = _usage_error(capsys, "run", "--set", f"aero_model_path={path}",
+                       "--duration", "0.1", "--out", str(tmp_path / "out"))
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["trim", "linearize"])
+def test_trim_commands_reject_bad_model_or_airspeed(tmp_path, capsys,
+                                                     command):
+    bad = tmp_path / "aero.json"
+    bad.write_text('{"cl_base": [0.1]}\n')
+    err = _usage_error(capsys, command, "--aero-model", str(bad))
+    assert "missing keys" in err
+    err = _usage_error(capsys, command, "--airspeed", "1000")
+    assert "no trim point" in err
+
+
+def test_invalid_gain_in_config_file_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pitch.dqdot_dde": 0}\n')
+    err = _usage_error(capsys, "run", "--config", str(cfg),
+                       "--out", str(tmp_path / "out"))
+    assert "pitch.dqdot_dde" in err
+
+
+# every numeric config key, drawn with its degenerate values too
+_NUMERIC_KEYS = sorted(k for k, (_, typ) in CONFIG_KEYS.items()
+                       if typ in (int, float))
+# keys whose finite values set the run's cost, drawn short
+_SHORT_KEYS = {"duration": (0.001, 0.2), "ship_warmup_s": (0.0, 0.3)}
+
+
+def _config_draws(st):
+    """(scenario, controller, wind, noise, ship, settings) draws, where
+    settings always holds the short keys and up to four other keys."""
+    degenerate = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e308]
+    special = st.sampled_from(degenerate + [1e308, 1e-308])
+    values = {}
+    for key in _NUMERIC_KEYS:
+        if key in _SHORT_KEYS:
+            values[key] = st.one_of(special, st.floats(*_SHORT_KEYS[key]))
+        elif key == "dt":
+            # a tiny positive dt is a valid, endless run
+            values[key] = st.sampled_from(
+                degenerate + [0.001, 0.002, 0.0005, 0.003, 0.01, 0.05])
+        elif CONFIG_KEYS[key][1] is int:
+            values[key] = st.integers(-3, 2 ** 40)
+        else:
+            values[key] = st.one_of(special, st.floats())
+    other = st.lists(st.sampled_from(
+        [k for k in _NUMERIC_KEYS if k not in _SHORT_KEYS]).flatmap(
+            lambda k: st.tuples(st.just(k), values[k])), max_size=4)
+    settings = st.tuples(values["duration"], values["ship_warmup_s"],
+                         other).map(lambda d: [("duration", d[0]),
+                                               ("ship_warmup_s", d[1])] + d[2])
+    return st.tuples(st.sampled_from(SCENARIOS), st.sampled_from(CONTROLLERS),
+                     st.booleans(), st.booleans(), st.booleans(), settings)
+
+
+def test_config_fuzz_runs_or_rejects():
+    """Every numeric config either runs (exit 0, 3 or 4) or is rejected
+    with exit 2 and a one-line message; none ends in a traceback."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_config_draws(hypothesis.strategies))
+    def check(draw):
+        scenario, controller, wind, noise, ship, settings = draw
+        argv = ["run", "--scenario", scenario, "--controller", controller,
+                "--wind", "on" if wind else "off",
+                "--noise", "on" if noise else "off",
+                "--ship", "on" if ship else "off"]
+        for key, value in settings:
+            argv += ["--set", f"{key}={value!r}"]
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", out])
+        message = err.getvalue().strip()
+        if code == EXIT_USAGE:
+            assert message.startswith("error: ") and "\n" not in message
+        else:
+            assert code in (EXIT_OK, EXIT_ABORT, EXIT_UNSETTLED), message
+
+    check()

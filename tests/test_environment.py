@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from carrierland.environment import (LANDING_POINT_OFFSET, PitchNoise,
+from carrierland.environment import (LANDING_POINT_OFFSET, Environment,
+                                     LandingPoint, PitchNoise,
                                      ShipParams, ShipState, WindField,
                                      WindParams, _ship_filter_rk4,
-                                     landing_point, landing_point_rates,
-                                     rng_streams, ship_step, wake_periodic,
-                                     wake_steady)
+                                     deck_motion, landing_point, rng_streams,
+                                     ship_step, wake_periodic, wake_steady)
 
 
 class _ZeroRng:
@@ -83,11 +83,31 @@ def test_landing_point_rates_match_finite_difference():
     for _ in range(5000):
         st = ship_step(st, 1e-3, rng, p)
     lp0 = landing_point(st, p)
-    xr, zr = landing_point_rates(st)
+    xr, zr = deck_motion(*st.heave_filter[:2], *st.pitch_filter[2:],
+                         p.x_g)[4:]
     st2 = ship_step(st, 1e-3, rng, p)
     lp1 = landing_point(st2, p)
     assert (lp1.x_l - lp0.x_l) / 1e-3 == pytest.approx(xr, abs=1e-3)
     assert (lp1.z_l - lp0.z_l) / 1e-3 == pytest.approx(zr, abs=1e-3)
+
+
+def test_deck_motion_matches_landing_point():
+    st = ShipState(heave_filter=(0.3, -0.2, 0.0, 0.0),
+                   pitch_filter=(0.0, 0.0, 0.04, -0.01))
+    p = ShipParams(x_g=7.0)
+    z_g, theta_s, x_l, z_l, _, _ = deck_motion(0.3, -0.2, 0.04, -0.01, 7.0)
+    assert (z_g, theta_s) == (st.z_g, st.theta_s)
+    assert (z_g, theta_s) == (1.21 * 0.3, 0.773 * 0.04)
+    lp = landing_point(st, p)
+    assert (lp.x_l, lp.z_l) == (x_l, z_l)
+
+
+def test_ship_off_keeps_a_level_deck():
+    env = Environment(ShipParams(x_g=5.0), WindParams(), dt=1e-3, seed=1,
+                      v_ref=69.1, ship_on=False, warmup_s=60.0)
+    assert env.ship_rng is None
+    assert env.ship == ShipState()
+    assert env.landing_point() == LandingPoint(5.0 - 81.0, 0.0)
 
 
 def test_wake_steady_profile_values():

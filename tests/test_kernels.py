@@ -15,8 +15,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from carrierland.airframe import OutOfTableRange, default_aero_model
-from carrierland.environment import WindSample
+from carrierland.actuation import (ELEVATOR_OMEGA, ELEVATOR_ZETA, ENGINE_TAU,
+                                   actuator_derivative,
+                                   project_actuator_states)
+from carrierland.airframe import (AircraftParams, AircraftState, ControlInputs,
+                                  OutOfTableRange, default_aero_model,
+                                  rigid_body_derivative, state_derivative)
+from carrierland.environment import (ShipParams, ShipState, WindSample,
+                                     _held_sigma, deck_motion,
+                                     held_ship_inputs, rng_streams, ship_step)
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
 from carrierland.sim import TRACE_HEADER, _fmt, write_trace_csv
@@ -200,6 +207,247 @@ def test_observer_params_keep_exponent_properties():
     assert p.alpha2 == (2.0 * 0.6 + 1.0) / 3.0
     assert p.alpha3 == (0.6 + 2.0) / 3.0
     assert replace(p, epsilon=0.2) == ObserverParams(alpha1=0.6, epsilon=0.2)
+
+
+# ----------------------------------------------------------- rigid body
+
+def ref_engine_rigid_body(s, u_g, w_g, model, params):
+    """The airframe block of the engine's RK4 derivative, written inline."""
+    sin, cos, atan2, hypot = math.sin, math.cos, math.atan2, math.hypot
+    c_bar, rho, s_ref = params.c_bar, params.rho, params.s_ref
+    mass, grav, j_y = params.m, params.g, params.j_y
+    windy = u_g != 0.0 or w_g != 0.0
+    sv, sth, sal, sq, st_eng, sde = s
+    ga = sth - sal
+    sin_g = sin(ga)
+    cos_g = cos(ga)
+    if windy:
+        vax = sv * cos_g - u_g
+        vaz = sv * sin_g - w_g
+        v_air = hypot(vax, vaz)
+        alpha_air = sth - atan2(vaz, vax)
+    else:
+        v_air = sv
+        alpha_air = sal
+    q_hat = sq * c_bar / (2.0 * v_air)
+    cl, cd, cm = model.coefficients(alpha_air, q_hat, sde)
+    qbar_s = 0.5 * rho * v_air * v_air * s_ref
+    lift = qbar_s * cl
+    drag = qbar_s * cd
+    moment = qbar_s * c_bar * cm
+    sin_a = sin(sal)
+    cos_a = cos(sal)
+    dv = (st_eng * cos_a - drag) / mass - grav * sin_g
+    dal = sq - (st_eng * sin_a + lift) / (mass * sv) \
+        + grav * cos_g / sv
+    return (dv, sq, dal, moment / j_y,
+            sv * cos_g + u_g, sv * sin_g + w_g)
+
+
+def _rigid_body_grid():
+    for v in (45.0, 69.1, 92.3):
+        for theta in (-0.12, 0.0, 0.141):
+            for alpha in (-0.05, 0.0, 0.1412, 0.4):
+                for q in (-0.3, -0.0, 0.07):
+                    for de in (-0.4, 0.0, 0.1):
+                        for thrust in (0.0, 31234.5):
+                            yield v, theta, alpha, q, de, thrust
+
+
+@pytest.mark.parametrize("u_g, w_g", [
+    (0.0, 0.0), (-0.0, 0.0), (4.2, 0.0), (0.0, -1.3), (-6.1, 2.7),
+])
+def test_rigid_body_kernel_matches_engine_block(u_g, w_g):
+    model, params = default_aero_model(), AircraftParams()
+    for v, theta, alpha, q, de, thrust in _rigid_body_grid():
+        ref = ref_engine_rigid_body((v, theta, alpha, q, thrust, de),
+                                    u_g, w_g, model, params)
+        got = rigid_body_derivative(v, theta, alpha, q, de, thrust,
+                                    u_g, w_g, model, params)
+        assert type(got) is tuple
+        assert _bits(got) == _bits(ref), (v, theta, alpha, q, de, thrust)
+        wrapped = state_derivative(AircraftState(v, theta, alpha, q),
+                                   ControlInputs(de, thrust),
+                                   WindSample(u_g, w_g), model, params)
+        assert _bits(wrapped) == _bits(ref)
+
+
+# ------------------------------------------------------------ actuators
+
+def ref_engine_actuators(st_eng, sde, sde_rate, thrust_cmd, de_cmd):
+    """The actuator terms of the engine's RK4 derivative, written inline."""
+    omega_a = ELEVATOR_OMEGA
+    zeta_a = ELEVATOR_ZETA
+    two_zw = 2.0 * zeta_a * omega_a
+    w2a = omega_a * omega_a
+    tau_eng = ENGINE_TAU
+    return ((thrust_cmd - st_eng) / tau_eng, sde_rate,
+            w2a * (de_cmd - sde) - two_zw * sde_rate)
+
+
+def ref_engine_projection(t_eng, de, de_rate, params):
+    """The actuator-state projection after each engine step, inline."""
+    t_max = params.t_max
+    elevator_min = params.elevator_min
+    elevator_max = params.elevator_max
+    projected = False
+    if t_eng < 0.0:
+        t_eng = 0.0
+        projected = True
+    elif t_eng > t_max:
+        t_eng = t_max
+        projected = True
+    if de < elevator_min:
+        de = elevator_min
+        if de_rate < 0.0:
+            de_rate = 0.0
+        projected = True
+    elif de > elevator_max:
+        de = elevator_max
+        if de_rate > 0.0:
+            de_rate = 0.0
+        projected = True
+    return t_eng, de, de_rate, projected
+
+
+def test_actuator_kernel_matches_engine_terms():
+    values = (-1e5, -0.0, 0.0, 123.25, 31234.567, 71172.0, 9e4)
+    angles = (-0.5, -0.0, 0.0, 0.03, -0.0123456, 0.2, 1.0 / 3.0)
+    for thrust in values:
+        for thrust_cmd in values:
+            for de in angles:
+                for de_cmd in angles:
+                    for de_rate in (-3.0, -0.0, 0.0, 1.5, 0.777):
+                        args = (thrust, de, de_rate, thrust_cmd, de_cmd)
+                        assert _bits(actuator_derivative(*args)) == \
+                            _bits(ref_engine_actuators(*args)), args
+
+
+def test_actuator_projection_matches_engine_block():
+    params = AircraftParams()
+    lo, hi = params.elevator_min, params.elevator_max
+    thrusts = (-1.0, -0.0, 0.0, 5e4, params.t_max,
+               math.nextafter(params.t_max, math.inf), 1e6)
+    deflections = (lo - 0.1, math.nextafter(lo, -1.0), lo, -0.0, 0.0, hi,
+                   math.nextafter(hi, 1.0), hi + 0.1)
+    seen = set()
+    for thrust in thrusts:
+        for de in deflections:
+            for de_rate in (-2.0, -0.0, 0.0, 2.0):
+                got = project_actuator_states(thrust, de, de_rate, params)
+                ref = ref_engine_projection(thrust, de, de_rate, params)
+                assert _bits(got[:3]) == _bits(ref[:3])
+                assert got[3] is ref[3]
+                seen.add(got[3])
+    assert seen == {True, False}
+
+
+# ----------------------------------------------------------------- deck
+
+def ref_engine_deck(h0, h1, p2, p3, x_g, ship_on=True):
+    """The landing-point lines and rates of the engine's step head."""
+    sin, cos = math.sin, math.cos
+    z_g = 1.21 * h0
+    theta_s = 0.773 * p2
+    lp_x = x_g - 81.0 * cos(theta_s)
+    lp_z = z_g - 81.0 * sin(theta_s)
+    if ship_on:
+        th_s_rate = 0.773 * p3
+        xl_rate = 81.0 * sin(theta_s) * th_s_rate
+        zl_rate = 1.21 * h1 - 81.0 * cos(theta_s) * th_s_rate
+    else:
+        xl_rate = zl_rate = 0.0
+    return z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate
+
+
+def test_deck_motion_matches_engine_lines():
+    grid = (-2.1, -0.013, -0.0, 0.0, 0.07, 3.3)
+    for h0 in grid:
+        for h1 in grid:
+            for p2 in grid:
+                for p3 in grid:
+                    for x_g in (0.0, 15.5):
+                        got = deck_motion(h0, h1, p2, p3, x_g)
+                        ref = ref_engine_deck(h0, h1, p2, p3, x_g)
+                        assert _bits(got) == _bits(ref)
+    # ship motion off: the filters rest at +0.0 and the rates are +0.0
+    assert _bits(deck_motion(0.0, 0.0, 0.0, 0.0, 0.0)) == \
+        _bits(ref_engine_deck(0.0, 0.0, 0.0, 0.0, 0.0, ship_on=False))
+
+
+def ref_engine_ship_draws(rng, params, dt, n, since, u_heave, u_pitch,
+                          ship_on=True):
+    """The engine's held deck-noise draws, one (k, u_h, u_p) per step."""
+    sig_h = _held_sigma(params.heave_power_db, params.dt_noise) \
+        * params.noise_gain
+    sig_p = _held_sigma(params.pitch_power_db, params.dt_noise) \
+        * params.noise_gain
+    hold = max(1, round(params.dt_noise / dt))
+    out = []
+    for _ in range(n):
+        if since < 0 or since + 1 >= hold:
+            if ship_on:
+                u_heave = rng.normal(0.0, sig_h)
+                u_pitch = rng.normal(0.0, sig_p)
+            since = 0
+        else:
+            since += 1
+        out.append((since, u_heave, u_pitch))
+    return out
+
+
+def ref_ship_step(state, dt, rng, p):
+    """ship_step with its draw and hold logic written inline."""
+    hold = max(1, round(p.dt_noise / dt))
+    k = state.steps_since_draw
+    if k < 0 or k + 1 >= hold:
+        u_h = rng.normal(0.0, _held_sigma(p.heave_power_db, p.dt_noise)
+                         * p.noise_gain)
+        u_p = rng.normal(0.0, _held_sigma(p.pitch_power_db, p.dt_noise)
+                         * p.noise_gain)
+        k = 0
+    else:
+        u_h, u_p = state.u_heave, state.u_pitch
+        k += 1
+    return k, u_h, u_p
+
+
+@pytest.mark.parametrize("dt_noise, start", [
+    (0.1, -1), (0.1, 37), (0.05, 49), (0.001, -1), (0.02, 3),
+])
+def test_held_ship_draws_match_engine(dt_noise, start):
+    dt = 0.001
+    p = ShipParams(dt_noise=dt_noise, noise_gain=0.23)
+    hold = max(1, round(dt_noise / dt))
+    n = 5 * hold + 7      # several holds
+    ref = ref_engine_ship_draws(rng_streams(11)["ship"], p, dt, n,
+                                start, 0.25, -0.5)
+    rng = rng_streams(11)["ship"]
+    k, u_h, u_p = start, 0.25, -0.5
+    got = []
+    for _ in range(n):
+        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, rng, p)
+        got.append((k, u_h, u_p))
+    assert [r[0] for r in got] == [r[0] for r in ref]
+    assert _bits(v for r in got for v in r[1:]) == \
+        _bits(v for r in ref for v in r[1:])
+    assert len({r[1] for r in got}) > 3          # it did redraw
+    # ship motion off: no draws, the counter still cycles
+    off = ref_engine_ship_draws(None, p, dt, n, start, 0.0, 0.0, ship_on=False)
+    k, u_h, u_p = start, 0.0, 0.0
+    for r in off:
+        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, None, p)
+        assert (k, u_h, u_p) == r
+
+
+def test_ship_step_draws_match_reference():
+    p = ShipParams()
+    st = ShipState()
+    rng, ref_rng = rng_streams(5)["ship"], rng_streams(5)["ship"]
+    for _ in range(450):
+        ref = ref_ship_step(st, 1e-3, ref_rng, p)
+        st = ship_step(st, 1e-3, rng, p)
+        assert (st.steps_since_draw, st.u_heave, st.u_pitch) == ref
 
 
 # ---------------------------------------------------------- wind sample

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from carrierland.integrate import rk4_step
-from carrierland.observer import (NonFiniteEstimate, ObserverParams,
-                                  ObserverState, estimate_step,
-                                  observer_derivative, validate_params)
+from carrierland.observer import (ObserverParams, observer_derivative,
+                                  validate_params)
 
 
 class _P:
@@ -35,7 +34,7 @@ def test_validate_gate_boundary_is_strict():
 
 @pytest.mark.parametrize("field,value", [
     ("alpha1", 1.0), ("alpha1", 0.0), ("epsilon", 1.0), ("epsilon", 0.0),
-    ("k1", 0.0), ("k3", -1.0),
+    ("k1", 0.0), ("k3", -1.0), ("epsilon", 1e-200),
 ])
 def test_validate_rejects_each_boundary(field, value):
     base = dict(k1=6.0, k2=11.0, k3=6.0, alpha1=0.6, epsilon=0.05)
@@ -251,23 +250,3 @@ def test_noise_rejection_beats_double_differentiation():
     rms_dd = math.sqrt(np.mean((dd_tail - c) ** 2))
     assert rms_obs < rms_dd
 
-
-def test_estimate_step_zero_state():
-    p = ObserverParams()
-    out = estimate_step(ObserverState(), 0.0, 0.0, p, 1e-3)
-    assert (out.x1, out.x2, out.x3) == (0.0, 0.0, 0.0)
-
-
-def test_estimate_step_rejects_non_finite():
-    p = ObserverParams()
-    with pytest.raises(NonFiniteEstimate):
-        estimate_step(ObserverState(math.inf, 0.0, 0.0), 0.0, 0.0, p, 1e-3)
-
-
-def test_estimate_step_matches_manual_rk4():
-    p = ObserverParams()
-    obs = ObserverState(0.01, -0.02, 0.3)
-    stepped = estimate_step(obs, 0.004, 0.2, p, 1e-3)
-    manual = rk4_step(lambda _t, s: observer_derivative(s, 0.004, 0.2, p),
-                      obs.as_tuple(), 0.0, 1e-3)
-    assert stepped.as_tuple() == manual

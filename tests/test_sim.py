@@ -220,6 +220,16 @@ def test_sink_step_metrics_populated():
     assert m.overshoot is not None and m.overshoot < 1.0
 
 
+def test_overflowing_error_metric_reads_inf():
+    # a huge PID gain only pins the elevator, but the observer's known
+    # input follows the raw demand, so its squared error overflows
+    cfg = config_from_dict({"controller": "pid", "pid.kp": 1e308,
+                            "duration": 0.02})
+    r = run_scenario(cfg)
+    assert not r.aborted
+    assert r.metrics.observer_rms_error == math.inf
+
+
 def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     """Closed-loop airspeed-hold test rig: plant + engine lag + pitch hold."""
     from carrierland.actuation import saturate_inputs
