@@ -106,12 +106,16 @@ class AeroModel:
             raise ValueError("cm_de must be negative (nose-down elevator authority)")
         # Cubic tables are evaluated in unrolled Horner form.  A nonzero
         # leading coefficient c3 makes it bit-identical to _polyval,
-        # whose first step is 0.0 * alpha + c3 == c3.
+        # whose first step is 0.0 * alpha + c3 == c3.  The tuple also
+        # carries the linear derivatives and the alpha bounds, so the
+        # cubic branch of coefficients reads one attribute.
         tables = (self.cl_base, self.cd_base, self.cm_base)
         cubic = all(len(c) == 4 and c[3] != 0.0 for c in tables)
         object.__setattr__(
-            self, "_horner",
-            tuple(c for table in tables for c in table) if cubic else None)
+            self, "_cubic",
+            tuple(c for table in tables for c in table)
+            + (self.cl_q, self.cm_q, self.cl_de, self.cd_de, self.cm_de,
+               self.alpha_min, self.alpha_max) if cubic else None)
 
     def check_alpha(self, alpha: float) -> None:
         if not (self.alpha_min <= alpha <= self.alpha_max):
@@ -122,18 +126,22 @@ class AeroModel:
 
     def coefficients(self, alpha: float, q_hat: float, delta_e: float):
         """Return (C_L, C_D, C_M) at the given alpha, q_hat and elevator."""
-        if not (self.alpha_min <= alpha <= self.alpha_max):
-            self.check_alpha(alpha)
-        horner = self._horner
-        if horner is None:
-            cl_a = _polyval(self.cl_base, alpha)
-            cd_a = _polyval(self.cd_base, alpha)
-            cm_a = _polyval(self.cm_base, alpha)
-        else:
-            l0, l1, l2, l3, d0, d1, d2, d3, m0, m1, m2, m3 = horner
+        cubic = self._cubic
+        if cubic is not None:
+            (l0, l1, l2, l3, d0, d1, d2, d3, m0, m1, m2, m3,
+             cl_q, cm_q, cl_de, cd_de, cm_de, alpha_min, alpha_max) = cubic
+            if not (alpha_min <= alpha <= alpha_max):
+                self.check_alpha(alpha)
             cl_a = ((l3 * alpha + l2) * alpha + l1) * alpha + l0
             cd_a = ((d3 * alpha + d2) * alpha + d1) * alpha + d0
             cm_a = ((m3 * alpha + m2) * alpha + m1) * alpha + m0
+            return (cl_a + cl_q * q_hat + cl_de * delta_e,
+                    cd_a + cd_de * delta_e,
+                    cm_a + cm_q * q_hat + cm_de * delta_e)
+        self.check_alpha(alpha)
+        cl_a = _polyval(self.cl_base, alpha)
+        cd_a = _polyval(self.cd_base, alpha)
+        cm_a = _polyval(self.cm_base, alpha)
         cl = cl_a + self.cl_q * q_hat + self.cl_de * delta_e
         cd = cd_a + self.cd_de * delta_e
         cm = cm_a + self.cm_q * q_hat + self.cm_de * delta_e

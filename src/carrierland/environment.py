@@ -295,8 +295,9 @@ class WindField:
         x_dist = ship_x - aircraft_x
         u2, w2 = wake_steady(x_dist, self.p.wake_extent)
         u3, w3 = wake_periodic(t, x_dist, self.p)
-        return WindSample(u_g=self.u1 + u2 + u3, w_g=self.w1 + w2 + w3,
-                          u1=self.u1, u2=u2, u3=u3, w1=self.w1, w2=w2, w3=w3)
+        # positional: keyword construction of the NamedTuple costs ~3x
+        return WindSample(self.u1 + u2 + u3, self.w1 + w2 + w3,
+                          self.u1, u2, u3, self.w1, w2, w3)
 
 
 class PitchNoise:

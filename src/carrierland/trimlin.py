@@ -147,8 +147,18 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     there (lift ceiling, thrust limit), walks the airspeed outward until
     a feasible point is found.
 
-    Raises TrimNotConverged when no candidate admits a solution.
+    Raises TrimNotConverged when no candidate admits a solution, or when
+    v_target is not positive or so small or large that the moment scale
+    q S c_bar of a candidate underflows to 0 or overflows.
     """
+    scale = params.s_ref * params.c_bar
+    if not (v_target > 0.0
+            and dynamic_pressure(v_target, params.rho) * scale > 0.0
+            and math.isfinite(dynamic_pressure(v_target + 50.0, params.rho)
+                              * scale)):
+        raise TrimNotConverged(
+            f"airspeed must be > 0 with q S c_bar in float range, "
+            f"got {v_target!r}")
     candidates = [v_target]
     for k in range(1, 26):
         candidates.append(v_target + 2.0 * k)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 
 import pytest
 
@@ -246,6 +247,17 @@ def test_trim_commands_reject_bad_model_or_airspeed(tmp_path, capsys,
     assert "missing keys" in err
     err = _usage_error(capsys, command, "--airspeed", "1000")
     assert "no trim point" in err
+
+
+@pytest.mark.parametrize("command", ["trim", "linearize"])
+@pytest.mark.parametrize("airspeed", ["-5", "0", "-0.0", "nan", "inf", "-inf",
+                                      "1e308", "1e-200"])
+def test_trim_commands_reject_out_of_range_airspeed(capsys, command,
+                                                    airspeed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _usage_error(capsys, command, f"--airspeed={airspeed}")
+    assert "airspeed must be > 0" in err
 
 
 def test_invalid_gain_in_config_file_is_a_usage_error(tmp_path, capsys):

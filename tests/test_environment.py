@@ -191,6 +191,9 @@ def test_wind_sample_components_sum():
     s = wf.sample(1.0, -400.0, 0.0)
     assert s.u_g == pytest.approx(s.u1 + s.u2 + s.u3, rel=1e-12)
     assert s.w_g == pytest.approx(s.w1 + s.w2 + s.w3, rel=1e-12)
+    assert (s.u1, s.w1) == (wf.u1, wf.w1)
+    assert (s.u2, s.w2) == wake_steady(400.0, p.wake_extent)
+    assert (s.u3, s.w3) == wake_periodic(1.0, 400.0, p)
 
 
 def test_disabled_wind_returns_calm():

@@ -26,6 +26,7 @@ from carrierland.environment import (ShipParams, ShipState, WindSample,
                                      held_ship_inputs, rng_streams, ship_step)
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
+from carrierland import sim
 from carrierland.sim import TRACE_HEADER, _fmt, write_trace_csv
 
 
@@ -62,20 +63,76 @@ def _ring20(t, s):
                  for i in range(n))
 
 
+def _np_damped(t, s):
+    s = np.asarray(s)
+    return -0.4 * s + np.sin(t + s[::-1])
+
+
+def _empty(_t, _s):
+    return ()
+
+
 @pytest.mark.parametrize("f, y0", [
     (_cubic_decay, (0.7,)),
     (_lorenz, (1.0, -2.5, 20.0)),
     (_ring20, tuple(0.1 * i - 0.95 for i in range(20))),
+    (_lorenz, [1.0, -2.5, 20.0]),
+    (_np_damped, np.array([0.3, -1.2, 2.0, 0.0, -0.0])),
+    (_empty, ()),
 ])
 def test_rk4_matches_reference(f, y0):
+    # every step takes its state in the container type of y0
+    as_state = np.array if isinstance(y0, np.ndarray) else type(y0)
     y_new = y_ref = y0
     dt = 0.013
     for k in range(50):
-        y_new = rk4_step(f, y_new, k * dt, dt)
-        y_ref = ref_rk4_step(f, y_ref, k * dt, dt)
+        y_new = rk4_step(f, as_state(y_new), k * dt, dt)
+        y_ref = ref_rk4_step(f, as_state(y_ref), k * dt, dt)
         assert type(y_new) is tuple
         assert y_new == y_ref
         assert _bits(y_new) == _bits(y_ref)
+    assert len(y_new) == len(y0)
+
+
+def test_rk4_kernel_traceback_shows_generated_line():
+    def f(t, s):
+        if t > 0.0:
+            raise OutOfTableRange("stage")
+        return (1.0, 2.0)
+
+    with pytest.raises(OutOfTableRange) as info:
+        rk4_step(f, (0.0, 0.0), 0.0, 0.1)
+    frame = info.traceback[-2]
+    assert str(frame.path) == "<rk4 kernel n=2>"
+    assert "= f(t + half, [y0 + half * a0, y1 + half * a1])" in str(
+        frame.statement)
+
+
+# the engine's scenarios, short, with every disturbance of each one on
+_ENGINE_CASES = [
+    dict(scenario="approach", wind_on=True, noise_on=True, ship_on=True,
+         ship_warmup_s=0.5, duration=3.0, seed=3),
+    dict(scenario="pitch_step", wind_on=True, noise_on=True, duration=2.0,
+         seed=5),
+    dict(scenario="sink_step", duration=2.0, trace_decimation=1, seed=7),
+]
+
+
+def _result_record(result):
+    return ([_bits(row) for row in result.trace], repr(result.metrics),
+            result.aborted, repr(result.abort_time), result.abort_reason)
+
+
+@pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
+@pytest.mark.parametrize("case", _ENGINE_CASES,
+                         ids=[c["scenario"] for c in _ENGINE_CASES])
+def test_engine_runs_match_reference_rk4(monkeypatch, case, controller):
+    cfg = sim.ScenarioConfig(controller=controller, **case)
+    shipped = sim.run_scenario(cfg)
+    monkeypatch.setattr(sim, "rk4_step", ref_rk4_step)
+    reference = sim.run_scenario(cfg)
+    assert shipped.trace
+    assert _result_record(shipped) == _result_record(reference)
 
 
 # -------------------------------------------------------- aero tables
