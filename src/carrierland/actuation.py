@@ -16,19 +16,12 @@ integration step so the servo cannot integrate past its stops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .airframe import AircraftParams
 
 ENGINE_TAU = 0.625          # s, non-afterburner lag
 ELEVATOR_OMEGA = 30.74      # rad/s
 ELEVATOR_ZETA = 0.509
-
-
-@dataclass
-class SaturationFlags:
-    elevator: bool = False
-    thrust: bool = False
 
 
 # elevator servo terms, computed once
@@ -46,25 +39,26 @@ def saturate_inputs(delta_e_cmd: float, thrust_cmd: float,
                     params: AircraftParams):
     """Clamp raw commands to physical limits.
 
-    Returns (delta_e, thrust, flags) where flags records per-channel
-    clamping for run diagnostics.
+    Returns (delta_e, thrust, sat_elevator, sat_thrust); the flags tell
+    whether each channel was clamped, for run diagnostics.
     """
-    flags = SaturationFlags()
     de = delta_e_cmd
+    sat_elevator = False
     if de < params.elevator_min:
         de = params.elevator_min
-        flags.elevator = True
+        sat_elevator = True
     elif de > params.elevator_max:
         de = params.elevator_max
-        flags.elevator = True
+        sat_elevator = True
     th = thrust_cmd
+    sat_thrust = False
     if th < 0.0:
         th = 0.0
-        flags.thrust = True
+        sat_thrust = True
     elif th > params.t_max:
         th = params.t_max
-        flags.thrust = True
-    return de, th, flags
+        sat_thrust = True
+    return de, th, sat_elevator, sat_thrust
 
 
 def project_actuator_states(thrust, de, de_rate, params: AircraftParams):

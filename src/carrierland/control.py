@@ -38,7 +38,6 @@ from dataclasses import dataclass
 
 from .airframe import AircraftParams
 from .environment import LandingPoint
-from .observer import ObserverState
 from .trimlin import TrimPoint
 
 RAD2DEG = 180.0 / math.pi
@@ -103,8 +102,11 @@ class PitchOPD:
         self._lo = params.elevator_min
         self._hi = params.elevator_max
 
-    def step(self, theta_r: float, theta_meas: float, obs: ObserverState):
+    def step(self, theta_r: float, theta_meas: float, x2: float,
+             x3: float):
         """Return (delta_e_cmd [rad, raw], h_theta [rad/s^2]).
+
+        x2 and x3 are the observer's rate and disturbance estimates.
 
         The command is left unsaturated for the downstream limiter, but
         h is formed from the limit-clipped perturbation so the observer
@@ -114,13 +116,13 @@ class PitchOPD:
         """
         g = self.g
         e = theta_r - theta_meas
-        e_rate = -obs.x2
+        e_rate = -x2
         u = g.kp_theta * e + g.kd_theta * e_rate
-        dde_deg = (u - obs.x3) / g.dqdot_dde
+        dde_deg = (u - x3) / g.dqdot_dde
         cmd = self.delta_e_trim + dde_deg * DEG2RAD
         applied = min(max(cmd, self._lo), self._hi)
         dde_applied_deg = (applied - self.delta_e_trim) * RAD2DEG
-        h_theta = g.dqdot_dq * obs.x2 + g.dqdot_dde * dde_applied_deg
+        h_theta = g.dqdot_dq * x2 + g.dqdot_dde * dde_applied_deg
         return cmd, h_theta
 
 

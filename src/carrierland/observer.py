@@ -83,13 +83,6 @@ def validate_params(p, raise_on_error: bool = False) -> list[str]:
     return v
 
 
-@dataclass
-class ObserverState:
-    x1: float = 0.0   # estimate of the measured variable
-    x2: float = 0.0   # estimate of its rate
-    x3: float = 0.0   # estimate of the lumped disturbance
-
-
 def observer_derivative(state, y_op: float, h: float, p: ObserverParams):
     """(x1', x2', x3') of the observer driven by measurement y_op and input h.
 

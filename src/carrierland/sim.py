@@ -14,6 +14,19 @@ environment.held_ship_inputs the held deck noise.  Controller commands,
 the measured pitch, the wind sample and all white-noise draws are
 computed once per step and held across the four RK4 stages.
 
+Each step of the loop in Simulation.run runs five stages: sample (held
+deck noise, deck motion, wind, pitch noise), control (guidance, sink,
+pitch and velocity laws, then saturation), record, integrate (one RK4
+step) and project (actuator clamps, then a finite check).  Record keeps
+only what the scenario's metrics read: a trace row every
+trace_decimation steps, t and theta on pitch_step, t and zdot on
+sink_step, and on approach a running maximum of |z - z_r| and a running
+sum of squared pitch-reference errors from metric_skip_s on.  The loop
+has one abort exit: an OutOfTableRange or NonFiniteDerivative raised in
+any stage ends the run at the current step head with the exception as
+the reason; a non-finite state after the step ends it with the reason
+"non-finite state after step".
+
 Scenarios:
     pitch_step  step the pitch reference by a fixed angle at t = 0;
                 sink and guidance loops off, velocity loop active.
@@ -45,7 +58,7 @@ from .environment import (Environment, ShipParams, WindParams,
                           _ship_filter_derivative, deck_motion,
                           held_ship_inputs)
 from .integrate import rk4_step
-from .observer import ObserverParams, ObserverState, observer_derivative
+from .observer import ObserverParams, observer_derivative
 from .trimlin import (LinearModel, TrimNotConverged, TrimPoint, linearize,
                       solve_trim)
 
@@ -60,6 +73,10 @@ SCENARIOS = ("pitch_step", "sink_step", "approach")
 CONTROLLERS = ("opd", "pid", "opd_truth")
 
 _DEFAULT_DURATION = {"pitch_step": 10.0, "sink_step": 20.0, "approach": 90.0}
+
+# most integration steps a run or its ship warm-up may ask for; a tiny
+# positive dt would otherwise ask for a run that never ends
+MAX_STEPS = 1e8
 
 
 class ConfigError(ValueError):
@@ -129,6 +146,8 @@ class ScenarioConfig:
         if not math.isfinite(self.resolved_duration() / self.dt):
             raise ConfigError("duration must be finite, and so must "
                               "duration / dt")
+        if self.resolved_duration() / self.dt > MAX_STEPS:
+            raise ConfigError(f"duration / dt must be <= {MAX_STEPS:g} steps")
         if self.trace_decimation < 1:
             raise ConfigError("trace_decimation must be >= 1")
         for key in ("dt_noise", "noise_dt"):
@@ -144,6 +163,9 @@ class ScenarioConfig:
                 and math.isfinite(self.ship_warmup_s / self.dt)):
             raise ConfigError("ship_warmup_s must be >= 0 and finite, and so "
                               "must ship_warmup_s / dt")
+        if self.ship_warmup_s / self.dt > MAX_STEPS:
+            raise ConfigError(f"ship_warmup_s / dt must be <= {MAX_STEPS:g} "
+                              "steps")
         if self.t_max is not None and not 0.0 < self.t_max < math.inf:
             raise ConfigError("t_max must be > 0 and finite")
         if not 0.0 <= self.turb_norm < math.inf:
@@ -532,10 +554,10 @@ class Simulation:
                     + _ship_filter_derivative((p0, p1, p2, p3), u_p))
 
         trace: list[tuple] = []
+        # step-response history: theta on pitch_step, zdot on sink_step
         t_hist: list[float] = []
-        theta_hist: list[float] = []
-        zdot_hist: list[float] = []
-        dev_hist: list[float] = []
+        y_hist: list[float] = []
+        dev_max = None
         theta_err_sq = 0.0
         theta_err_n = 0
         obs_err_sq = 0.0
@@ -544,140 +566,125 @@ class Simulation:
         vdot_prev = 0.0
         v_prev = v_star
         metrics = RunMetrics()
-        aborted = False
-        abort_time = None
         abort_reason = None
         touchdown = False
 
         t = 0.0
         decim = cfg.trace_decimation
-        for k in range(n_steps):
-            (v, th, al, q, x, z, t_eng, de, de_rate,
-             ox1, ox2, ox3, h0, h1, h2, h3, p0, p1, p2, p3) = y
+        try:
+            for k in range(n_steps):
+                (v, th, al, q, x, z, t_eng, de, de_rate,
+                 ox1, ox2, ox3, h0, h1, h2, h3, p0, p1, p2, p3) = y
 
-            # --- per-step draws (held over the four RK4 stages)
-            ship_since_draw, u_h, u_p = held_ship_inputs(
-                ship_since_draw, u_h, u_p, hold, ship_rng, ship_params)
-            z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate = deck_motion(
-                h0, h1, p2, p3, x_g)
-            wind = wind_sample(t, x, x_g)
-            noise = noise_sample(t)
-            u_g = wind.u_g
-            w_g = wind.w_g
+                # --- sample: per-step draws, held over the four RK4 stages
+                ship_since_draw, u_h, u_p = held_ship_inputs(
+                    ship_since_draw, u_h, u_p, hold, ship_rng, ship_params)
+                z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate = deck_motion(
+                    h0, h1, p2, p3, x_g)
+                wind = wind_sample(t, x, x_g)
+                noise = noise_sample(t)
+                u_g = wind.u_g
+                w_g = wind.w_g
 
-            gamma = th - al
-            theta_meas = th + noise
-            y_op = theta_meas - theta_star
-            zdot = v * sin(gamma) + w_g
-            xdot = v * cos(gamma) + u_g
+                gamma = th - al
+                theta_meas = th + noise
+                y_op = theta_meas - theta_star
+                zdot = v * sin(gamma) + w_g
+                xdot = v * cos(gamma) + u_g
 
-            # --- control stack (zero-order hold over the step)
-            z_r = 0.0
-            zdot_r = 0.0
-            if approach:
-                z_r = lp_z + tan_gs * (lp_x - x)
-                ff = zl_rate + tan_gs * (xl_rate - xdot)
-                zdot_r = guid_step(z_r, z, dt, feedforward=ff)
-                theta_r = sink_step(zdot_r, zdot, dt)
-            elif sink_scenario:
-                zdot_r = zdot_cmd
-                theta_r = sink_step(zdot_r, zdot, dt)
-            else:
-                theta_r = theta_cmd
-            if theta_r < theta_r_lo:
-                theta_r = theta_r_lo
-            elif theta_r > theta_r_hi:
-                theta_r = theta_r_hi
+                # --- control stack (zero-order hold over the step)
+                z_r = 0.0
+                zdot_r = 0.0
+                if approach:
+                    z_r = lp_z + tan_gs * (lp_x - x)
+                    ff = zl_rate + tan_gs * (xl_rate - xdot)
+                    zdot_r = guid_step(z_r, z, dt, feedforward=ff)
+                    theta_r = sink_step(zdot_r, zdot, dt)
+                elif sink_scenario:
+                    zdot_r = zdot_cmd
+                    theta_r = sink_step(zdot_r, zdot, dt)
+                else:
+                    theta_r = theta_cmd
+                if theta_r < theta_r_lo:
+                    theta_r = theta_r_lo
+                elif theta_r > theta_r_hi:
+                    theta_r = theta_r_hi
 
-            try:
                 if use_truth:
                     d_truth = self._qdot(v, th, al, q, de, t_eng, wind) - (
                         gains.dqdot_dq * q
                         + gains.dqdot_dde * (de - trim.delta_e_star) * RAD2DEG)
                     ox1, ox2, ox3 = th - theta_star, q, d_truth
-            except (OutOfTableRange, NonFiniteDerivative) as exc:
-                aborted = True
-                abort_time = t
-                abort_reason = f"{type(exc).__name__}: {exc}"
-                break
 
-            if use_pid:
-                de_cmd = pid_step(theta_r, theta_meas, dt)
-                dde_deg = (de_cmd - trim.delta_e_star) * RAD2DEG
-                h_theta = gains.dqdot_dq * ox2 + gains.dqdot_dde * dde_deg
-            else:
-                de_cmd, h_theta = opd_step(theta_r, theta_meas,
-                                           ObserverState(ox1, ox2, ox3))
+                if use_pid:
+                    de_cmd = pid_step(theta_r, theta_meas, dt)
+                    dde_deg = (de_cmd - trim.delta_e_star) * RAD2DEG
+                    h_theta = gains.dqdot_dq * ox2 + gains.dqdot_dde * dde_deg
+                else:
+                    de_cmd, h_theta = opd_step(theta_r, theta_meas, ox2, ox3)
 
-            thrust_cmd = vel_step(v_star, v, vdot_prev, dt)
-            de_cmd, thrust_cmd, flags = saturate_inputs(de_cmd, thrust_cmd,
-                                                        params)
-            if flags.elevator:
-                sat_e_count += 1
-            if flags.thrust:
-                sat_t_count += 1
+                thrust_cmd = vel_step(v_star, v, vdot_prev, dt)
+                de_cmd, thrust_cmd, sat_e, sat_t = saturate_inputs(
+                    de_cmd, thrust_cmd, params)
+                if sat_e:
+                    sat_e_count += 1
+                if sat_t:
+                    sat_t_count += 1
 
-            # --- trace emission at the step head
-            if k % decim == 0:
-                try:
+                # --- record: trace row and metric accumulators, step head
+                if k % decim == 0:
                     qdot_now = self._qdot(v, th, al, q, de, t_eng, wind)
-                except (OutOfTableRange, NonFiniteDerivative) as exc:
-                    aborted = True
-                    abort_time = t
-                    abort_reason = f"{type(exc).__name__}: {exc}"
-                    break
-                d_true = qdot_now - h_theta
-                trace.append((
-                    t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
-                    zdot_r, z_r, ox1, ox2, ox3, d_true, u_g, w_g,
-                    wind.u1, wind.u2, wind.u3, wind.w1, wind.w2, wind.w3,
-                    z_g, theta_s, lp_x, lp_z, noise,
-                    1 if flags.elevator else 0, 1 if flags.thrust else 0,
-                ))
-                obs_err_sq += _square(ox3 - d_true)
+                    d_true = qdot_now - h_theta
+                    trace.append((
+                        t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
+                        zdot_r, z_r, ox1, ox2, ox3, d_true, u_g, w_g,
+                        wind.u1, wind.u2, wind.u3, wind.w1, wind.w2, wind.w3,
+                        z_g, theta_s, lp_x, lp_z, noise,
+                        1 if sat_e else 0, 1 if sat_t else 0,
+                    ))
+                    obs_err_sq += _square(ox3 - d_true)
 
-            t_hist.append(t)
-            theta_hist.append(th)
-            if sink_scenario:
-                zdot_hist.append(zdot)
-            if approach:
-                dev_hist.append((t, abs(z - z_r)))
-                if t >= metric_skip:
-                    theta_err_sq += _square(th - theta_r)
-                    theta_err_n += 1
+                if approach:
+                    if t >= metric_skip:
+                        dev = abs(z - z_r)
+                        # max()'s rule, nan included: first value, then
+                        # only a greater one
+                        if dev_max is None or dev > dev_max:
+                            dev_max = dev
+                        theta_err_sq += _square(th - theta_r)
+                        theta_err_n += 1
+                else:
+                    t_hist.append(t)
+                    y_hist.append(zdot if sink_scenario else th)
 
-            # --- coupled derivative with held inputs
-            try:
+                # --- integrate the coupled derivative with held inputs
                 y = rk4_step(f, (v, th, al, q, x, z, t_eng, de, de_rate,
                                  ox1, ox2, ox3, h0, h1, h2, h3,
                                  p0, p1, p2, p3), t, dt)
-            except (OutOfTableRange, NonFiniteDerivative) as exc:
-                aborted = True
-                abort_time = t
-                abort_reason = f"{type(exc).__name__}: {exc}"
-                break
 
-            t_eng, de, de_rate, projected = project_actuator_states(
-                y[6], y[7], y[8], params)
-            if projected:
-                y = y[:6] + (t_eng, de, de_rate) + y[9:]
-            # a finite sum implies finite terms; finite terms can still
-            # overflow the sum, so a non-finite sum checks each term
-            if not isfinite(sum(y)) and not all(map(isfinite, y)):
-                aborted = True
-                abort_time = t
-                abort_reason = "non-finite state after step"
-                break
+                # --- project the actuator states and check finiteness
+                t_eng, de, de_rate, projected = project_actuator_states(
+                    y[6], y[7], y[8], params)
+                if projected:
+                    y = y[:6] + (t_eng, de, de_rate) + y[9:]
+                # a finite sum implies finite terms; finite terms can still
+                # overflow the sum, so a non-finite sum checks each term
+                if not isfinite(sum(y)) and not all(map(isfinite, y)):
+                    abort_reason = "non-finite state after step"
+                    break
 
-            vdot_prev = (y[0] - v_prev) / dt
-            v_prev = y[0]
-            t += dt
+                vdot_prev = (y[0] - v_prev) / dt
+                v_prev = y[0]
+                t += dt
 
-            if approach and y[4] >= lp_x and y[5] <= lp_z:
-                touchdown = True
-                metrics.touchdown_time = t
-                metrics.touchdown_vertical_error = lp_z - y[5]
-                break
+                if approach and y[4] >= lp_x and y[5] <= lp_z:
+                    touchdown = True
+                    metrics.touchdown_time = t
+                    metrics.touchdown_vertical_error = lp_z - y[5]
+                    break
+        except (OutOfTableRange, NonFiniteDerivative) as exc:
+            abort_reason = f"{type(exc).__name__}: {exc}"
+        aborted = abort_reason is not None
 
         # ------------------------------------------------ metrics
         metrics.elevator_saturation_count = sat_e_count
@@ -685,23 +692,19 @@ class Simulation:
         if trace:
             metrics.observer_rms_error = math.sqrt(obs_err_sq / len(trace))
         if pitch_scenario and t_hist:
-            _step_response(metrics, t_hist, theta_hist, theta_star,
-                           theta_cmd, dt)
-        if sink_scenario and zdot_hist:
+            _step_response(metrics, t_hist, y_hist, theta_star, theta_cmd, dt)
+        if sink_scenario and t_hist:
             # starts from level flight
-            _step_response(metrics, t_hist, zdot_hist, 0.0, zdot_cmd, dt)
-        if approach and dev_hist:
-            skip = self.cfg.metric_skip_s
-            devs = [d for (tt, d) in dev_hist if tt >= skip]
-            if devs:
-                metrics.max_glidepath_deviation = max(devs)
+            _step_response(metrics, t_hist, y_hist, 0.0, zdot_cmd, dt)
+        if approach:
+            metrics.max_glidepath_deviation = dev_max
             if theta_err_n:
                 metrics.pitch_ref_rms_error = math.sqrt(
                     theta_err_sq / theta_err_n)
             metrics.settled = touchdown
 
         return RunResult(config=self.cfg, trace=trace, metrics=metrics,
-                         aborted=aborted, abort_time=abort_time,
+                         aborted=aborted, abort_time=t if aborted else None,
                          abort_reason=abort_reason, trim=self.trim,
                          linear=self.linear)
 

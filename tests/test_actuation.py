@@ -78,28 +78,30 @@ def test_elevator_overshoot_matches_second_order_formula():
 
 
 def test_saturate_lower_clamp_flags():
-    de, th, flags = saturate_inputs(math.radians(-30.0), 10000.0, PARAMS)
+    de, th, sat_e, sat_t = saturate_inputs(math.radians(-30.0), 10000.0,
+                                           PARAMS)
     assert de == PARAMS.elevator_min
-    assert flags.elevator and not flags.thrust
+    assert sat_e is True and sat_t is False
 
 
 def test_saturate_interior_point_untouched():
-    de, th, flags = saturate_inputs(0.0, 0.5 * PARAMS.t_max, PARAMS)
+    de, th, sat_e, sat_t = saturate_inputs(0.0, 0.5 * PARAMS.t_max, PARAMS)
     assert de == 0.0 and th == 0.5 * PARAMS.t_max
-    assert not flags.elevator and not flags.thrust
+    assert sat_e is False and sat_t is False
 
 
 def test_saturate_upper_thrust_clamp():
-    de, th, flags = saturate_inputs(0.0, 2.0 * PARAMS.t_max, PARAMS)
-    assert th == PARAMS.t_max and flags.thrust
+    de, th, sat_e, sat_t = saturate_inputs(0.0, 2.0 * PARAMS.t_max, PARAMS)
+    assert th == PARAMS.t_max
+    assert sat_e is False and sat_t is True
 
 
 @pytest.mark.parametrize("de,thrust", [
     (-3.0, -5.0e5), (0.9, 2.0e5), (0.0, 3.0e4), (-0.1, 0.0),
 ])
 def test_saturation_idempotent(de, thrust):
-    d1, t1, _ = saturate_inputs(de, thrust, PARAMS)
-    d2, t2, _ = saturate_inputs(d1, t1, PARAMS)
+    d1, t1, _, _ = saturate_inputs(de, thrust, PARAMS)
+    d2, t2, _, _ = saturate_inputs(d1, t1, PARAMS)
     assert (d1, t1) == (d2, t2)
 
 

@@ -210,6 +210,9 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
      "theta_r_low_deg must be <= theta_r_high_deg"),
     (("--dt", "0.003"), "dt must divide dt_noise"),
     (("--set", "noise_dt=0.0105"), "dt must divide noise_dt"),
+    (("--dt", "1e-300"), "duration / dt must be <= 1e+08 steps"),
+    (("--scenario", "approach", "--dt", "1e-7"),
+     "ship_warmup_s / dt must be <= 1e+08 steps"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     err = _usage_error(capsys, "run", *argv, "--duration", "0.1",
@@ -285,9 +288,9 @@ def _config_draws(st):
         if key in _SHORT_KEYS:
             values[key] = st.one_of(special, st.floats(*_SHORT_KEYS[key]))
         elif key == "dt":
-            # a tiny positive dt is a valid, endless run
             values[key] = st.sampled_from(
-                degenerate + [0.001, 0.002, 0.0005, 0.003, 0.01, 0.05])
+                degenerate + [0.001, 0.002, 0.0005, 0.003, 0.01, 0.05,
+                              1e-300, 5e-324])
         elif CONFIG_KEYS[key][1] is int:
             values[key] = st.integers(-3, 2 ** 40)
         else:

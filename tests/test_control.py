@@ -7,7 +7,6 @@ from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
                                  SinkPI, VelocityPID, derive_pitch_gains,
                                  flight_path_generator)
 from carrierland.environment import LandingPoint
-from carrierland.observer import ObserverState
 
 
 def test_derive_pitch_gains_design_point():
@@ -44,7 +43,7 @@ def test_pitch_gains_reject_zero_channel():
 
 def test_pitch_opd_at_reference(trim, params):
     opd = PitchOPD(PitchGains(), trim, params)
-    cmd, h = opd.step(trim.theta_star, trim.theta_star, ObserverState())
+    cmd, h = opd.step(trim.theta_star, trim.theta_star, 0.0, 0.0)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
     assert h == 0.0
 
@@ -54,8 +53,7 @@ def test_pitch_opd_pure_disturbance_cancellation(trim, params, d0):
     """A disturbance estimate shifts the elevator by -d0/dqdot_dde deg."""
     g = PitchGains()
     opd = PitchOPD(g, trim, params)
-    cmd, _ = opd.step(trim.theta_star, trim.theta_star,
-                      ObserverState(0.0, 0.0, d0))
+    cmd, _ = opd.step(trim.theta_star, trim.theta_star, 0.0, d0)
     expected = trim.delta_e_star + (-d0 / g.dqdot_dde) * DEG2RAD
     expected = min(max(expected, params.elevator_min), params.elevator_max)
     assert cmd == pytest.approx(expected, rel=1e-12) or \
@@ -68,7 +66,7 @@ def test_pitch_opd_h_uses_applied_deflection(trim, params):
     opd = PitchOPD(g, trim, params)
     big_error = trim.theta_star - math.radians(20.0)  # huge pitch-up demand
     cmd, h = opd.step(trim.theta_star + math.radians(5.0), big_error,
-                      ObserverState())
+                      0.0, 0.0)
     assert cmd < params.elevator_min  # raw command is handed downstream
     applied_deg = (params.elevator_min - trim.delta_e_star) * RAD2DEG
     assert h == pytest.approx(g.dqdot_dde * applied_deg, rel=1e-12)

@@ -3,10 +3,11 @@ import math
 import pytest
 
 from carrierland.integrate import rk4_step
-from carrierland.sim import (ConfigError, ScenarioConfig,
-                             TRACE_HEADER, compare_controllers,
-                             config_from_dict, config_to_dict, run_scenario,
-                             set_config_key, settle_time, write_trace_csv)
+from carrierland.sim import (ConfigError, RunMetrics, ScenarioConfig,
+                             TRACE_HEADER, _step_response,
+                             compare_controllers, config_from_dict,
+                             config_to_dict, run_scenario, set_config_key,
+                             settle_time, write_trace_csv)
 
 
 # ---------------------------------------------------------------- RK4
@@ -238,8 +239,7 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     from carrierland.control import OuterGains, PitchGains, PitchOPD, \
         VelocityPID
     from carrierland.environment import WindSample
-    from carrierland.observer import ObserverParams, ObserverState, \
-        observer_derivative
+    from carrierland.observer import ObserverParams, observer_derivative
 
     vel = VelocityPID(OuterGains(), trim, params)
     opd = PitchOPD(PitchGains(), trim, params)
@@ -255,10 +255,10 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     for k in range(int(duration / dt)):
         t = k * dt
         v, th = y[0], y[1]
-        de_cmd, h = opd.step(trim.theta_star, th,
-                             ObserverState(y[7], y[8], y[9]))
+        de_cmd, h = opd.step(trim.theta_star, th, y[8], y[9])
         thrust_cmd = vel.step(v_r, v, vdot_prev, dt)
-        de_cmd, thrust_cmd, flags = saturate_inputs(de_cmd, thrust_cmd, params)
+        de_cmd, thrust_cmd, _, sat_thrust = saturate_inputs(de_cmd, thrust_cmd,
+                                                            params)
         y_op = th - trim.theta_star
 
         def f(_t, s):
@@ -274,7 +274,7 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
         if abs(y[0] - v_r) > 0.02 * abs(v_r):
             last_outside = t
             sat_after_settle = 0
-        elif flags.thrust:
+        elif sat_thrust:
             sat_after_settle += 1
     return last_outside + dt, y[0], v_r, sat_after_settle
 
@@ -292,3 +292,131 @@ def test_velocity_loop_rejects_constant_wind_offset(params, model, trim):
     _, v_end, v_r, _ = _velocity_loop_sim(0.0, -3.0, 30.0,
                                           params, model, trim)
     assert abs(v_end - v_r) < 0.05
+
+
+# ------------------------------------------ metrics from a full trace
+_COL = {h: j for j, h in enumerate(TRACE_HEADER)}
+
+
+def _column(rows, name):
+    return [row[_COL[name]] for row in rows]
+
+
+@pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
+def test_approach_metrics_rebuilt_from_full_rate_trace(controller):
+    cfg = ScenarioConfig(scenario="approach", controller=controller,
+                         wind_on=True, noise_on=True, ship_on=True, seed=3,
+                         initial_range=150.0, ship_warmup_s=1.0,
+                         metric_skip_s=0.5, trace_decimation=1)
+    r = run_scenario(cfg)
+    assert not r.aborted and r.metrics.touchdown_time is not None
+    rows = [row for row in r.trace if row[0] >= cfg.metric_skip_s]
+    assert rows
+    dev = [abs(z - z_r) for z, z_r in zip(_column(rows, "z"),
+                                            _column(rows, "z_r"))]
+    assert r.metrics.max_glidepath_deviation == max(dev)
+    err_sq = 0.0
+    for th, th_r in zip(_column(rows, "theta"), _column(rows, "theta_r")):
+        err_sq += (th - th_r) ** 2
+    assert r.metrics.pitch_ref_rms_error == math.sqrt(err_sq / len(rows))
+    assert r.metrics.settled is True
+
+
+def test_approach_metrics_empty_when_skip_passes_touchdown():
+    cfg = ScenarioConfig(scenario="approach", wind_on=True, noise_on=True,
+                         seed=3, initial_range=150.0, ship_warmup_s=1.0,
+                         trace_decimation=1)
+    r = run_scenario(cfg)
+    assert r.metrics.touchdown_time < cfg.metric_skip_s
+    assert r.metrics.max_glidepath_deviation is None
+    assert r.metrics.pitch_ref_rms_error is None
+    assert r.metrics.settled is True
+
+
+def _assert_step_metrics(metrics, t, y, start, target, dt):
+    expected = RunMetrics()
+    _step_response(expected, t, y, start, target, dt)
+    for key in ("settled", "settle_time_2pct", "steady_state_error",
+                "overshoot"):
+        assert getattr(metrics, key) == getattr(expected, key), key
+
+
+@pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
+@pytest.mark.parametrize("disturbed", [False, True])
+def test_pitch_step_metrics_rebuilt_from_full_rate_trace(controller,
+                                                         disturbed):
+    cfg = ScenarioConfig(scenario="pitch_step", controller=controller,
+                         wind_on=disturbed, noise_on=disturbed, seed=4,
+                         duration=3.0, trace_decimation=1)
+    r = run_scenario(cfg)
+    assert len(r.trace) == 3000
+    theta_star = r.trim.theta_star
+    _assert_step_metrics(r.metrics, _column(r.trace, "t"),
+                         _column(r.trace, "theta"), theta_star,
+                         theta_star + math.radians(cfg.pitch_step_deg),
+                         cfg.dt)
+    if not disturbed:
+        assert r.metrics.settled
+
+
+@pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
+def test_sink_step_metrics_rebuilt_from_full_rate_trace(controller):
+    cfg = ScenarioConfig(scenario="sink_step", controller=controller,
+                         wind_on=True, noise_on=True, seed=4, duration=4.0,
+                         trace_decimation=1)
+    r = run_scenario(cfg)
+    assert r.trace
+    zdot = [v * math.sin(gamma) + w_g for v, gamma, w_g in zip(
+        _column(r.trace, "v_t"), _column(r.trace, "gamma"),
+        _column(r.trace, "w_g"))]
+    _assert_step_metrics(r.metrics, _column(r.trace, "t"), zdot, 0.0,
+                         -cfg.sink_rate_cmd, cfg.dt)
+
+
+# ------------------------------------------------------------ aborts
+_TABLE_LOW = ("OutOfTableRange: alpha = -5.00 deg outside table range "
+              "[-5.0, 40.0] deg")
+_TABLE_HIGH = ("OutOfTableRange: alpha = 40.05 deg outside table range "
+               "[-5.0, 40.0] deg")
+_NON_FINITE = "non-finite state after step"
+_STEP_M45 = {"pitch_step_deg": -45.0, "theta_r_low_deg": -60.0}
+# at dt = 0.1 the state leaves the alpha table between two steps, so
+# the step-head pitch acceleration (truth law, trace row) raises first
+_BIG_DT = {"dt": 0.1, "noise_dt": 0.1, "theta_r_high_deg": 90.0,
+           "trace_decimation": 1}
+
+
+@pytest.mark.parametrize(
+    "controller, settings, reason, abort_time, rows, sat_e, sat_t", [
+        # raised in an RK4 stage
+        ("opd", _STEP_M45, _TABLE_LOW, 1.428, 143, 1429, 0),
+        ("pid", _STEP_M45, _TABLE_LOW, 1.428, 143, 1429, 0),
+        ("opd_truth", _STEP_M45, _TABLE_LOW, 1.428, 143, 1429, 0),
+        # the observer diverges and the state after the step is not finite
+        ("opd", {"obs.epsilon": 1e-20}, _NON_FINITE, 0.006, 1, 7, 0),
+        ("pid", {"obs.epsilon": 1e-20}, _NON_FINITE, 0.006, 1, 7, 0),
+        # the truth law resets the observer each step, so only a far
+        # smaller epsilon diverges within one step
+        ("opd_truth", {"obs.epsilon": 1e-100, "noise_on": True},
+         _NON_FINITE, 0.0, 1, 1, 0),
+        # raised by the truth law's pitch acceleration, before saturation
+        ("opd_truth", dict(_BIG_DT, pitch_step_deg=55.9), _TABLE_HIGH, 3.9,
+         39, 39, 19),
+        # raised by the trace row's pitch acceleration, after saturation
+        ("opd", dict(_BIG_DT, pitch_step_deg=55.9), _TABLE_HIGH, 3.9, 39,
+         40, 20),
+        ("pid", dict(_BIG_DT, pitch_step_deg=28.0), _TABLE_HIGH, 3.9, 39,
+         40, 20),
+    ])
+def test_every_abort_source_is_reported(controller, settings, reason,
+                                        abort_time, rows, sat_e, sat_t):
+    cfg = config_from_dict(dict(settings, scenario="pitch_step",
+                                controller=controller, duration=5.0))
+    r = run_scenario(cfg)
+    assert r.aborted
+    assert r.abort_reason == reason
+    assert r.abort_time == pytest.approx(abort_time, abs=1e-9)
+    assert len(r.trace) == rows
+    assert r.abort_time >= r.trace[-1][0]
+    assert r.metrics.elevator_saturation_count == sat_e
+    assert r.metrics.thrust_saturation_count == sat_t
