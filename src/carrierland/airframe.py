@@ -120,7 +120,7 @@ class AeroModel:
     def check_alpha(self, alpha: float) -> None:
         if not (self.alpha_min <= alpha <= self.alpha_max):
             raise OutOfTableRange(
-                f"alpha = {math.degrees(alpha):.2f} deg outside table range "
+                f"alpha = {math.degrees(alpha)!r} deg outside table range "
                 f"[{math.degrees(self.alpha_min):.1f}, {math.degrees(self.alpha_max):.1f}] deg"
             )
 
@@ -204,26 +204,6 @@ def default_aero_model() -> AeroModel:
     return _DEFAULT_MODEL
 
 
-@dataclass
-class AircraftState:
-    v_t: float            # airspeed, m/s
-    theta: float          # pitch, rad
-    alpha: float          # angle of attack, rad
-    q: float              # pitch rate, rad/s
-    x: float = 0.0        # inertial position toward the ship, m
-    z: float = 0.0        # altitude, m (positive up)
-
-    @property
-    def gamma(self) -> float:
-        return self.theta - self.alpha
-
-
-@dataclass
-class ControlInputs:
-    delta_e: float        # elevator deflection, rad
-    thrust: float         # engine thrust, N
-
-
 def _polyval(coeffs, x: float) -> float:
     acc = 0.0
     for c in reversed(coeffs):
@@ -244,7 +224,7 @@ def rigid_body_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
     air.  Wind shifts the airspeed and angle of attack of the
     aerodynamic lookup and advects the inertial trajectory.  The
     scenario engine's RK4 derivative calls this kernel directly;
-    state_derivative wraps it for dataclass callers.
+    state_derivative adds a finite check for one-off callers.
     """
     gamma = theta - alpha
     sin_g = _sin(gamma)
@@ -273,20 +253,13 @@ def rigid_body_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
             v * sin_g + w_g)
 
 
-def state_derivative(state: AircraftState, inputs: ControlInputs,
-                     wind, model: AeroModel, params: AircraftParams):
-    """Time derivative (V_T', theta', alpha', q', x', z') of the full state.
+def state_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
+                     model: AeroModel, params: AircraftParams):
+    """rigid_body_derivative with a finite check on the result.
 
-    `wind` is any object with u_g/w_g attributes (m/s, inertial axes) or
-    None for calm air.  Raises NonFiniteDerivative when a component is
-    NaN or infinite.
+    Raises NonFiniteDerivative when a component is NaN or infinite.
     """
-    if wind is not None and (wind.u_g != 0.0 or wind.w_g != 0.0):
-        u_g, w_g = wind.u_g, wind.w_g
-    else:
-        u_g = w_g = 0.0
-    out = rigid_body_derivative(state.v_t, state.theta, state.alpha, state.q,
-                                inputs.delta_e, inputs.thrust, u_g, w_g,
+    out = rigid_body_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
                                 model, params)
     for d in out:
         if not math.isfinite(d):

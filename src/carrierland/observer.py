@@ -41,7 +41,7 @@ class ObserverParams:
     epsilon: float = 0.3
 
     def __post_init__(self):
-        violations = validate_params(self, raise_on_error=False)
+        violations = validate_params(self)
         if violations:
             raise ValueError("invalid observer parameters: " + "; ".join(violations))
         # injection gains and exponents, computed once for observer_derivative
@@ -59,7 +59,7 @@ class ObserverParams:
         return (self.alpha1 + 2.0) / 3.0
 
 
-def validate_params(p, raise_on_error: bool = False) -> list[str]:
+def validate_params(p) -> list[str]:
     """Return the list of violated parameter constraints (empty if valid).
 
     Works on any object with k1/k2/k3/alpha1/epsilon attributes so that
@@ -78,8 +78,6 @@ def validate_params(p, raise_on_error: bool = False) -> list[str]:
         v.append("epsilon must lie in the open interval (0, 1)")
     elif p.epsilon ** 3 == 0.0:
         v.append("epsilon**3 underflows to 0; the gain k1/eps^3 is undefined")
-    if raise_on_error and v:
-        raise ValueError("; ".join(v))
     return v
 
 

@@ -45,10 +45,9 @@ import copy
 import math
 from dataclasses import dataclass, field, replace
 
-from .airframe import (AeroModel, AircraftParams, AircraftState,
-                       ControlInputs, NonFiniteDerivative, OutOfTableRange,
-                       default_aero_model, rigid_body_derivative,
-                       state_derivative)
+from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
+                       OutOfTableRange, default_aero_model,
+                       rigid_body_derivative, state_derivative)
 from .actuation import (actuator_derivative, project_actuator_states,
                         saturate_inputs)
 from .control import (RAD2DEG, GuidancePID, OuterGains, PitchGains,
@@ -611,7 +610,7 @@ class Simulation:
                     theta_r = theta_r_hi
 
                 if use_truth:
-                    d_truth = self._qdot(v, th, al, q, de, t_eng, wind) - (
+                    d_truth = self._qdot(v, th, al, q, de, t_eng, u_g, w_g) - (
                         gains.dqdot_dq * q
                         + gains.dqdot_dde * (de - trim.delta_e_star) * RAD2DEG)
                     ox1, ox2, ox3 = th - theta_star, q, d_truth
@@ -633,7 +632,7 @@ class Simulation:
 
                 # --- record: trace row and metric accumulators, step head
                 if k % decim == 0:
-                    qdot_now = self._qdot(v, th, al, q, de, t_eng, wind)
+                    qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
                     d_true = qdot_now - h_theta
                     trace.append((
                         t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
@@ -709,10 +708,9 @@ class Simulation:
                          linear=self.linear)
 
     # ------------------------------------------------------------------
-    def _qdot(self, v, th, al, q, de, thrust, wind) -> float:
+    def _qdot(self, v, th, al, q, de, thrust, u_g, w_g) -> float:
         """Pitch acceleration at the given point (for d_true and truth mode)."""
-        return state_derivative(AircraftState(v, th, al, q),
-                                ControlInputs(de, thrust), wind,
+        return state_derivative(v, th, al, q, de, thrust, u_g, w_g,
                                 self.model, self.params)[3]
 
 

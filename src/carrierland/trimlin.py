@@ -13,21 +13,23 @@ the solved point zeroes all four dynamic state derivatives exactly.
 
 Linearization builds the 4x4/4x2 small-perturbation model over
 (dV_T, dtheta, dalpha, dq) and (ddelta_e, ddelta_t) by central finite
-differences of the nonlinear state derivative.  Eigenvalues come from an
-in-repo characteristic-polynomial solver so the module has no linear
-algebra dependency beyond basic array handling.
+differences of the nonlinear state derivative; its eigenvalues come from
+numpy.
+
+The trim residuals evaluate lift, drag and moment themselves rather than
+through airframe.rigid_body_derivative: routing them through the kernel
+would move the trim point by a few ulps, and with it every output byte.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import (AeroModel, AircraftParams, AircraftState, OutOfTableRange,
-                       ControlInputs, dynamic_pressure, state_derivative)
+from .airframe import (AeroModel, AircraftParams, OutOfTableRange,
+                       dynamic_pressure, state_derivative)
 
 TRIM_AIRSPEED = 69.1  # m/s, nominal approach speed
 
@@ -47,13 +49,6 @@ class TrimPoint:
     thrust_star: float
     residuals: tuple[float, float, float]  # (vertical, moment, along-path)
 
-    def state(self) -> AircraftState:
-        return AircraftState(self.v_t_star, self.theta_star, self.alpha_star,
-                             self.q_star)
-
-    def inputs(self) -> ControlInputs:
-        return ControlInputs(self.delta_e_star, self.thrust_star)
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -63,10 +58,6 @@ class LinearModel:
     @property
     def dqdot_dq(self) -> float:
         return float(self.a[3, 3])
-
-    @property
-    def dqdot_dalpha(self) -> float:
-        return float(self.a[3, 2])
 
     @property
     def dqdot_dde(self) -> float:
@@ -125,7 +116,7 @@ def _newton_trim(v: float, params: AircraftParams, model: AeroModel,
             try:
                 r_try = _trim_residuals(v, u_try[0], u_try[1], u_try[2] * mg,
                                         params, model)
-            except Exception:
+            except OutOfTableRange:
                 lam *= 0.5
                 continue
             if float(np.dot(r_try, r_try)) < norm0 or lam < 1e-6:
@@ -194,9 +185,9 @@ def linearize(trim: TrimPoint, params: AircraftParams,
     u0 = np.array([trim.delta_e_star, trim.thrust_star / params.t_max])
 
     def f(x, u):
-        st = AircraftState(x[0], x[1], x[2], x[3])
-        inp = ControlInputs(u[0], u[1] * params.t_max)
-        return np.array(state_derivative(st, inp, None, model, params)[:4])
+        return np.array(state_derivative(x[0], x[1], x[2], x[3], u[0],
+                                         u[1] * params.t_max, 0.0, 0.0,
+                                         model, params)[:4])
 
     a = np.empty((4, 4))
     b = np.empty((4, 2))
@@ -217,67 +208,9 @@ def linearize(trim: TrimPoint, params: AircraftParams,
     return LinearModel(a=a, b=b)
 
 
-def characteristic_polynomial(a: np.ndarray) -> list[float]:
-    """Monic characteristic polynomial coefficients (descending powers).
-
-    Faddeev-LeVerrier recursion; exact for any square real matrix.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    coeffs = [1.0]
-    mk = np.zeros_like(a)
-    for k in range(1, n + 1):
-        mk = a @ mk + coeffs[-1] * np.eye(n)
-        ck = -np.trace(a @ mk) / k
-        coeffs.append(float(ck))
-    return coeffs
-
-
-def polynomial_roots(coeffs) -> list[complex]:
-    """All complex roots of a polynomial by Durand-Kerner iteration.
-
-    `coeffs` are descending-power coefficients; the polynomial must have
-    nonzero leading coefficient.
-    """
-    c = [complex(x) for x in coeffs]
-    lead = c[0]
-    if lead == 0:
-        raise ValueError("leading coefficient must be nonzero")
-    c = [x / lead for x in c]
-    n = len(c) - 1
-    if n == 0:
-        return []
-
-    def p(z):
-        acc = 0j
-        for ck in c:
-            acc = acc * z + ck
-        return acc
-
-    # scale the starting circle to the root magnitude bound
-    bound = 1.0 + max(abs(x) for x in c[1:]) if n > 0 else 1.0
-    roots = [bound * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
-    for _ in range(500):
-        moved = 0.0
-        for i in range(n):
-            denom = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= roots[i] - roots[j]
-            if denom == 0:
-                roots[i] += 1e-8 * (1 + 1j)
-                continue
-            delta = p(roots[i]) / denom
-            roots[i] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-13 * max(1.0, bound):
-            break
-    return roots
-
-
 def eigenvalues_4x4(a: np.ndarray) -> list[complex]:
-    """Eigenvalues via the in-repo characteristic-polynomial route."""
-    return polynomial_roots(characteristic_polynomial(a))
+    """Eigenvalues of the 4x4 state matrix, as Python complex numbers."""
+    return [complex(z) for z in np.linalg.eigvals(a)]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 
 from carrierland.environment import ShipParams, ShipState, rng_streams, ship_step
 from carrierland.integrate import rk4_step
-from carrierland.airframe import AircraftState, ControlInputs, state_derivative
+from carrierland.airframe import state_derivative
 from carrierland.observer import ObserverParams, observer_derivative, validate_params
 from carrierland.sim import (ScenarioConfig, compare_controllers,
                              config_from_dict, config_to_dict, run_scenario,
@@ -85,12 +85,11 @@ def test_criterion_3_linear_nonlinear_agreement(trim, params, model, linear):
     t0 = time.perf_counter()
     dt = 0.001
     d_dt = 0.02
-    inputs = ControlInputs(trim.delta_e_star,
-                           trim.thrust_star + d_dt * params.t_max)
+    thrust = trim.thrust_star + d_dt * params.t_max
 
     def f_nl(_t, s):
-        return state_derivative(AircraftState(*s), inputs, None, model,
-                                params)[:4]
+        return state_derivative(*s, trim.delta_e_star, thrust, 0.0, 0.0,
+                                model, params)[:4]
 
     a, b = linear.a, linear.b
     du = np.array([0.0, d_dt])

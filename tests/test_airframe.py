@@ -3,12 +3,16 @@ import math
 
 import pytest
 
-from carrierland.airframe import (AeroModel, AircraftParams, AircraftState,
-                                  ControlInputs, NonFiniteDerivative,
-                                  OutOfTableRange, dynamic_pressure,
-                                  state_derivative)
-from carrierland.environment import WindSample
+from carrierland.airframe import (AeroModel, AircraftParams,
+                                  NonFiniteDerivative, OutOfTableRange,
+                                  dynamic_pressure, state_derivative)
 from carrierland.integrate import rk4_step
+
+
+def _trim_args(trim):
+    """(v, theta, alpha, q, delta_e, thrust) of a trim point."""
+    return (trim.v_t_star, trim.theta_star, trim.alpha_star, trim.q_star,
+            trim.delta_e_star, trim.thrust_star)
 
 
 def test_dynamic_pressure_zero_airspeed():
@@ -40,15 +44,29 @@ def test_trim_lift_balance(model, params, trim):
 def test_trim_moment_zero(model, params, trim):
     _, _, cm = model.coefficients(trim.alpha_star, 0.0, trim.delta_e_star)
     assert abs(cm) < 1e-10
-    d = state_derivative(trim.state(), trim.inputs(), None, model, params)
+    d = state_derivative(*_trim_args(trim), 0.0, 0.0, model, params)
     q_sc = dynamic_pressure(trim.v_t_star, params.rho) * params.s_ref * params.c_bar
     assert abs(d[3] * params.j_y / q_sc) < 1e-10
 
 
 def test_alpha_out_of_range_raises(model, params):
-    st = AircraftState(69.1, 0.0, math.radians(45.0), 0.0)
     with pytest.raises(OutOfTableRange):
-        state_derivative(st, ControlInputs(0.0, 0.0), None, model, params)
+        state_derivative(69.1, 0.0, math.radians(45.0), 0.0, 0.0, 0.0,
+                         0.0, 0.0, model, params)
+
+
+@pytest.mark.parametrize("edge, toward, text", [
+    ("alpha_min", -math.inf, "alpha = -5.000000000000001 deg"),
+    ("alpha_max", math.inf, "alpha = 40.00000000000001 deg"),
+], ids=("alpha_min", "alpha_max"))
+def test_check_alpha_reports_one_ulp_excursion(model, edge, toward, text):
+    """An alpha one ulp outside the table reads as outside in the message."""
+    alpha = getattr(model, edge)
+    model.check_alpha(alpha)
+    with pytest.raises(OutOfTableRange) as exc:
+        model.check_alpha(math.nextafter(alpha, toward))
+    assert str(exc.value) == \
+        f"{text} outside table range [-5.0, 40.0] deg"
 
 
 def test_drag_positive_over_domain(model, params):
@@ -56,26 +74,26 @@ def test_drag_positive_over_domain(model, params):
         for de in (params.elevator_min, 0.0, params.elevator_max):
             alpha = math.radians(alpha_deg)
             # level path, engine off: V' = -D/m
-            st = AircraftState(69.1, alpha, alpha, 0.0)
-            d = state_derivative(st, ControlInputs(de, 0.0), None, model, params)
+            d = state_derivative(69.1, alpha, alpha, 0.0, de, 0.0,
+                                 0.0, 0.0, model, params)
             assert d[0] < 0.0
 
 
 def test_non_finite_derivative_raises(model, params):
-    st = AircraftState(math.inf, 0.1, 0.1, 0.0)
     with pytest.raises(NonFiniteDerivative):
-        state_derivative(st, ControlInputs(0.0, 0.0), None, model, params)
+        state_derivative(math.inf, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0,
+                         model, params)
 
 
 def test_trim_derivatives_vanish(model, params, trim):
-    d = state_derivative(trim.state(), trim.inputs(), None, model, params)
+    d = state_derivative(*_trim_args(trim), 0.0, 0.0, model, params)
     for component in d[:4]:
         assert abs(component) < 1e-6
 
 
 def test_force_free_stub(zero_aero_model, params):
-    st = AircraftState(50.0, 0.1, 0.1, 0.0)  # gamma = 0
-    d = state_derivative(st, ControlInputs(0.0, 0.0), None,
+    # gamma = 0
+    d = state_derivative(50.0, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0,
                          zero_aero_model, params)
     assert d[0] == 0.0       # V' = 0 with no thrust, drag, or path angle
     assert d[3] == pytest.approx(0.0, abs=1e-12)
@@ -83,16 +101,14 @@ def test_force_free_stub(zero_aero_model, params):
 
 def test_pure_gravity_deceleration(zero_aero_model, params):
     # gamma = 90 deg, thrust off: airspeed bleeds at exactly g
-    st = AircraftState(50.0, math.pi / 2, 0.0, 0.0)
-    d = state_derivative(st, ControlInputs(0.0, 0.0), None,
+    d = state_derivative(50.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
                          zero_aero_model, params)
     assert d[0] == pytest.approx(-params.g, rel=1e-12)
 
 
 def test_theta_dot_is_q(model, params):
     for q in (-0.3, 0.0, 0.17):
-        st = AircraftState(69.1, 0.12, 0.1, q)
-        d = state_derivative(st, ControlInputs(-0.05, 20000.0), None,
+        d = state_derivative(69.1, 0.12, 0.1, q, -0.05, 20000.0, 0.0, 0.0,
                              model, params)
         assert d[1] == q
 
@@ -101,11 +117,10 @@ def test_energy_conservation_ballistic(zero_aero_model, params):
     """Force-free flight conserves V^2/2 + g z to integrator accuracy."""
     dt = 0.001
     y = (60.0, math.radians(20.0), 0.0, 0.0, 0.0, 100.0)
-    inputs = ControlInputs(0.0, 0.0)
 
     def f(_t, s):
-        st = AircraftState(*s)
-        return state_derivative(st, inputs, None, zero_aero_model, params)
+        return state_derivative(*s[:4], 0.0, 0.0, 0.0, 0.0,
+                                zero_aero_model, params)
 
     e0 = 0.5 * y[0] ** 2 + params.g * y[5]
     for k in range(10000):
@@ -115,20 +130,16 @@ def test_energy_conservation_ballistic(zero_aero_model, params):
 
 
 def test_state_derivative_deterministic(model, params):
-    st = AircraftState(70.0, 0.1, 0.08, 0.02, 5.0, 120.0)
-    u = ControlInputs(-0.1, 30000.0)
-    a = state_derivative(st, u, None, model, params)
-    b = state_derivative(st, u, None, model, params)
+    args = (70.0, 0.1, 0.08, 0.02, -0.1, 30000.0, 0.0, 0.0, model, params)
+    a = state_derivative(*args)
+    b = state_derivative(*args)
     assert a == b
 
 
 def test_wind_shifts_relative_airspeed(model, params, trim):
     """A pure tailwind lowers the aero airspeed and advects the track."""
-    st = trim.state()
-    u = trim.inputs()
-    calm = state_derivative(st, u, None, model, params)
-    tail = WindSample(u_g=5.0, w_g=0.0)
-    windy = state_derivative(st, u, tail, model, params)
+    calm = state_derivative(*_trim_args(trim), 0.0, 0.0, model, params)
+    windy = state_derivative(*_trim_args(trim), 5.0, 0.0, model, params)
     # less drag at lower relative airspeed: V' increases
     assert windy[0] > calm[0]
     # kinematics pick up the full wind vector
@@ -137,10 +148,8 @@ def test_wind_shifts_relative_airspeed(model, params, trim):
 
 
 def test_wind_updraft_raises_alpha_forces(model, params, trim):
-    st = trim.state()
-    u = trim.inputs()
-    calm = state_derivative(st, u, None, model, params)
-    updraft = state_derivative(st, u, WindSample(0.0, 3.0), model, params)
+    calm = state_derivative(*_trim_args(trim), 0.0, 0.0, model, params)
+    updraft = state_derivative(*_trim_args(trim), 0.0, 3.0, model, params)
     # higher effective alpha -> more lift -> alpha' decreases
     assert updraft[2] < calm[2]
     assert updraft[5] == pytest.approx(calm[5] + 3.0, rel=1e-12)

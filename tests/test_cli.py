@@ -28,6 +28,44 @@ def test_linearize_subcommand(capsys):
     assert "short-period" in out and "phugoid" in out
 
 
+# stdout of `carrierland trim` and `carrierland linearize` with the
+# default model, pinned digit for digit
+TRIM_STDOUT = """\
+airspeed             69.1000 m/s
+alpha = theta         7.1000 deg
+pitch rate            0.0000 rad/s
+flight path           0.0000 rad
+elevator            -10.1686 deg
+thrust               22591.8 N
+residuals       8.30e-13 -2.19e-15 -1.42e-13
+"""
+
+LINEARIZE_STDOUT = """\
+A (dV_T, dtheta, dalpha, dq):
+     -0.043258    -9.750000    -0.274000     0.000000
+      0.000000     0.000000     0.000000     1.000000
+     -0.004006     0.000000    -0.590000     0.989881
+     -0.000000     0.000000    -0.260000    -0.150000
+B (ddelta_e [rad], ddelta_t):
+     -0.057296     4.708417
+      0.000000     0.000000
+     -0.042972    -0.008487
+     -0.859437     0.000000
+  -0.401933 +0.451685j  short-period
+  -0.401933 -0.451685j  short-period
+  +0.010304 +0.166351j  phugoid
+  +0.010304 -0.166351j  phugoid
+"""
+
+
+@pytest.mark.parametrize("command, golden", [
+    ("trim", TRIM_STDOUT), ("linearize", LINEARIZE_STDOUT)],
+    ids=("trim", "linearize"))
+def test_trim_commands_stdout_is_pinned(capsys, command, golden):
+    assert run_cli(command) == EXIT_OK
+    assert capsys.readouterr().out == golden
+
+
 def test_run_writes_three_files(tmp_path, capsys):
     out = tmp_path / "run1"
     code = run_cli("run", "--scenario", "pitch_step", "--controller", "opd",

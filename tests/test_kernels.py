@@ -18,9 +18,9 @@ import pytest
 from carrierland.actuation import (ELEVATOR_OMEGA, ELEVATOR_ZETA, ENGINE_TAU,
                                    actuator_derivative,
                                    project_actuator_states)
-from carrierland.airframe import (AircraftParams, AircraftState, ControlInputs,
-                                  OutOfTableRange, default_aero_model,
-                                  rigid_body_derivative, state_derivative)
+from carrierland.airframe import (AircraftParams, OutOfTableRange,
+                                  default_aero_model, rigid_body_derivative,
+                                  state_derivative)
 from carrierland.environment import (ShipParams, ShipState, WindSample,
                                      _held_sigma, deck_motion,
                                      held_ship_inputs, rng_streams, ship_step)
@@ -140,7 +140,7 @@ def test_engine_runs_match_reference_rk4(monkeypatch, case, controller):
 def ref_check_alpha(model, alpha):
     if not (model.alpha_min <= alpha <= model.alpha_max):
         raise OutOfTableRange(
-            f"alpha = {math.degrees(alpha):.2f} deg outside table range "
+            f"alpha = {math.degrees(alpha)!r} deg outside table range "
             f"[{math.degrees(model.alpha_min):.1f}, "
             f"{math.degrees(model.alpha_max):.1f}] deg")
 
@@ -323,10 +323,9 @@ def test_rigid_body_kernel_matches_engine_block(u_g, w_g):
                                     u_g, w_g, model, params)
         assert type(got) is tuple
         assert _bits(got) == _bits(ref), (v, theta, alpha, q, de, thrust)
-        wrapped = state_derivative(AircraftState(v, theta, alpha, q),
-                                   ControlInputs(de, thrust),
-                                   WindSample(u_g, w_g), model, params)
-        assert _bits(wrapped) == _bits(ref)
+        checked = state_derivative(v, theta, alpha, q, de, thrust,
+                                   u_g, w_g, model, params)
+        assert _bits(checked) == _bits(ref)
 
 
 # ------------------------------------------------------------ actuators

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from carrierland.airframe import AeroModel, dynamic_pressure
+from carrierland import trimlin
+from carrierland.airframe import (AeroModel, OutOfTableRange, dynamic_pressure,
+                                  state_derivative)
 from carrierland.integrate import rk4_step
-from carrierland.airframe import AircraftState, ControlInputs, state_derivative
-from carrierland.trimlin import (TrimNotConverged, characteristic_polynomial,
-                                 eigenmodes, eigenvalues_4x4, linearize,
-                                 polynomial_roots, solve_trim)
+from carrierland.trimlin import TrimNotConverged, eigenmodes, solve_trim
 
 # small-perturbation model of the published reference linearization;
 # elevator column in degrees
@@ -50,6 +49,45 @@ def test_trim_infeasible_moment_raises(params):
                      alpha_min=-1.0, alpha_max=1.0)
     with pytest.raises(TrimNotConverged):
         solve_trim(params, stub)
+
+
+def _raise_on_first_line_search(monkeypatch, exc):
+    """Make _trim_residuals raise exc on the first line-search evaluation.
+
+    The first Newton iteration evaluates the residual once, then twice
+    per unknown for the Jacobian; the eighth call is the line search's.
+    """
+    real = trimlin._trim_residuals
+    calls = []
+
+    def residuals(*args):
+        calls.append(args)
+        if len(calls) == 8:
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(trimlin, "_trim_residuals", residuals)
+    return calls
+
+
+def test_trim_line_search_propagates_residual_bugs(monkeypatch, params,
+                                                   model):
+    calls = _raise_on_first_line_search(monkeypatch,
+                                        ZeroDivisionError("bug"))
+    with pytest.raises(ZeroDivisionError, match="bug"):
+        solve_trim(params, model)
+    assert len(calls) == 8
+
+
+def test_trim_line_search_halves_step_off_table(monkeypatch, params, model,
+                                                trim):
+    calls = _raise_on_first_line_search(monkeypatch,
+                                        OutOfTableRange("off table"))
+    again = solve_trim(params, model)
+    assert len(calls) > 8
+    assert again.v_t_star == trim.v_t_star
+    assert again.alpha_star == pytest.approx(trim.alpha_star, abs=1e-9)
+    assert again.delta_e_star == pytest.approx(trim.delta_e_star, abs=1e-9)
 
 
 def test_linearize_theta_row_is_identity(linear):
@@ -142,35 +180,6 @@ def test_default_model_matches_reference_linearization(linear):
     assert linear.b[2, 1] == pytest.approx(-0.00849, rel=0.05)
 
 
-def test_reference_matrix_eigenvalues_match_numpy_oracle():
-    ours = sorted(eigenvalues_4x4(REFERENCE_A),
-                  key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    ref = sorted(np.linalg.eigvals(REFERENCE_A),
-                 key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    for a, b in zip(ours, ref):
-        assert abs(a - b) < 1e-9
-
-
-def test_polynomial_roots_against_numpy():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        coeffs = rng.normal(size=5)
-        coeffs[0] = coeffs[0] if abs(coeffs[0]) > 0.1 else 1.0
-        ours = sorted(polynomial_roots(coeffs),
-                      key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        ref = sorted(np.roots(coeffs),
-                     key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-        for a, b in zip(ours, ref):
-            assert abs(a - b) < 1e-7
-
-
-def test_characteristic_polynomial_faddeev():
-    a = np.diag([-1.0, -2.0, -3.0, -4.0])
-    # (x+1)(x+2)(x+3)(x+4) = x^4 + 10x^3 + 35x^2 + 50x + 24
-    assert characteristic_polynomial(a) == pytest.approx(
-        [1.0, 10.0, 35.0, 50.0, 24.0])
-
-
 def test_eigenmodes_labels_reference_matrix():
     modes = eigenmodes(REFERENCE_A)
     assert not modes.degenerate
@@ -216,12 +225,11 @@ def test_open_loop_throttle_step_agreement(trim, params, model, linear):
     agree within 5 % of the peak excursion over 10 s."""
     dt = 0.001
     d_dt = 0.02  # throttle-fraction step
-    inputs = ControlInputs(trim.delta_e_star,
-                           trim.thrust_star + d_dt * params.t_max)
+    thrust = trim.thrust_star + d_dt * params.t_max
 
     def f_nl(_t, s):
-        return state_derivative(AircraftState(*s), inputs, None, model,
-                                params)[:4]
+        return state_derivative(*s, trim.delta_e_star, thrust, 0.0, 0.0,
+                                model, params)[:4]
 
     a, b = linear.a, linear.b
     du = np.array([0.0, d_dt])
