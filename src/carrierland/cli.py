@@ -29,9 +29,10 @@ import os
 import sys
 
 from .airframe import AircraftParams
-from .sim import (CONFIG_KEYS, ConfigError, RunResult, ScenarioConfig,
-                  compare_controllers, config_from_dict, config_to_dict,
-                  load_aero_model, run_scenario, write_trace_csv)
+from .sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS, ConfigError,
+                  RunResult, ScenarioConfig, compare_controllers,
+                  config_from_dict, config_to_dict, load_aero_model,
+                  run_scenario, write_trace_csv)
 from .trimlin import TrimNotConverged, eigenmodes, linearize, solve_trim
 
 EXIT_OK = 0
@@ -102,9 +103,9 @@ def _add_run_args(p, controller_choice=True):
                    help="override one config key (repeatable)")
     p.add_argument("--out", help="output directory (default: under "
                    f"${OUT_ROOT_ENV} or ./runs)")
-    p.add_argument("--scenario", choices=("pitch_step", "sink_step", "approach"))
+    p.add_argument("--scenario", choices=SCENARIOS)
     if controller_choice:
-        p.add_argument("--controller", choices=("opd", "pid", "opd_truth"))
+        p.add_argument("--controller", choices=CONTROLLERS)
     p.add_argument("--seed", type=int)
     p.add_argument("--duration", type=float)
     p.add_argument("--dt", type=float)

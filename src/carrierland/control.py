@@ -21,10 +21,12 @@ supplying the rate estimate x2 and disturbance estimate x3:
     dde_deg = (U - x3) / dqdot_dde
     delta_e_cmd = delta_e_trim + radians(dde_deg)
 
-It also returns the known-input signal h = dqdot_dq x2 + dqdot_dde
-dde_deg that the observer needs; dde_deg in h is taken from the
-saturated command so that the observer sees the input actually applied
-(anti-windup at the authority limit).
+The pitch laws return only their command.  known_input gives the
+known part of the pitch acceleration, h = dqdot_dq x2 + dqdot_dde
+dde_deg.  The engine forms h once per step under every law, from the
+saturated command, so the observer sees the input actually applied
+(anti-windup at the authority limit); the truth law subtracts h, at
+the true rate and deflection, from the true pitch acceleration.
 
 All integrators are trapezoidal with clamping anti-windup; derivative
 terms act on first-order-filtered signals, never on raw differences of
@@ -37,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 from .airframe import AircraftParams
-from .environment import LandingPoint
 from .trimlin import TrimPoint
 
 RAD2DEG = 180.0 / math.pi
@@ -95,35 +96,34 @@ def derive_pitch_gains(t_settle: float, damping: float, dqdot_dq: float):
 class PitchOPD:
     """Observer-compensated PD pitch law."""
 
-    def __init__(self, gains: PitchGains, trim: TrimPoint,
-                 params: AircraftParams):
+    def __init__(self, gains: PitchGains, trim: TrimPoint):
         self.g = gains
         self.delta_e_trim = trim.delta_e_star
-        self._lo = params.elevator_min
-        self._hi = params.elevator_max
 
     def step(self, theta_r: float, theta_meas: float, x2: float,
-             x3: float):
-        """Return (delta_e_cmd [rad, raw], h_theta [rad/s^2]).
+             x3: float) -> float:
+        """Elevator command [rad], left unsaturated for the limiter.
 
-        x2 and x3 are the observer's rate and disturbance estimates.
-
-        The command is left unsaturated for the downstream limiter, but
-        h is formed from the limit-clipped perturbation so the observer
-        sees the input the plant can actually receive; feeding it the
-        raw demand winds the disturbance estimate up whenever the
-        elevator is pinned.
+        x2 and x3 are the pitch rate and lumped disturbance the law
+        compensates: the observer's estimates, or truth under opd_truth.
         """
         g = self.g
         e = theta_r - theta_meas
         e_rate = -x2
         u = g.kp_theta * e + g.kd_theta * e_rate
         dde_deg = (u - x3) / g.dqdot_dde
-        cmd = self.delta_e_trim + dde_deg * DEG2RAD
-        applied = min(max(cmd, self._lo), self._hi)
-        dde_applied_deg = (applied - self.delta_e_trim) * RAD2DEG
-        h_theta = g.dqdot_dq * x2 + g.dqdot_dde * dde_applied_deg
-        return cmd, h_theta
+        return self.delta_e_trim + dde_deg * DEG2RAD
+
+
+def known_input(x2: float, delta_e: float, delta_e_trim: float,
+                gains: PitchGains) -> float:
+    """Known part h of the pitch acceleration [rad/s^2].
+
+    h = dqdot_dq x2 + dqdot_dde dde_deg, with dde_deg the elevator's
+    offset from trim in degrees.
+    """
+    return (gains.dqdot_dq * x2
+            + gains.dqdot_dde * ((delta_e - delta_e_trim) * RAD2DEG))
 
 
 class PitchPID:
@@ -134,11 +134,9 @@ class PitchPID:
     """
 
     def __init__(self, gains: PitchGains, trim: TrimPoint,
-                 params: AircraftParams, integrator_limit: float = 10.0):
+                 integrator_limit: float = 10.0):
         self.g = gains
         self.delta_e_trim = trim.delta_e_star
-        self._lo = params.elevator_min
-        self._hi = params.elevator_max
         self._int = 0.0
         self._int_limit = integrator_limit
         self._e_filt = None
@@ -302,14 +300,16 @@ class NotchFilter:
         return y
 
 
-def flight_path_generator(landing: LandingPoint, aircraft_x: float,
-                          glide_slope: float) -> float:
-    """Reference altitude on the glide path anchored at the landing point.
+def flight_path_generator(x_l, z_l, x_l_rate, z_l_rate, x, xdot, tan_gs):
+    """Glide-path reference altitude at the aircraft and its rate.
 
-    z_r = z_l + tan(glide_slope) * (x_l - x); valid for an approaching
-    aircraft (x below x_l).
+    The path is anchored at the moving landing point (x_l, z_l):
+    z_r = z_l + tan_gs (x_l - x), valid for an approaching aircraft
+    (x below x_l), so z_r' = z_l' + tan_gs (x_l' - x').  Returns
+    (z_r, z_r').
     """
-    return landing.z_l + math.tan(glide_slope) * (landing.x_l - aircraft_x)
+    return (z_l + tan_gs * (x_l - x),
+            z_l_rate + tan_gs * (x_l_rate - xdot))
 
 
 def _clamp(value: float, limit: float) -> float:

@@ -83,12 +83,6 @@ class ShipState:
         return SHIP_PITCH_NUM * self.pitch_filter[2]
 
 
-@dataclass(frozen=True)
-class LandingPoint:
-    x_l: float
-    z_l: float
-
-
 class WindSample(NamedTuple):
     """Total gust (u_g, w_g) and its components, inertial axes, m/s."""
 
@@ -195,14 +189,6 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
     pf = _ship_filter_rk4(state.pitch_filter, u_p, dt)
     return ShipState(heave_filter=hf, pitch_filter=pf,
                      u_heave=u_h, u_pitch=u_p, steps_since_draw=k)
-
-
-def landing_point(state: ShipState, params: ShipParams | None = None) -> LandingPoint:
-    """Touchdown-point position for the current deck attitude."""
-    x_g = (params or ShipParams()).x_g
-    h, p = state.heave_filter, state.pitch_filter
-    _, _, x_l, z_l, _, _ = deck_motion(h[0], h[1], p[2], p[3], x_g)
-    return LandingPoint(x_l=x_l, z_l=z_l)
 
 
 @dataclass
@@ -374,7 +360,3 @@ class Environment:
             for _ in range(n):
                 self.ship = ship_step(self.ship, self.dt, self.ship_rng,
                                       self.ship_params)
-
-    def landing_point(self) -> LandingPoint:
-        # with ship motion off the filters stay at rest: a level deck
-        return landing_point(self.ship, self.ship_params)

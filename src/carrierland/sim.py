@@ -15,9 +15,15 @@ the measured pitch, the wind sample and all white-noise draws are
 computed once per step and held across the four RK4 stages.
 
 Each step of the loop in Simulation.run runs five stages: sample (held
-deck noise, deck motion, wind, pitch noise), control (guidance, sink,
-pitch and velocity laws, then saturation), record, integrate (one RK4
-step) and project (actuator clamps, then a finite check).  Record keeps
+deck noise, deck motion, wind, pitch noise), control, record, integrate
+(one RK4 step) and project (actuator clamps, then a finite check).
+Control calls each element once: the flight-path generator, guidance
+and sink laws as the scenario needs them, the pitch law, the velocity
+law, saturation, and then control.known_input on the saturated
+elevator command, the observer's known input under every pitch law.
+The observer is never overwritten: the truth law feeds the true pitch
+rate and disturbance to the PD law as arguments, and x1..x3 in the
+trace are the observer's estimates under every law.  Record keeps
 only what the scenario's metrics read: a trace row every
 trace_decimation steps, t and theta on pitch_step, t and zdot on
 sink_step, and on approach a running maximum of |z - z_r| and a running
@@ -50,16 +56,15 @@ from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
                        rigid_body_derivative, state_derivative)
 from .actuation import (actuator_derivative, project_actuator_states,
                         saturate_inputs)
-from .control import (RAD2DEG, GuidancePID, OuterGains, PitchGains,
-                      PitchOPD, PitchPID, SinkPI, VelocityPID,
-                      flight_path_generator)
+from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
+                      PitchPID, SinkPI, VelocityPID, flight_path_generator,
+                      known_input)
 from .environment import (Environment, ShipParams, WindParams,
                           _ship_filter_derivative, deck_motion,
                           held_ship_inputs)
 from .integrate import rk4_step
 from .observer import ObserverParams, observer_derivative
-from .trimlin import (LinearModel, TrimNotConverged, TrimPoint, linearize,
-                      solve_trim)
+from .trimlin import TrimNotConverged, TrimPoint, linearize, solve_trim
 
 TRACE_HEADER = (
     "t", "v_t", "theta", "alpha", "q", "x", "z", "gamma", "delta_e",
@@ -361,7 +366,6 @@ class RunResult:
     abort_time: float | None = None
     abort_reason: str | None = None
     trim: TrimPoint | None = None
-    linear: LinearModel | None = None
 
 
 def settle_time(t, y, target: float, band_fraction: float = 0.02):
@@ -469,11 +473,18 @@ class Simulation:
             noise_dt=cfg.noise_dt,
         )
 
-        lp0 = env.landing_point()
+        ship_params = env.ship_params
+        x_g = ship_params.x_g
+        # the first landing point, on the warmed-up deck filters
+        _, _, x_l0, z_l0, _, _ = deck_motion(
+            *env.ship.heave_filter[:2], *env.ship.pitch_filter[2:], x_g)
         glide_slope = math.radians(cfg.glide_slope_deg)
-        x0 = lp0.x_l - cfg.initial_range
+        tan_gs = math.tan(glide_slope)
+        x0 = x_l0 - cfg.initial_range
         if approach:
-            z0 = flight_path_generator(lp0, x0, glide_slope)
+            # only the altitude is read, so the rates are left at zero
+            z0, _ = flight_path_generator(x_l0, z_l0, 0.0, 0.0, x0, 0.0,
+                                          tan_gs)
             gamma0 = -glide_slope
         else:
             z0 = cfg.initial_altitude
@@ -486,8 +497,8 @@ class Simulation:
         theta_r_lo = theta_star + math.radians(cfg.theta_r_low_deg)
         theta_r_hi = theta_star + math.radians(cfg.theta_r_high_deg)
 
-        opd = PitchOPD(gains, trim, params)
-        pid = PitchPID(gains, trim, params,
+        opd = PitchOPD(gains, trim)
+        pid = PitchPID(gains, trim,
                        integrator_limit=self.outer.integrator_limit)
         vel = VelocityPID(self.outer, trim, params)
         sink = SinkPI(self.outer, trim, dt=dt)
@@ -515,11 +526,9 @@ class Simulation:
              theta0 - theta_star, 0.0, 0.0) \
             + env.ship.heave_filter + env.ship.pitch_filter
 
-        ship_params = env.ship_params
         ship_rng = env.ship_rng
         hold = max(1, round(ship_params.dt_noise / dt))
         ship_since_draw = env.ship.steps_since_draw
-        x_g = ship_params.x_g
         wind_sample = env.wind.sample
         noise_sample = env.noise.sample
         guid_step, sink_step = guid.step, sink.step
@@ -528,7 +537,7 @@ class Simulation:
         # run constants, read into locals once
         sin, cos = math.sin, math.cos
         isfinite = math.isfinite
-        tan_gs = math.tan(glide_slope)
+        delta_e_trim = trim.delta_e_star
         metric_skip = cfg.metric_skip_s
 
         # inputs held over the four RK4 stages of a step; f reads them
@@ -573,7 +582,7 @@ class Simulation:
         try:
             for k in range(n_steps):
                 (v, th, al, q, x, z, t_eng, de, de_rate,
-                 ox1, ox2, ox3, h0, h1, h2, h3, p0, p1, p2, p3) = y
+                 ox1, ox2, ox3, h0, h1, _, _, _, _, p2, p3) = y
 
                 # --- sample: per-step draws, held over the four RK4 stages
                 ship_since_draw, u_h, u_p = held_ship_inputs(
@@ -595,8 +604,8 @@ class Simulation:
                 z_r = 0.0
                 zdot_r = 0.0
                 if approach:
-                    z_r = lp_z + tan_gs * (lp_x - x)
-                    ff = zl_rate + tan_gs * (xl_rate - xdot)
+                    z_r, ff = flight_path_generator(lp_x, lp_z, xl_rate,
+                                                    zl_rate, x, xdot, tan_gs)
                     zdot_r = guid_step(z_r, z, dt, feedforward=ff)
                     theta_r = sink_step(zdot_r, zdot, dt)
                 elif sink_scenario:
@@ -609,22 +618,19 @@ class Simulation:
                 elif theta_r > theta_r_hi:
                     theta_r = theta_r_hi
 
-                if use_truth:
-                    d_truth = self._qdot(v, th, al, q, de, t_eng, u_g, w_g) - (
-                        gains.dqdot_dq * q
-                        + gains.dqdot_dde * (de - trim.delta_e_star) * RAD2DEG)
-                    ox1, ox2, ox3 = th - theta_star, q, d_truth
-
                 if use_pid:
                     de_cmd = pid_step(theta_r, theta_meas, dt)
-                    dde_deg = (de_cmd - trim.delta_e_star) * RAD2DEG
-                    h_theta = gains.dqdot_dq * ox2 + gains.dqdot_dde * dde_deg
+                elif use_truth:
+                    d_truth = (self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
+                               - known_input(q, de, delta_e_trim, gains))
+                    de_cmd = opd_step(theta_r, theta_meas, q, d_truth)
                 else:
-                    de_cmd, h_theta = opd_step(theta_r, theta_meas, ox2, ox3)
+                    de_cmd = opd_step(theta_r, theta_meas, ox2, ox3)
 
                 thrust_cmd = vel_step(v_star, v, vdot_prev, dt)
                 de_cmd, thrust_cmd, sat_e, sat_t = saturate_inputs(
                     de_cmd, thrust_cmd, params)
+                h_theta = known_input(ox2, de_cmd, delta_e_trim, gains)
                 if sat_e:
                     sat_e_count += 1
                 if sat_t:
@@ -657,9 +663,7 @@ class Simulation:
                     y_hist.append(zdot if sink_scenario else th)
 
                 # --- integrate the coupled derivative with held inputs
-                y = rk4_step(f, (v, th, al, q, x, z, t_eng, de, de_rate,
-                                 ox1, ox2, ox3, h0, h1, h2, h3,
-                                 p0, p1, p2, p3), t, dt)
+                y = rk4_step(f, y, t, dt)
 
                 # --- project the actuator states and check finiteness
                 t_eng, de, de_rate, projected = project_actuator_states(
@@ -704,8 +708,7 @@ class Simulation:
 
         return RunResult(config=self.cfg, trace=trace, metrics=metrics,
                          aborted=aborted, abort_time=t if aborted else None,
-                         abort_reason=abort_reason, trim=self.trim,
-                         linear=self.linear)
+                         abort_reason=abort_reason, trim=self.trim)
 
     # ------------------------------------------------------------------
     def _qdot(self, v, th, al, q, de, thrust, u_g, w_g) -> float:

@@ -18,9 +18,9 @@ meant to leave outputs alone is checked with
 The cases cover trim and linearize, the approach under each control law
 with two seeds, pitch and sink steps clean, disturbed and with a trace
 row every step, a pitch step that leaves the aero table, observer gains
-that abort or are rejected, a sweep and a compare.  The whole matrix
-takes about half a minute on a 2-core x86 machine.  pytest does not
-collect this file.
+that abort or are rejected under each law, a PID gain that pins the
+elevator, a sweep and a compare.  The whole matrix takes about half a
+minute on a 2-core x86 machine.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                      "--set", "pitch_step_deg=-45",
                      "--set", "theta_r_low_deg=-60")))
     for eps in ("1e-20", "1e-100"):
-        out.append((f"epsilon_{eps}",
-                    ("run", "--scenario", "pitch_step",
-                     "--set", f"obs.epsilon={eps}")))
+        for law in LAWS:
+            out.append((f"epsilon_{eps}_{law}",
+                        ("run", "--scenario", "pitch_step",
+                         "--controller", law, "--set", f"obs.epsilon={eps}")))
+    out.append(("pid_kp_1e308",
+                ("run", "--scenario", "pitch_step", "--controller", "pid",
+                 "--set", "pid.kp=1e308", "--duration", "0.02")))
     out.append(("sweep", ("sweep", "--scenario", "pitch_step", "--wind", "on",
                           "--noise", "on", "--duration", "4", "--runs", "3")))
     out.append(("compare", ("compare", "--scenario", "pitch_step",

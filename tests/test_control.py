@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from carrierland.actuation import saturate_inputs
 from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
                                  OuterGains, PitchGains, PitchOPD, PitchPID,
                                  SinkPI, VelocityPID, derive_pitch_gains,
-                                 flight_path_generator)
-from carrierland.environment import LandingPoint
+                                 flight_path_generator, known_input)
+from carrierland.environment import (ShipParams, ShipState, deck_motion,
+                                     rng_streams, ship_step)
 
 
 def test_derive_pitch_gains_design_point():
@@ -41,46 +43,49 @@ def test_pitch_gains_reject_zero_channel():
         PitchGains(dqdot_dde=0.0)
 
 
-def test_pitch_opd_at_reference(trim, params):
-    opd = PitchOPD(PitchGains(), trim, params)
-    cmd, h = opd.step(trim.theta_star, trim.theta_star, 0.0, 0.0)
+def test_pitch_opd_at_reference(trim):
+    g = PitchGains()
+    opd = PitchOPD(g, trim)
+    cmd = opd.step(trim.theta_star, trim.theta_star, 0.0, 0.0)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
-    assert h == 0.0
+    assert known_input(0.0, trim.delta_e_star, trim.delta_e_star, g) == 0.0
 
 
 @pytest.mark.parametrize("d0", [0.05, -0.12, 0.3])
-def test_pitch_opd_pure_disturbance_cancellation(trim, params, d0):
+def test_pitch_opd_pure_disturbance_cancellation(trim, d0):
     """A disturbance estimate shifts the elevator by -d0/dqdot_dde deg."""
     g = PitchGains()
-    opd = PitchOPD(g, trim, params)
-    cmd, _ = opd.step(trim.theta_star, trim.theta_star, 0.0, d0)
+    opd = PitchOPD(g, trim)
+    cmd = opd.step(trim.theta_star, trim.theta_star, 0.0, d0)
     expected = trim.delta_e_star + (-d0 / g.dqdot_dde) * DEG2RAD
-    expected = min(max(expected, params.elevator_min), params.elevator_max)
-    assert cmd == pytest.approx(expected, rel=1e-12) or \
-        cmd in (params.elevator_min, params.elevator_max)
+    assert cmd == pytest.approx(expected, rel=1e-12)
 
 
-def test_pitch_opd_h_uses_applied_deflection(trim, params):
+def test_known_input_uses_applied_deflection(trim, params):
     """When the demand exceeds the stops, h reflects the clipped input."""
     g = PitchGains()
-    opd = PitchOPD(g, trim, params)
+    opd = PitchOPD(g, trim)
     big_error = trim.theta_star - math.radians(20.0)  # huge pitch-up demand
-    cmd, h = opd.step(trim.theta_star + math.radians(5.0), big_error,
-                      0.0, 0.0)
+    cmd = opd.step(trim.theta_star + math.radians(5.0), big_error, 0.0, 0.0)
     assert cmd < params.elevator_min  # raw command is handed downstream
+    applied, _, sat_e, _ = saturate_inputs(cmd, trim.thrust_star, params)
+    assert sat_e
+    x2 = 0.3
+    h = known_input(x2, applied, trim.delta_e_star, g)
     applied_deg = (params.elevator_min - trim.delta_e_star) * RAD2DEG
-    assert h == pytest.approx(g.dqdot_dde * applied_deg, rel=1e-12)
+    assert h == pytest.approx(g.dqdot_dq * x2 + g.dqdot_dde * applied_deg,
+                              rel=1e-12)
 
 
-def test_pitch_pid_zero_history(trim, params):
-    pid = PitchPID(PitchGains(), trim, params)
+def test_pitch_pid_zero_history(trim):
+    pid = PitchPID(PitchGains(), trim)
     for _ in range(5):
         cmd = pid.step(trim.theta_star, trim.theta_star, 1e-3)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
 
 
-def test_pitch_pid_integral_clamp(trim, params):
-    pid = PitchPID(PitchGains(), trim, params, integrator_limit=0.01)
+def test_pitch_pid_integral_clamp(trim):
+    pid = PitchPID(PitchGains(), trim, integrator_limit=0.01)
     for _ in range(20000):
         pid.step(trim.theta_star + 1.0, trim.theta_star, 1e-3)
     assert pid._int == 0.01
@@ -142,8 +147,8 @@ def test_guidance_derivative_is_filtered():
     assert zr < 25.0
 
 
-def test_zero_dt_changes_nothing(trim, params):
-    pid = PitchPID(PitchGains(), trim, params)
+def test_zero_dt_changes_nothing(trim):
+    pid = PitchPID(PitchGains(), trim)
     guid = GuidancePID(OuterGains())
     pid.step(0.13, 0.12, 1e-3)
     guid.step(1.0, 0.0, 1e-3)
@@ -166,23 +171,45 @@ def test_integrator_outputs_bounded(trim, params):
     assert abs(sink._int) <= 0.5
 
 
+_TAN_GS = math.tan(math.radians(3.5))
+
+
 def test_flight_path_at_landing_point():
-    lp = LandingPoint(x_l=-81.0, z_l=0.7)
-    assert flight_path_generator(lp, -81.0, math.radians(3.5)) == 0.7
+    z_r, _ = flight_path_generator(-81.0, 0.7, 0.0, 0.0, -81.0, 0.0, _TAN_GS)
+    assert z_r == 0.7
 
 
 def test_flight_path_1000m_out():
-    lp = LandingPoint(x_l=0.0, z_l=0.0)
-    z_r = flight_path_generator(lp, -1000.0, math.radians(3.5))
+    z_r, _ = flight_path_generator(0.0, 0.0, 0.0, 0.0, -1000.0, 0.0, _TAN_GS)
     assert z_r == pytest.approx(61.1626, abs=1e-3)
 
 
 def test_flight_path_linear_in_deck_motion():
-    slope = math.radians(3.5)
-    base = flight_path_generator(LandingPoint(-81.0, 0.0), -1500.0, slope)
+    base, _ = flight_path_generator(-81.0, 0.0, 0.0, 0.0, -1500.0, 0.0,
+                                    _TAN_GS)
     for dz in (-2.5, 1.0, 4.0):
-        moved = flight_path_generator(LandingPoint(-81.0, dz), -1500.0, slope)
+        moved, _ = flight_path_generator(-81.0, dz, 0.0, 0.0, -1500.0, 0.0,
+                                         _TAN_GS)
         assert moved - base == pytest.approx(dz, rel=1e-12)
+
+
+def test_flight_path_rate_matches_finite_difference():
+    """The path rate follows a moving deck and a closing aircraft."""
+    p = ShipParams()
+    st = ShipState()
+    rng = rng_streams(3)["ship"]
+    for _ in range(5000):
+        st = ship_step(st, 1e-3, rng, p)
+    xdot = 69.0
+
+    def path(state, x):
+        landing = deck_motion(*state.heave_filter[:2],
+                              *state.pitch_filter[2:], p.x_g)[2:]
+        return flight_path_generator(*landing, x, xdot, _TAN_GS)
+
+    z0, rate = path(st, -1500.0)
+    z1, _ = path(ship_step(st, 1e-3, rng, p), -1500.0 + xdot * 1e-3)
+    assert (z1 - z0) / 1e-3 == pytest.approx(rate, abs=1e-3)
 
 
 def test_notch_filter_rejects_center_frequency():

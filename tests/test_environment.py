@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from carrierland.environment import (LANDING_POINT_OFFSET, Environment,
-                                     LandingPoint, PitchNoise,
-                                     ShipParams, ShipState, WindField,
-                                     WindParams, _ship_filter_rk4,
-                                     deck_motion, landing_point, rng_streams,
-                                     ship_step, wake_periodic, wake_steady)
+                                     PitchNoise, ShipParams, ShipState,
+                                     WindField, WindParams, _ship_filter_rk4,
+                                     deck_motion, rng_streams, ship_step,
+                                     wake_periodic, wake_steady)
 
 
 class _ZeroRng:
@@ -47,32 +46,36 @@ def test_ship_amplitudes_sane_short_run():
     assert math.radians(0.05) < tmax < math.radians(10.0)
 
 
+def _landing_point(st: ShipState, x_g: float):
+    """(x_l, z_l, x_l', z_l') of the deck filters in st."""
+    return deck_motion(*st.heave_filter[:2], *st.pitch_filter[2:], x_g)[2:]
+
+
 def test_landing_point_flat_deck():
-    st = ShipState()
-    lp = landing_point(st, ShipParams(x_g=0.0))
-    assert lp.x_l == -81.0
-    assert lp.z_l == 0.0
+    x_l, z_l, _, _ = _landing_point(ShipState(), 0.0)
+    assert x_l == -81.0
+    assert z_l == 0.0
 
 
 def test_landing_point_pitched_deck():
     st = ShipState(heave_filter=(1.0 / 1.21, 0, 0, 0),
                    pitch_filter=(0, 0, 0.05 / 0.773, 0))
-    lp = landing_point(st, ShipParams())
-    assert lp.z_l == pytest.approx(1.0 - 81.0 * math.sin(0.05), rel=1e-9)
-    assert lp.z_l == pytest.approx(-3.048, abs=1e-3)
+    _, z_l, _, _ = _landing_point(st, 0.0)
+    assert z_l == pytest.approx(1.0 - 81.0 * math.sin(0.05), rel=1e-9)
+    assert z_l == pytest.approx(-3.048, abs=1e-3)
     st2 = ShipState(heave_filter=(1.0 / 1.21, 0, 0, 0),
                     pitch_filter=(0, 0, -0.05 / 0.773, 0))
-    lp2 = landing_point(st2, ShipParams())
-    assert lp2.z_l == pytest.approx(1.0 + 81.0 * math.sin(0.05), rel=1e-9)
+    _, z_l2, _, _ = _landing_point(st2, 0.0)
+    assert z_l2 == pytest.approx(1.0 + 81.0 * math.sin(0.05), rel=1e-9)
 
 
 @pytest.mark.parametrize("theta_s", [-0.06, -0.01, 0.0, 0.02, 0.05])
 def test_landing_point_offset_is_81_m(theta_s):
     st = ShipState(heave_filter=(0.4, 0, 0, 0),
                    pitch_filter=(0, 0, theta_s / 0.773, 0))
-    p = ShipParams(x_g=12.0)
-    lp = landing_point(st, p)
-    dist = math.hypot(p.x_g - lp.x_l, st.z_g - lp.z_l)
+    x_g = 12.0
+    x_l, z_l, _, _ = _landing_point(st, x_g)
+    dist = math.hypot(x_g - x_l, st.z_g - z_l)
     assert dist == pytest.approx(LANDING_POINT_OFFSET, rel=1e-12)
 
 
@@ -82,24 +85,18 @@ def test_landing_point_rates_match_finite_difference():
     rng = rng_streams(3)["ship"]
     for _ in range(5000):
         st = ship_step(st, 1e-3, rng, p)
-    lp0 = landing_point(st, p)
-    xr, zr = deck_motion(*st.heave_filter[:2], *st.pitch_filter[2:],
-                         p.x_g)[4:]
-    st2 = ship_step(st, 1e-3, rng, p)
-    lp1 = landing_point(st2, p)
-    assert (lp1.x_l - lp0.x_l) / 1e-3 == pytest.approx(xr, abs=1e-3)
-    assert (lp1.z_l - lp0.z_l) / 1e-3 == pytest.approx(zr, abs=1e-3)
+    x0, z0, xr, zr = _landing_point(st, p.x_g)
+    x1, z1, _, _ = _landing_point(ship_step(st, 1e-3, rng, p), p.x_g)
+    assert (x1 - x0) / 1e-3 == pytest.approx(xr, abs=1e-3)
+    assert (z1 - z0) / 1e-3 == pytest.approx(zr, abs=1e-3)
 
 
-def test_deck_motion_matches_landing_point():
+def test_deck_motion_matches_ship_state():
     st = ShipState(heave_filter=(0.3, -0.2, 0.0, 0.0),
                    pitch_filter=(0.0, 0.0, 0.04, -0.01))
-    p = ShipParams(x_g=7.0)
-    z_g, theta_s, x_l, z_l, _, _ = deck_motion(0.3, -0.2, 0.04, -0.01, 7.0)
+    z_g, theta_s, _, _, _, _ = deck_motion(0.3, -0.2, 0.04, -0.01, 7.0)
     assert (z_g, theta_s) == (st.z_g, st.theta_s)
     assert (z_g, theta_s) == (1.21 * 0.3, 0.773 * 0.04)
-    lp = landing_point(st, p)
-    assert (lp.x_l, lp.z_l) == (x_l, z_l)
 
 
 def test_ship_off_keeps_a_level_deck():
@@ -107,7 +104,7 @@ def test_ship_off_keeps_a_level_deck():
                       v_ref=69.1, ship_on=False, warmup_s=60.0)
     assert env.ship_rng is None
     assert env.ship == ShipState()
-    assert env.landing_point() == LandingPoint(5.0 - 81.0, 0.0)
+    assert _landing_point(env.ship, 5.0) == (5.0 - 81.0, 0.0, 0.0, 0.0)
 
 
 def test_wake_steady_profile_values():

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from carrierland.airframe import state_derivative
+from carrierland.control import known_input
 from carrierland.integrate import rk4_step
-from carrierland.sim import (ConfigError, RunMetrics, ScenarioConfig,
-                             TRACE_HEADER, _step_response,
+from carrierland.sim import (CONTROLLERS, ConfigError, RunMetrics,
+                             ScenarioConfig, TRACE_HEADER, _step_response,
                              compare_controllers, config_from_dict,
                              config_to_dict, run_scenario, set_config_key,
                              settle_time, write_trace_csv)
@@ -222,25 +224,38 @@ def test_sink_step_metrics_populated():
 
 
 def test_overflowing_error_metric_reads_inf():
-    # a huge PID gain only pins the elevator, but the observer's known
-    # input follows the raw demand, so its squared error overflows
+    # a tiny epsilon makes the observer's disturbance estimate overflow
+    # within a few steps; the rows recorded before the state leaves the
+    # floats square to inf rather than raising
+    for controller in CONTROLLERS:
+        cfg = config_from_dict({"controller": controller,
+                                "obs.epsilon": 1e-20, "duration": 0.005,
+                                "trace_decimation": 1})
+        r = run_scenario(cfg)
+        assert not r.aborted, controller
+        assert r.metrics.observer_rms_error == math.inf, controller
+
+
+def test_pinned_elevator_keeps_observer_error_finite():
+    # a huge PID gain only pins the elevator; the observer's known input
+    # is formed from the applied command, not the raw demand
     cfg = config_from_dict({"controller": "pid", "pid.kp": 1e308,
                             "duration": 0.02})
     r = run_scenario(cfg)
     assert not r.aborted
-    assert r.metrics.observer_rms_error == math.inf
+    assert math.isfinite(r.metrics.observer_rms_error)
 
 
 def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     """Closed-loop airspeed-hold test rig: plant + engine lag + pitch hold."""
     from carrierland.actuation import saturate_inputs
-    from carrierland.airframe import state_derivative
     from carrierland.control import OuterGains, PitchGains, PitchOPD, \
         VelocityPID
     from carrierland.observer import ObserverParams, observer_derivative
 
+    gains = PitchGains()
     vel = VelocityPID(OuterGains(), trim, params)
-    opd = PitchOPD(PitchGains(), trim, params)
+    opd = PitchOPD(gains, trim)
     obs_p = ObserverParams()
     v_r = trim.v_t_star + v_r_offset
     dt = 1e-3
@@ -252,10 +267,11 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     for k in range(int(duration / dt)):
         t = k * dt
         v, th = y[0], y[1]
-        de_cmd, h = opd.step(trim.theta_star, th, y[8], y[9])
+        de_cmd = opd.step(trim.theta_star, th, y[8], y[9])
         thrust_cmd = vel.step(v_r, v, vdot_prev, dt)
         de_cmd, thrust_cmd, _, sat_thrust = saturate_inputs(de_cmd, thrust_cmd,
                                                             params)
+        h = known_input(y[8], de_cmd, trim.delta_e_star, gains)
         y_op = th - trim.theta_star
 
         def f(_t, s):
@@ -296,6 +312,38 @@ _COL = {h: j for j, h in enumerate(TRACE_HEADER)}
 
 def _column(rows, name):
     return [row[_COL[name]] for row in rows]
+
+
+@pytest.mark.parametrize("controller", ["opd", "pid"])
+def test_observer_known_input_uses_applied_elevator(controller, params,
+                                                    model):
+    cfg = config_from_dict({"controller": controller, "pitch_step_deg": 5.0,
+                            "duration": 2.0, "trace_decimation": 1})
+    r = run_scenario(cfg)
+    assert not r.aborted
+    rows = [row for row in r.trace if row[_COL["sat_elev"]]]
+    assert rows
+    stops = (params.elevator_min, params.elevator_max)
+    for row in rows:
+        v, th, al, q, de, thrust, u_g, w_g, x2, d_true = (
+            row[_COL[name]] for name in ("v_t", "theta", "alpha", "q",
+                                         "delta_e", "thrust", "u_g", "w_g",
+                                         "x2", "d_true"))
+        qdot = state_derivative(v, th, al, q, de, thrust, u_g, w_g, model,
+                                params)[3]
+        h = qdot - d_true
+        assert any(h == pytest.approx(
+            known_input(x2, stop, r.trim.delta_e_star, cfg.pitch),
+            rel=1e-9, abs=1e-12) for stop in stops), row[0]
+
+
+def test_truth_law_trace_holds_observer_estimates():
+    cfg = ScenarioConfig(scenario="pitch_step", controller="opd_truth",
+                         duration=1.0)
+    r = run_scenario(cfg)
+    theta_star = r.trim.theta_star
+    assert any(x1 != th - theta_star for x1, th in zip(
+        _column(r.trace, "x1"), _column(r.trace, "theta")))
 
 
 @pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
@@ -391,8 +439,7 @@ _BIG_DT = {"dt": 0.1, "noise_dt": 0.1, "theta_r_high_deg": 90.0,
         # the observer diverges and the state after the step is not finite
         ("opd", {"obs.epsilon": 1e-20}, _NON_FINITE, 0.006, 1, 7, 0),
         ("pid", {"obs.epsilon": 1e-20}, _NON_FINITE, 0.006, 1, 7, 0),
-        # the truth law resets the observer each step, so only a far
-        # smaller epsilon diverges within one step
+        # a far smaller epsilon diverges within the first step
         ("opd_truth", {"obs.epsilon": 1e-100, "noise_on": True},
          _NON_FINITE, 0.0, 1, 1, 0),
         # raised by the truth law's pitch acceleration, before saturation
@@ -403,6 +450,8 @@ _BIG_DT = {"dt": 0.1, "noise_dt": 0.1, "theta_r_high_deg": 90.0,
          40, 20),
         ("pid", dict(_BIG_DT, pitch_step_deg=28.0), _TABLE_HIGH, 3.9, 39,
          40, 20),
+        # the truth law runs the observer too, so it diverges the same way
+        ("opd_truth", {"obs.epsilon": 1e-20}, _NON_FINITE, 0.006, 1, 7, 0),
     ])
 def test_every_abort_source_is_reported(controller, settings, reason,
                                         abort_time, rows, sat_e, sat_t):
