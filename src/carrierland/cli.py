@@ -48,10 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -76,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="run one scenario",
         epilog="config keys: " + ", ".join(sorted(CONFIG_KEYS)))
     _add_run_args(p_run)
+    p_run.add_argument("--require-settled", action="store_true",
+                       help="exit 4 when the scenario metric does not settle")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare",
@@ -112,11 +111,9 @@ def _add_run_args(p, controller_choice=True):
     p.add_argument("--wind", choices=("on", "off"))
     p.add_argument("--noise", choices=("on", "off"))
     p.add_argument("--ship", choices=("on", "off"))
-    p.add_argument("--require-settled", action="store_true",
-                   help="exit 4 when the scenario metric does not settle")
 
 
-def resolve_config(args, controller_choice=True) -> ScenarioConfig:
+def resolve_config(args) -> ScenarioConfig:
     cfg = ScenarioConfig()
     if args.config:
         with open(args.config) as f:
@@ -134,15 +131,11 @@ def resolve_config(args, controller_choice=True) -> ScenarioConfig:
             raise ConfigError(f"--set expects KEY=VALUE, got '{item}'")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    for name, key in (("scenario", "scenario"), ("seed", "seed"),
-                      ("duration", "duration"), ("dt", "dt")):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[key] = v
-    if controller_choice and getattr(args, "controller", None) is not None:
-        overrides["controller"] = args.controller
-    for name, key in (("wind", "wind_on"), ("noise", "noise_on"),
-                      ("ship", "ship_on")):
+    # compare has no --controller, hence getattr
+    for name, key in (("scenario", "scenario"), ("controller", "controller"),
+                      ("seed", "seed"), ("duration", "duration"),
+                      ("dt", "dt"), ("wind", "wind_on"),
+                      ("noise", "noise_on"), ("ship", "ship_on")):
         v = getattr(args, name, None)
         if v is not None:
             overrides[key] = v
@@ -264,7 +257,7 @@ def _print_summary(cfg: ScenarioConfig, m) -> None:
 
 
 def cmd_compare(args) -> int:
-    cfg = resolve_config(args, controller_choice=False)
+    cfg = resolve_config(args)
     out_dir = out_dir_for(args, f"compare_{cfg.scenario}_s{cfg.seed}")
     result = compare_controllers(cfg)
     _emit_config(cfg, out_dir)

@@ -28,9 +28,12 @@ saturated command, so the observer sees the input actually applied
 (anti-windup at the authority limit); the truth law subtracts h, at
 the true rate and deflection, from the true pitch acceleration.
 
-All integrators are trapezoidal with clamping anti-windup; derivative
-terms act on first-order-filtered signals, never on raw differences of
-noisy measurements.
+The PID-family laws (PitchPID, VelocityPID, SinkPI, GuidancePID) share
+one element, _PIDElement: a trapezoidal integrator clamped at +-limit
+(anti-windup), preload, and a first-order error filter.  Derivative
+terms act on the filtered error, never on raw differences of noisy
+measurements; the sink law runs the same filter as an optional lag.
+Each law keeps only its error, prefilters and output map.
 """
 
 from __future__ import annotations
@@ -126,7 +129,49 @@ def known_input(x2: float, delta_e: float, delta_e_trim: float,
             + gains.dqdot_dde * ((delta_e - delta_e_trim) * RAD2DEG))
 
 
-class PitchPID:
+class _PIDElement:
+    """State shared by the PID-family laws.
+
+    One trapezoidal integrator of the error, clamped at +-limit, and one
+    first-order error filter.  The filter is primed on its first sample
+    and holds whenever dt <= 0; its rate is zero on both.
+    """
+
+    def __init__(self, integrator_limit: float):
+        self._int = 0.0
+        self._int_limit = integrator_limit
+        self._e_prev = 0.0
+        self._e_filt = None
+
+    def preload(self, integral: float) -> None:
+        """Seed the integrator (bumpless start away from the trim point)."""
+        self._int = integral
+
+    def _integrate(self, e: float, dt: float) -> float:
+        """Advance the integral of e by one trapezoid and return it."""
+        i = self._int + 0.5 * (e + self._e_prev) * dt
+        lim = self._int_limit
+        if i > lim:
+            i = lim
+        elif i < -lim:
+            i = -lim
+        self._int = i
+        self._e_prev = e
+        return i
+
+    def _filter(self, e: float, tau: float, dt: float) -> float:
+        """Advance the lag tau of e by dt and return the lagged error's rate."""
+        prev = self._e_filt
+        if prev is None:
+            self._e_filt = e
+            return 0.0
+        if dt <= 0.0:
+            return 0.0
+        self._e_filt = new = prev + dt / (tau + dt) * (e - prev)
+        return (new - prev) / dt
+
+
+class PitchPID(_PIDElement):
     """Plain PID pitch baseline (observer-free).
 
     The derivative term differentiates the first-order-filtered pitch
@@ -135,35 +180,21 @@ class PitchPID:
 
     def __init__(self, gains: PitchGains, trim: TrimPoint,
                  integrator_limit: float = 10.0):
+        super().__init__(integrator_limit)
         self.g = gains
         self.delta_e_trim = trim.delta_e_star
-        self._int = 0.0
-        self._int_limit = integrator_limit
-        self._e_filt = None
-        self._e_prev = 0.0
 
     def step(self, theta_r: float, theta_meas: float, dt: float) -> float:
         g = self.g
         e = theta_r - theta_meas
-        if self._e_filt is None or dt <= 0.0:
-            if self._e_filt is None:
-                self._e_filt = e
-            e_rate = 0.0
-        else:
-            tau = g.rate_filter_tau
-            alpha = dt / (tau + dt)
-            e_filt_new = self._e_filt + alpha * (e - self._e_filt)
-            e_rate = (e_filt_new - self._e_filt) / dt
-            self._e_filt = e_filt_new
-        self._int = _clamp(self._int + 0.5 * (e + self._e_prev) * dt,
-                           self._int_limit)
-        self._e_prev = e
-        u = g.kp_theta2 * e + g.ki_theta * self._int + g.kd_theta2 * e_rate
+        e_rate = self._filter(e, g.rate_filter_tau, dt)
+        u = (g.kp_theta2 * e + g.ki_theta * self._integrate(e, dt)
+             + g.kd_theta2 * e_rate)
         dde_deg = u / g.dqdot_dde
         return self.delta_e_trim + dde_deg * DEG2RAD
 
 
-class VelocityPID:
+class VelocityPID(_PIDElement):
     """Airspeed hold: PID acceleration demand mapped to thrust.
 
     Zero error commands the trim thrust (feedforward), so the integrator
@@ -172,71 +203,50 @@ class VelocityPID:
 
     def __init__(self, gains: OuterGains, trim: TrimPoint,
                  params: AircraftParams):
+        super().__init__(gains.integrator_limit)
         self.g = gains
         self.thrust_trim = trim.thrust_star
         self.m = params.m
-        self._int = 0.0
-        self._e_prev = 0.0
-
-    def preload(self, integral: float) -> None:
-        """Seed the integrator (bumpless start away from the trim point)."""
-        self._int = integral
 
     def step(self, v_r: float, v_meas: float, vdot_meas: float,
              dt: float) -> float:
         g = self.g
         e = v_r - v_meas
         e_rate = -vdot_meas
-        self._int += 0.5 * (e + self._e_prev) * dt
-        self._int = _clamp(self._int, g.integrator_limit)
-        self._e_prev = e
-        u = g.kp_v * e + g.ki_v * self._int + g.kd_v * e_rate
+        u = g.kp_v * e + g.ki_v * self._integrate(e, dt) + g.kd_v * e_rate
         return self.thrust_trim + self.m * u
 
 
-class SinkPI:
+class SinkPI(_PIDElement):
     """Sink-rate to pitch-command PI with trim-pitch feedforward.
 
-    An optional first-order filter smooths the sink-rate error before
-    the PI acts on it, keeping wake-frequency ripple out of the pitch
-    command (the loop cannot reject it anyway).
+    An optional notch and an optional first-order lag smooth the
+    sink-rate error before the PI acts on it, keeping wake-frequency
+    ripple out of the pitch command (the loop cannot reject it anyway).
     """
 
     def __init__(self, gains: OuterGains, trim: TrimPoint, dt: float = 0.001):
+        super().__init__(gains.integrator_limit)
         self.g = gains
         self.theta_trim = trim.theta_star
-        self._int = 0.0
-        self._e_prev = 0.0
-        self._e_filt = None
         self._notch = (NotchFilter(gains.sink_notch_omega,
                                    gains.sink_notch_zeta, dt)
                        if gains.sink_notch_omega > 0.0 else None)
-
-    def preload(self, integral: float) -> None:
-        """Seed the integrator (bumpless start away from the trim point)."""
-        self._int = integral
 
     def step(self, zdot_r: float, zdot_meas: float, dt: float) -> float:
         g = self.g
         e = zdot_r - zdot_meas
         if self._notch is not None:
             e = self._notch.step(e)
-        tau = g.sink_filter_tau
-        if tau > 0.0:
+        if g.sink_filter_tau > 0.0:
             # short smoothing keeps residual ripple out of the pitch
             # command; kept well below the loop time constant
-            if self._e_filt is None:
-                self._e_filt = e
-            else:
-                self._e_filt += dt / (tau + dt) * (e - self._e_filt)
+            self._filter(e, g.sink_filter_tau, dt)
             e = self._e_filt
-        self._int += 0.5 * (e + self._e_prev) * dt
-        self._int = _clamp(self._int, g.integrator_limit)
-        self._e_prev = e
-        return self.theta_trim + g.kp_s * e + g.ki_s * self._int
+        return self.theta_trim + g.kp_s * e + g.ki_s * self._integrate(e, dt)
 
 
-class GuidancePID:
+class GuidancePID(_PIDElement):
     """Vertical-deviation to sink-rate-command PID.
 
     The derivative acts on a first-order-filtered error; an optional
@@ -245,29 +255,16 @@ class GuidancePID:
     """
 
     def __init__(self, gains: OuterGains):
+        super().__init__(gains.integrator_limit)
         self.g = gains
-        self._int = 0.0
-        self._e_prev = 0.0
-        self._e_filt = None
 
     def step(self, z_r: float, z_meas: float, dt: float,
              feedforward: float = 0.0) -> float:
         g = self.g
         e = z_r - z_meas
-        if self._e_filt is None or dt <= 0.0:
-            if self._e_filt is None:
-                self._e_filt = e
-            e_rate = 0.0
-        else:
-            tau = g.deriv_filter_tau
-            alpha = dt / (tau + dt)
-            e_filt_new = self._e_filt + alpha * (e - self._e_filt)
-            e_rate = (e_filt_new - self._e_filt) / dt
-            self._e_filt = e_filt_new
-        self._int += 0.5 * (e + self._e_prev) * dt
-        self._int = _clamp(self._int, g.integrator_limit)
-        self._e_prev = e
-        return feedforward + g.kp_z * e + g.ki_z * self._int + g.kd_z * e_rate
+        e_rate = self._filter(e, g.deriv_filter_tau, dt)
+        return (feedforward + g.kp_z * e + g.ki_z * self._integrate(e, dt)
+                + g.kd_z * e_rate)
 
 
 class NotchFilter:
@@ -311,10 +308,3 @@ def flight_path_generator(x_l, z_l, x_l_rate, z_l_rate, x, xdot, tan_gs):
     return (z_l + tan_gs * (x_l - x),
             z_l_rate + tan_gs * (x_l_rate - xdot))
 
-
-def _clamp(value: float, limit: float) -> float:
-    if value > limit:
-        return limit
-    if value < -limit:
-        return -limit
-    return value

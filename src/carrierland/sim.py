@@ -422,18 +422,12 @@ def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
 class Simulation:
     """One configured closed-loop run."""
 
-    def __init__(self, config: ScenarioConfig,
-                 params: AircraftParams | None = None,
-                 model: AeroModel | None = None):
+    def __init__(self, config: ScenarioConfig):
         config.validate()
         self.cfg = config
-        if params is None:
-            params = (AircraftParams(t_max=config.t_max)
-                      if config.t_max else AircraftParams())
-        self.params = params
-        if model is None:
-            model = load_aero_model(config.aero_model_path)
-        self.model = model
+        self.params = params = (AircraftParams(t_max=config.t_max)
+                                if config.t_max else AircraftParams())
+        self.model = model = load_aero_model(config.aero_model_path)
         try:
             self.trim = solve_trim(params, model)
         except TrimNotConverged as exc:
@@ -621,8 +615,9 @@ class Simulation:
                 if use_pid:
                     de_cmd = pid_step(theta_r, theta_meas, dt)
                 elif use_truth:
-                    d_truth = (self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
-                               - known_input(q, de, delta_e_trim, gains))
+                    qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
+                    d_truth = qdot_now - known_input(q, de, delta_e_trim,
+                                                     gains)
                     de_cmd = opd_step(theta_r, theta_meas, q, d_truth)
                 else:
                     de_cmd = opd_step(theta_r, theta_meas, ox2, ox3)
@@ -638,7 +633,10 @@ class Simulation:
 
                 # --- record: trace row and metric accumulators, step head
                 if k % decim == 0:
-                    qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
+                    # the truth law already evaluated it this step
+                    if not use_truth:
+                        qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g,
+                                              w_g)
                     d_true = qdot_now - h_theta
                     trace.append((
                         t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
@@ -717,11 +715,9 @@ class Simulation:
                                 self.model, self.params)[3]
 
 
-def run_scenario(config: ScenarioConfig,
-                 params: AircraftParams | None = None,
-                 model: AeroModel | None = None) -> RunResult:
+def run_scenario(config: ScenarioConfig) -> RunResult:
     """Run one scenario to completion (duration, touchdown or abort)."""
-    return Simulation(config, params=params, model=model).run()
+    return Simulation(config).run()
 
 
 @dataclass
@@ -743,15 +739,11 @@ class ComparisonResult:
         return None if r is None else 1.0 - 1.0 / r
 
 
-def compare_controllers(config: ScenarioConfig,
-                        params: AircraftParams | None = None,
-                        model: AeroModel | None = None) -> ComparisonResult:
+def compare_controllers(config: ScenarioConfig) -> ComparisonResult:
     """Run the observer-PD and PID laws against identical environments."""
-    cfg_opd = config_from_dict({"controller": "opd"}, base=config)
-    cfg_pid = config_from_dict({"controller": "pid"}, base=config)
     return ComparisonResult(
-        opd=run_scenario(cfg_opd, params=params, model=model),
-        pid=run_scenario(cfg_pid, params=params, model=model),
+        opd=run_scenario(config_from_dict({"controller": "opd"}, base=config)),
+        pid=run_scenario(config_from_dict({"controller": "pid"}, base=config)),
     )
 
 

@@ -223,33 +223,18 @@ class EigenModes:
 def eigenmodes(linear) -> EigenModes:
     """Label the spectrum's conjugate pairs as short-period and phugoid.
 
-    Accepts a LinearModel or a raw 4x4 matrix.  When the spectrum is not
-    two strict conjugate pairs (a degenerate spectrum), labelling is
-    skipped and the raw eigenvalues are returned unlabeled.
+    Accepts a LinearModel or a raw 4x4 matrix.  numpy returns the complex
+    eigenvalues of a real matrix as exact conjugate pairs, so sorted by
+    descending magnitude, then imaginary part, two pairs of different
+    magnitude read (sp, conj sp, ph, conj ph): the faster pair (larger
+    natural frequency) is the short-period mode.  Any other spectrum (a
+    real eigenvalue, or two pairs of exactly one magnitude, such as a
+    repeated pair) is degenerate, and the raw eigenvalues are returned
+    unlabeled.
     """
     a = linear.a if isinstance(linear, LinearModel) else np.asarray(linear, float)
-    ev = eigenvalues_4x4(a)
-    ev_sorted = sorted(ev, key=lambda z: (-abs(z), -z.imag))
-    scale = max(1.0, max(abs(z) for z in ev_sorted))
-    tol = 1e-6 * scale
-    pairs = []
-    used = [False] * 4
-    for i in range(4):
-        if used[i] or abs(ev_sorted[i].imag) < tol:
-            continue
-        for j in range(i + 1, 4):
-            if not used[j] and abs(ev_sorted[i] - ev_sorted[j].conjugate()) < tol:
-                pairs.append((i, j))
-                used[i] = used[j] = True
-                break
-    if len(pairs) != 2:
-        return EigenModes(tuple(ev_sorted), (None, None, None, None), True)
-    # faster pair (larger natural frequency) is the short-period mode
-    freq = [abs(ev_sorted[i]) for i, _ in pairs]
-    order = sorted(range(2), key=lambda k: -freq[k])
-    labels: list[str | None] = [None] * 4
-    names = ("short-period", "phugoid")
-    for rank, k in enumerate(order):
-        i, j = pairs[k]
-        labels[i] = labels[j] = names[rank]
-    return EigenModes(tuple(ev_sorted), tuple(labels), False)
+    ev = tuple(sorted(eigenvalues_4x4(a), key=lambda z: (-abs(z), -z.imag)))
+    upper = [abs(z) for z in ev if z.imag > 0.0]
+    if len(upper) != 2 or upper[0] == upper[1]:
+        return EigenModes(ev, (None, None, None, None), True)
+    return EigenModes(ev, ("short-period",) * 2 + ("phugoid",) * 2, False)

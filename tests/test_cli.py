@@ -131,6 +131,17 @@ def test_require_settled_exit_code(tmp_path, capsys):
     assert code == EXIT_UNSETTLED
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_require_settled_only_on_run(tmp_path, capsys, command):
+    # compare and sweep never read the flag, so they reject it
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--scenario", "pitch_step", "--duration", "0.5",
+                "--require-settled", "--out", str(tmp_path / command))
+    assert exc.value.code == EXIT_USAGE
+    assert "--require-settled" in capsys.readouterr().err
+    assert not (tmp_path / command).exists()
+
+
 def test_compare_outputs(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = run_cli("compare", "--scenario", "pitch_step", "--seed", "3",

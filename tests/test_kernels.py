@@ -18,12 +18,14 @@ import pytest
 from carrierland.actuation import (ELEVATOR_OMEGA, ELEVATOR_ZETA, ENGINE_TAU,
                                    actuator_derivative,
                                    project_actuator_states)
+from carrierland import control
 from carrierland.airframe import (AircraftParams, OutOfTableRange,
                                   default_aero_model, rigid_body_derivative,
                                   state_derivative)
 from carrierland.environment import (ShipParams, ShipState, WindSample,
                                      _held_sigma, deck_motion,
                                      held_ship_inputs, rng_streams, ship_step)
+from carrierland.control import OuterGains, PitchGains
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
 from carrierland import sim
@@ -559,3 +561,226 @@ def test_trace_writer_matches_fmt(tmp_path):
     ref_write_trace_csv(ref, trace)
     assert got.read_bytes() == ref.read_bytes()
     assert "True,False" in got.read_text()
+
+
+# ------------------------------------------------------ PID-family laws
+# The four laws before they shared control._PIDElement, as they were.
+
+def _ref_clamp(value, limit):
+    if value > limit:
+        return limit
+    if value < -limit:
+        return -limit
+    return value
+
+
+class RefPitchPID:
+    def __init__(self, gains, trim, integrator_limit=10.0):
+        self.g = gains
+        self.delta_e_trim = trim.delta_e_star
+        self._int = 0.0
+        self._int_limit = integrator_limit
+        self._e_filt = None
+        self._e_prev = 0.0
+
+    def step(self, theta_r, theta_meas, dt):
+        g = self.g
+        e = theta_r - theta_meas
+        if self._e_filt is None or dt <= 0.0:
+            if self._e_filt is None:
+                self._e_filt = e
+            e_rate = 0.0
+        else:
+            tau = g.rate_filter_tau
+            alpha = dt / (tau + dt)
+            e_filt_new = self._e_filt + alpha * (e - self._e_filt)
+            e_rate = (e_filt_new - self._e_filt) / dt
+            self._e_filt = e_filt_new
+        self._int = _ref_clamp(self._int + 0.5 * (e + self._e_prev) * dt,
+                               self._int_limit)
+        self._e_prev = e
+        u = g.kp_theta2 * e + g.ki_theta * self._int + g.kd_theta2 * e_rate
+        dde_deg = u / g.dqdot_dde
+        return self.delta_e_trim + dde_deg * control.DEG2RAD
+
+
+class RefVelocityPID:
+    def __init__(self, gains, trim, params):
+        self.g = gains
+        self.thrust_trim = trim.thrust_star
+        self.m = params.m
+        self._int = 0.0
+        self._e_prev = 0.0
+
+    def preload(self, integral):
+        self._int = integral
+
+    def step(self, v_r, v_meas, vdot_meas, dt):
+        g = self.g
+        e = v_r - v_meas
+        e_rate = -vdot_meas
+        self._int += 0.5 * (e + self._e_prev) * dt
+        self._int = _ref_clamp(self._int, g.integrator_limit)
+        self._e_prev = e
+        u = g.kp_v * e + g.ki_v * self._int + g.kd_v * e_rate
+        return self.thrust_trim + self.m * u
+
+
+class RefSinkPI:
+    def __init__(self, gains, trim, dt=0.001):
+        self.g = gains
+        self.theta_trim = trim.theta_star
+        self._int = 0.0
+        self._e_prev = 0.0
+        self._e_filt = None
+        self._notch = (control.NotchFilter(gains.sink_notch_omega,
+                                           gains.sink_notch_zeta, dt)
+                       if gains.sink_notch_omega > 0.0 else None)
+
+    def preload(self, integral):
+        self._int = integral
+
+    def step(self, zdot_r, zdot_meas, dt):
+        g = self.g
+        e = zdot_r - zdot_meas
+        if self._notch is not None:
+            e = self._notch.step(e)
+        tau = g.sink_filter_tau
+        if tau > 0.0:
+            if self._e_filt is None:
+                self._e_filt = e
+            else:
+                self._e_filt += dt / (tau + dt) * (e - self._e_filt)
+            e = self._e_filt
+        self._int += 0.5 * (e + self._e_prev) * dt
+        self._int = _ref_clamp(self._int, g.integrator_limit)
+        self._e_prev = e
+        return self.theta_trim + g.kp_s * e + g.ki_s * self._int
+
+
+class RefGuidancePID:
+    def __init__(self, gains):
+        self.g = gains
+        self._int = 0.0
+        self._e_prev = 0.0
+        self._e_filt = None
+
+    def step(self, z_r, z_meas, dt, feedforward=0.0):
+        g = self.g
+        e = z_r - z_meas
+        if self._e_filt is None or dt <= 0.0:
+            if self._e_filt is None:
+                self._e_filt = e
+            e_rate = 0.0
+        else:
+            tau = g.deriv_filter_tau
+            alpha = dt / (tau + dt)
+            e_filt_new = self._e_filt + alpha * (e - self._e_filt)
+            e_rate = (e_filt_new - self._e_filt) / dt
+            self._e_filt = e_filt_new
+        self._int += 0.5 * (e + self._e_prev) * dt
+        self._int = _ref_clamp(self._int, g.integrator_limit)
+        self._e_prev = e
+        return feedforward + g.kp_z * e + g.ki_z * self._int + g.kd_z * e_rate
+
+
+# gains unlike the defaults and unlike each other, so a gain or limit
+# read from the wrong place changes a bit; the pitch law's limit is its
+# constructor argument, the outer laws' is OuterGains.integrator_limit
+_PID_PITCH = PitchGains(kp_theta2=41.3, ki_theta=23.7, kd_theta2=9.1,
+                        dqdot_dde=-0.0173, rate_filter_tau=0.02)
+_PID_PITCH_LIMIT = 0.37
+_PID_OUTER = OuterGains(kp_v=1.3, ki_v=0.47, kd_v=0.61, kp_s=0.0071,
+                        ki_s=0.023, kp_z=0.33, ki_z=0.027, kd_z=0.29,
+                        deriv_filter_tau=0.04, integrator_limit=0.71)
+
+
+def _pid_inputs(seed, first_dt):
+    """(reference, measurement, extra, dt) per step.
+
+    The error sits high, then low, then wanders, so the integrators clamp
+    at +limit and at -limit and come off both; one step in ten has
+    dt = 0, and the first step's dt is first_dt.
+    """
+    rng = np.random.default_rng(seed)
+    e = np.concatenate([rng.uniform(20.0, 80.0, 80),
+                        rng.uniform(-80.0, -20.0, 160),
+                        rng.normal(0.0, 3.0, 160)])
+    dt = rng.choice([0.01, 0.004, 0.0], size=e.size, p=[0.7, 0.2, 0.1])
+    dt[0] = first_dt
+    ref = rng.normal(0.0, 5.0, e.size)
+    extra = rng.normal(0.0, 2.0, e.size)
+    return [(float(r), float(r - x), float(a), float(d))
+            for r, x, a, d in zip(ref, e, extra, dt)]
+
+
+def _pid_laws(kind, trim, params, outer):
+    """(shipped law, reference law, step-argument builder) of one kind."""
+    if kind == "pitch":
+        return (control.PitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT),
+                RefPitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT),
+                lambda r, m, _a, dt: ((r, m, dt), {}))
+    if kind == "velocity":
+        return (control.VelocityPID(outer, trim, params),
+                RefVelocityPID(outer, trim, params),
+                lambda r, m, a, dt: ((r, m, a, dt), {}))
+    if kind == "sink":
+        return (control.SinkPI(outer, trim, dt=0.01),
+                RefSinkPI(outer, trim, dt=0.01),
+                lambda r, m, _a, dt: ((r, m, dt), {}))
+    if kind == "guidance_ff":
+        return (control.GuidancePID(outer), RefGuidancePID(outer),
+                lambda r, m, a, dt: ((r, m, dt), {"feedforward": a}))
+    return (control.GuidancePID(outer), RefGuidancePID(outer),
+            lambda r, m, _a, dt: ((r, m, dt), {}))
+
+
+_LAG = {"sink_filter_tau": 0.03}
+_NO_NOTCH = {"sink_notch_omega": 0.0}
+
+
+@pytest.mark.parametrize("kind, outer_overrides, preload, first_dt", [
+    pytest.param("pitch", {}, None, 0.01, id="pitch"),
+    pytest.param("pitch", {}, None, 0.0, id="pitch_first_dt0"),
+    pytest.param("velocity", {}, None, 0.01, id="velocity"),
+    pytest.param("velocity", {}, 0.5, 0.0, id="velocity_preload_first_dt0"),
+    pytest.param("sink", {}, None, 0.01, id="sink_notch"),
+    pytest.param("sink", {}, -0.4, 0.01, id="sink_notch_preload"),
+    pytest.param("sink", _NO_NOTCH, None, 0.01, id="sink_plain"),
+    pytest.param("sink", _LAG, None, 0.01, id="sink_notch_lag"),
+    pytest.param("sink", _LAG, 0.3, 0.0, id="sink_notch_lag_preload_first_dt0"),
+    pytest.param("sink", {**_LAG, **_NO_NOTCH}, None, 0.01, id="sink_lag"),
+    pytest.param("guidance", {}, None, 0.01, id="guidance"),
+    pytest.param("guidance", {}, None, 0.0, id="guidance_first_dt0"),
+    pytest.param("guidance_ff", {}, None, 0.01, id="guidance_feedforward"),
+])
+def test_pid_family_laws_match_reference(trim, params, kind, outer_overrides,
+                                         preload, first_dt):
+    outer = replace(_PID_OUTER, **outer_overrides)
+    law, ref, args = _pid_laws(kind, trim, params, outer)
+    limit = _PID_PITCH_LIMIT if kind == "pitch" else outer.integrator_limit
+    if preload is not None:
+        law.preload(preload)
+        ref.preload(preload)
+    got, want, clamped = [], [], set()
+    for step in _pid_inputs(2411, first_dt):
+        a, kw = args(*step)
+        got += [law.step(*a, **kw), law._int]
+        want += [ref.step(*a, **kw), ref._int]
+        if abs(ref._int) == limit:
+            clamped.add(ref._int)
+    assert _bits(got) == _bits(want)
+    assert clamped == {limit, -limit}
+
+
+def test_sink_lag_holds_at_nonpositive_dt(trim):
+    # the sink lag runs the shared filter, which holds its state at
+    # dt <= 0 (dt = -tau would otherwise divide by zero)
+    outer = replace(_PID_OUTER, sink_filter_tau=0.03, sink_notch_omega=0.0)
+    sink = control.SinkPI(outer, trim)
+    sink.step(1.0, 0.0, 0.01)
+    sink.step(3.0, 0.0, 0.01)
+    held = sink._e_filt
+    for dt in (0.0, -0.03, -1.0):
+        sink.step(-7.0, 0.0, dt)
+        assert sink._e_filt == held

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from carrierland import sim
 from carrierland.airframe import state_derivative
 from carrierland.control import known_input
 from carrierland.integrate import rk4_step
@@ -344,6 +345,27 @@ def test_truth_law_trace_holds_observer_estimates():
     theta_star = r.trim.theta_star
     assert any(x1 != th - theta_star for x1, th in zip(
         _column(r.trace, "x1"), _column(r.trace, "theta")))
+
+
+@pytest.mark.parametrize("controller, calls", [("opd", 100),
+                                               ("opd_truth", 1000)])
+def test_pitch_acceleration_evaluated_once_per_step(monkeypatch, controller,
+                                                    calls):
+    # 1 000 steps, a trace row every 10: the truth law's own evaluation
+    # also serves the row's d_true
+    n = 0
+
+    def counted(*args):
+        nonlocal n
+        n += 1
+        return state_derivative(*args)
+
+    monkeypatch.setattr(sim, "state_derivative", counted)
+    cfg = ScenarioConfig(scenario="pitch_step", controller=controller,
+                         duration=1.0, trace_decimation=10)
+    r = run_scenario(cfg)
+    assert not r.aborted and len(r.trace) == 100
+    assert n == calls
 
 
 @pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])

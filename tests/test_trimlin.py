@@ -202,6 +202,19 @@ def test_eigenmodes_degenerate_spectrum():
     assert vals == pytest.approx([-4.0, -3.0, -2.0, -1.0], abs=1e-9)
 
 
+def test_eigenmodes_repeated_pair_is_degenerate():
+    # two identical modes: neither is the faster, so nothing is labelled
+    p = -0.4 + 1.2j
+    block = [[p.real, -p.imag], [p.imag, p.real]]
+    a = np.zeros((4, 4))
+    a[:2, :2] = a[2:, 2:] = block
+    modes = eigenmodes(a)
+    assert modes.degenerate
+    assert modes.labels == (None, None, None, None)
+    assert modes.eigenvalues == pytest.approx(
+        (p, p, p.conjugate(), p.conjugate()), abs=1e-12)
+
+
 def test_eigenmodes_second_order_blocks():
     w1, z1 = 3.0, 0.4
     w2, z2 = 0.5, 0.1
