@@ -188,6 +188,10 @@ class ScenarioConfig:
         if not (self.pitch.rate_filter_tau >= 0.0
                 and self.outer.deriv_filter_tau >= 0.0):
             raise ConfigError("pid.tau and guid.tau must be >= 0")
+        if not self.outer.sink_filter_tau >= 0.0:
+            raise ConfigError("sink.tau must be >= 0")
+        if not self.outer.integrator_limit >= 0.0:
+            raise ConfigError("integrator_limit must be >= 0")
         if not self.outer.sink_notch_zeta >= 0.0:
             raise ConfigError("sink.notch_zeta must be >= 0")
         if self.scenario == "approach" and (self.outer.ki_v == 0.0

@@ -1,24 +1,22 @@
 """
 Steady-level-flight trim and small-perturbation linear model.
 
-Trim solves the force/moment balance of level flight (gamma = 0, q = 0):
+Trim solves level flight (gamma = 0, q = 0, theta = alpha) at a fixed
+candidate airspeed.  There the pitching moment is linear in elevator
+and the along-path force linear in thrust, so both have closed forms
+at any alpha:
 
-    T sin(alpha) + L = m g          (vertical balance)
-    T cos(alpha)     = D            (along-path balance)
-    M                = 0            (pitch balance)
+    delta_e = -cm_base(alpha) / cm_de          (M = 0)
+    T       = q_bar S C_D(alpha, delta_e) / cos(alpha)    (V_T' = 0)
 
-over (alpha, delta_e, T) at a fixed candidate airspeed, by damped Newton
-iteration on the normalized residuals.  With the thrust-tilt terms kept,
-the solved point zeroes all four dynamic state derivatives exactly.
+and one scalar Newton iteration on alpha, with a central-difference
+slope, drives alpha' of airframe.rigid_body_derivative to zero.  The
+airframe's force balance is evaluated in one place: the kernel.
 
 Linearization builds the 4x4/4x2 small-perturbation model over
 (dV_T, dtheta, dalpha, dq) and (ddelta_e, ddelta_t) by central finite
 differences of the nonlinear state derivative; its eigenvalues come from
 numpy.
-
-The trim residuals evaluate lift, drag and moment themselves rather than
-through airframe.rigid_body_derivative: routing them through the kernel
-would move the trim point by a few ulps, and with it every output byte.
 """
 
 from __future__ import annotations
@@ -29,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .airframe import (AeroModel, AircraftParams, OutOfTableRange,
-                       dynamic_pressure, state_derivative)
+                       dynamic_pressure, rigid_body_derivative,
+                       state_derivative)
 
 TRIM_AIRSPEED = 69.1  # m/s, nominal approach speed
 
@@ -47,7 +46,8 @@ class TrimPoint:
     gamma_star: float
     delta_e_star: float
     thrust_star: float
-    residuals: tuple[float, float, float]  # (vertical, moment, along-path)
+    # (alpha', q', V_T') of rigid_body_derivative at the trim point
+    residuals: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -70,61 +70,37 @@ class LinearModel:
         return self.dqdot_dde * math.pi / 180.0
 
 
-def _trim_residuals(v: float, alpha: float, delta_e: float, thrust: float,
-                    params: AircraftParams, model: AeroModel):
-    q_s = dynamic_pressure(v, params.rho) * params.s_ref
-    cl, cd, cm = model.coefficients(alpha, 0.0, delta_e)
-    lift, drag = q_s * cl, q_s * cd
-    moment = q_s * params.c_bar * cm
-    mg = params.m * params.g
-    r_vert = (thrust * math.sin(alpha) + lift - mg) / mg
-    r_mom = moment / (q_s * params.c_bar)
-    r_path = (thrust * math.cos(alpha) - drag) / mg
-    return np.array([r_vert, r_mom, r_path])
+def _level_flight(v: float, alpha: float, params: AircraftParams,
+                  model: AeroModel):
+    """(delta_e, thrust, rigid-body derivative) of level flight at alpha.
+
+    The elevator nulls the pitching moment and the thrust the
+    along-path force; alpha' is what is left to zero.
+    """
+    delta_e = -model.coefficients(alpha, 0.0, 0.0)[2] / model.cm_de
+    c_d = model.coefficients(alpha, 0.0, delta_e)[1]
+    thrust = (dynamic_pressure(v, params.rho) * params.s_ref * c_d
+              / math.cos(alpha))
+    return delta_e, thrust, rigid_body_derivative(
+        v, alpha, alpha, 0.0, delta_e, thrust, 0.0, 0.0, model, params)
 
 
-def _newton_trim(v: float, params: AircraftParams, model: AeroModel,
-                 max_iter: int, tol: float,
-                 alpha_guess: float = math.radians(5.0)):
-    # unknowns scaled to comparable magnitudes: (alpha, delta_e, T/mg)
-    mg = params.m * params.g
-    u = np.array([alpha_guess, 0.0, 0.3])
+def _newton_alpha(v: float, params: AircraftParams, model: AeroModel,
+                  max_iter: int, tol: float, alpha: float):
+    """(alpha, delta_e, thrust, residuals) of level flight at airspeed v.
+
+    An alpha off the aero table raises OutOfTableRange.
+    """
+    h = 1e-7
     for _ in range(max_iter):
-        alpha, delta_e, t_frac = u
-        if not (model.alpha_min < alpha < model.alpha_max):
-            raise TrimNotConverged("trim iterate left the aero table range")
-        r = _trim_residuals(v, alpha, delta_e, t_frac * mg, params, model)
-        if np.max(np.abs(r)) < tol:
-            return float(alpha), float(delta_e), float(t_frac * mg), tuple(r)
-        jac = np.empty((3, 3))
-        for j, h in enumerate((1e-7, 1e-7, 1e-7)):
-            du = np.zeros(3)
-            du[j] = h
-            up, um = u + du, u - du
-            rp = _trim_residuals(v, up[0], up[1], up[2] * mg, params, model)
-            rm = _trim_residuals(v, um[0], um[1], um[2] * mg, params, model)
-            jac[:, j] = (rp - rm) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise TrimNotConverged(f"singular trim Jacobian: {exc}") from exc
-        # damped update: backtrack until the residual norm decreases
-        norm0 = float(np.dot(r, r))
-        lam = 1.0
-        for _ in range(30):
-            u_try = u + lam * step
-            try:
-                r_try = _trim_residuals(v, u_try[0], u_try[1], u_try[2] * mg,
-                                        params, model)
-            except OutOfTableRange:
-                lam *= 0.5
-                continue
-            if float(np.dot(r_try, r_try)) < norm0 or lam < 1e-6:
-                u = u_try
-                break
-            lam *= 0.5
-        else:
-            raise TrimNotConverged("trim line search stalled")
+        delta_e, thrust, xdot = _level_flight(v, alpha, params, model)
+        if abs(xdot[2]) < tol:
+            return alpha, delta_e, thrust, (xdot[2], xdot[3], xdot[0])
+        slope = (_level_flight(v, alpha + h, params, model)[2][2]
+                 - _level_flight(v, alpha - h, params, model)[2][2]) / (2 * h)
+        if slope == 0.0:
+            raise TrimNotConverged("alpha' does not depend on alpha")
+        alpha -= xdot[2] / slope
     raise TrimNotConverged(f"no convergence after {max_iter} iterations")
 
 
@@ -135,8 +111,9 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     """Solve steady level flight at (or as near as feasible to) v_target.
 
     Tries the candidate airspeed first; if the model cannot balance
-    there (lift ceiling, thrust limit), walks the airspeed outward until
-    a feasible point is found.
+    there (lift ceiling, thrust limit, an alpha iterate off the table),
+    walks the airspeed outward until a feasible point is found.  tol
+    bounds |alpha'| in rad/s.
 
     Raises TrimNotConverged when no candidate admits a solution, or when
     v_target is not positive or so small or large that the moment scale
@@ -158,9 +135,9 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     last_err = None
     for v in candidates:
         try:
-            alpha, delta_e, thrust, res = _newton_trim(v, params, model,
-                                                       max_iter, tol,
-                                                       alpha_guess)
+            alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
+                                                        max_iter, tol,
+                                                        alpha_guess)
         except (TrimNotConverged, OutOfTableRange) as exc:
             last_err = exc if isinstance(exc, TrimNotConverged) \
                 else TrimNotConverged(str(exc))

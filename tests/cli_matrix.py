@@ -21,11 +21,33 @@ row every step, a pitch step that leaves the aero table, observer gains
 that abort or are rejected under each law, a PID gain that pins the
 elevator, a sweep and a compare.  The whole matrix takes about half a
 minute on a 2-core x86 machine.  pytest does not collect this file.
+
+Each case's stdout and stderr are kept next to the manifest, as
+OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
+outputs within a stated tolerance is checked with
+
+    python tests/cli_matrix.py --compare /tmp/a /tmp/b
+
+which reads two such directories and reports, per case: exit-code,
+stdout and stderr mismatches (each differing line); files present on
+one side only; every non-float field of a JSON file that differs; the
+largest relative difference |a - b| / max(|a|, |b|) over the float
+fields of each JSON file; and, for each CSV file, row-count and header
+mismatches, any non-numeric cell that differs, and the worst numeric
+cell, its difference taken relative to the largest magnitude in its
+column.  Byte-identical files are not listed.  A last table gives each
+float field's largest relative difference over all cases, zeros
+included.  Both directories must be written by this version of the
+script (it runs against the ../src next to it, so copy it into the
+parent checkout to run the parent).
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -87,6 +109,8 @@ def run_case(root: Path, name: str, args: tuple[str, ...]) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "carrierland.cli", *args],
                           cwd=cwd, env=env, capture_output=True)
+    (root / f"{name}.stdout").write_bytes(proc.stdout)
+    (root / f"{name}.stderr").write_bytes(proc.stderr)
     lines = [f"{name} exit={proc.returncode} stdout={_sha(proc.stdout)} "
              f"stderr={_sha(proc.stderr)}"]
     for path in sorted(p for p in cwd.rglob("*") if p.is_file()):
@@ -95,9 +119,165 @@ def run_case(root: Path, name: str, args: tuple[str, ...]) -> list[str]:
     return lines
 
 
+def _rel(a: float, b: float, scale: float = 0.0) -> float:
+    """|a - b| / max(|a|, |b|, scale); inf when either side is not finite
+    and they differ."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    d = abs(a - b) / max(abs(a), abs(b), scale)
+    return d if d == d else math.inf
+
+
+def _leaves(obj, path=""):
+    """(dotted path, value) of every scalar in a decoded JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, obj
+
+
+def _compare_json(a: bytes, b: bytes, floats: dict) -> list[str]:
+    """Non-float mismatches and the worst float; floats collects each
+    field's relative difference."""
+    la, lb = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
+    out, rel = [], {}
+    for key in sorted(set(la) | set(lb)):
+        x, y = la.get(key, "<missing>"), lb.get(key, "<missing>")
+        if type(x) is float and type(y) is float:
+            rel[key] = _rel(x, y)
+        elif x != y:
+            out.append(f"{key}: {x!r} -> {y!r}")
+    for key, r in rel.items():
+        floats[key] = max(floats.get(key, 0.0), r)
+    if rel:
+        worst = max(rel, key=rel.get)
+        out.append(f"floats: worst {rel[worst]:.2g} at {worst} "
+                   f"({sum(r > 0.0 for r in rel.values())} of {len(rel)} "
+                   "differ)")
+    return out
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _compare_csv(a: bytes, b: bytes) -> list[str]:
+    """Row counts, header, non-numeric cells and the worst numeric cell."""
+    ra = list(csv.reader(a.decode().splitlines()))
+    rb = list(csv.reader(b.decode().splitlines()))
+    out = []
+    if len(ra) != len(rb):
+        out.append(f"rows: {len(ra)} -> {len(rb)}")
+    if ra[:1] != rb[:1]:
+        out.append("header differs")
+    header = ra[0] if ra else []
+    scale: dict[int, float] = {}
+    for row in ra[1:]:
+        for j, cell in enumerate(row):
+            x = _number(cell)
+            if x is not None and math.isfinite(x):
+                scale[j] = max(scale.get(j, 0.0), abs(x))
+    worst, where = 0.0, None
+    for i, (row_a, row_b) in enumerate(zip(ra[1:], rb[1:]), start=1):
+        for j, (ca, cb) in enumerate(zip(row_a, row_b)):
+            if ca == cb:
+                continue
+            xa, xb = _number(ca), _number(cb)
+            if xa is None or xb is None:
+                out.append(f"row {i} col {j}: {ca!r} -> {cb!r}")
+                continue
+            d = _rel(xa, xb, scale.get(j, 0.0))
+            if d > worst:
+                worst, where = d, (i, j)
+    if where is not None:
+        i, j = where
+        name = header[j] if j < len(header) else f"col {j}"
+        out.append(f"worst cell {worst:.2g} of its column's max |value| "
+                   f"at row {i} ({name}: {ra[i][j]} -> {rb[i][j]}); "
+                   f"{len(ra) - 1} rows")
+    return out
+
+
+def _text_diff(label: str, a: bytes, b: bytes) -> list[str]:
+    la, lb = a.decode().splitlines(), b.decode().splitlines()
+    out = [f"{label} line {i + 1}: {x!r} -> {y!r}"
+           for i, (x, y) in enumerate(zip(la, lb)) if x != y]
+    if len(la) != len(lb):
+        out.append(f"{label}: {len(la)} -> {len(lb)} lines")
+    return out
+
+
+def _exit_codes(root: Path) -> dict[str, str]:
+    codes = {}
+    for line in (root / "manifest.txt").read_text().splitlines():
+        if not line.startswith(" "):
+            name, exit_field = line.split()[:2]
+            codes[name] = exit_field.split("=", 1)[1]
+    return codes
+
+
+def compare(root_a: Path, root_b: Path) -> list[str]:
+    """The report of two matrix output directories, one line per item."""
+    codes_a, codes_b = _exit_codes(root_a), _exit_codes(root_b)
+    floats: dict[str, float] = {}
+    report = []
+    for name in sorted(set(codes_a) | set(codes_b)):
+        if name not in codes_a or name not in codes_b:
+            report.append(f"{name}: only in "
+                          f"{root_a if name in codes_a else root_b}")
+            continue
+        items = []
+        if codes_a[name] != codes_b[name]:
+            items.append(f"exit: {codes_a[name]} -> {codes_b[name]}")
+        for stream in ("stdout", "stderr"):
+            items += _text_diff(stream,
+                                (root_a / f"{name}.{stream}").read_bytes(),
+                                (root_b / f"{name}.{stream}").read_bytes())
+        files_a = {p.relative_to(root_a / name).as_posix()
+                   for p in (root_a / name).rglob("*") if p.is_file()}
+        files_b = {p.relative_to(root_b / name).as_posix()
+                   for p in (root_b / name).rglob("*") if p.is_file()}
+        for rel in sorted(files_a ^ files_b):
+            items.append(f"{rel}: only in "
+                         f"{root_a if rel in files_a else root_b}")
+        for rel in sorted(files_a & files_b):
+            a = (root_a / name / rel).read_bytes()
+            b = (root_b / name / rel).read_bytes()
+            if a == b:
+                continue
+            if rel.endswith(".json"):
+                lines = _compare_json(a, b, floats)
+            elif rel.endswith(".csv"):
+                lines = _compare_csv(a, b)
+            else:
+                lines = ["bytes differ"]
+            items += [f"{rel} {line}" for line in lines]
+        report.append(f"{name}: exit {codes_a[name]}"
+                      + ("" if items else ", identical"))
+        report += [f"  {item}" for item in items]
+    report.append("largest relative difference of each JSON float field "
+                  "over all cases:")
+    report += [f"  {key:32s} {floats[key]:.2g}"
+               for key in sorted(floats, key=lambda k: (-floats[k], k))]
+    return report
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        for line in compare(Path(argv[1]), Path(argv[2])):
+            print(line)
+        return 0
     if len(argv) != 1:
-        print("usage: python tests/cli_matrix.py OUT", file=sys.stderr)
+        print("usage: python tests/cli_matrix.py OUT\n"
+              "       python tests/cli_matrix.py --compare A B",
+              file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
     if root.exists() and any(root.iterdir()):

@@ -37,7 +37,7 @@ pitch rate            0.0000 rad/s
 flight path           0.0000 rad
 elevator            -10.1686 deg
 thrust               22591.8 N
-residuals       8.30e-13 -2.19e-15 -1.42e-13
+residuals       1.11e-16 0.00e+00 0.00e+00
 """
 
 LINEARIZE_STDOUT = """\
@@ -45,7 +45,7 @@ A (dV_T, dtheta, dalpha, dq):
      -0.043258    -9.750000    -0.274000     0.000000
       0.000000     0.000000     0.000000     1.000000
      -0.004006     0.000000    -0.590000     0.989881
-     -0.000000     0.000000    -0.260000    -0.150000
+      0.000000     0.000000    -0.260000    -0.150000
 B (ddelta_e [rad], ddelta_t):
      -0.057296     4.708417
       0.000000     0.000000
@@ -262,6 +262,14 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     (("--dt", "1e-300"), "duration / dt must be <= 1e+08 steps"),
     (("--scenario", "approach", "--dt", "1e-7"),
      "ship_warmup_s / dt must be <= 1e+08 steps"),
+    (("--scenario", "sink_step", "--set", "integrator_limit=-1"),
+     "integrator_limit must be >= 0"),
+    (("--scenario", "sink_step", "--set", "integrator_limit=nan"),
+     "integrator_limit must be >= 0"),
+    (("--scenario", "sink_step", "--set", "sink.tau=-1"),
+     "sink.tau must be >= 0"),
+    (("--scenario", "sink_step", "--set", "sink.tau=nan"),
+     "sink.tau must be >= 0"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     err = _usage_error(capsys, "run", *argv, "--duration", "0.1",

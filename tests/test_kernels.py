@@ -8,6 +8,7 @@ floats, down to the sign of zero, so traces stay byte-identical.
 """
 
 import inspect
+import itertools
 import math
 import struct
 from dataclasses import replace
@@ -23,7 +24,8 @@ from carrierland.airframe import (AircraftParams, OutOfTableRange,
                                   default_aero_model, rigid_body_derivative,
                                   state_derivative)
 from carrierland.environment import (ShipParams, ShipState, WindSample,
-                                     _held_sigma, deck_motion,
+                                     _held_sigma, _ship_filter_derivative,
+                                     _ship_filter_rk4, deck_motion,
                                      held_ship_inputs, rng_streams, ship_step)
 from carrierland.control import OuterGains, PitchGains
 from carrierland.integrate import rk4_step
@@ -506,6 +508,17 @@ def test_ship_step_draws_match_reference():
         ref = ref_ship_step(st, 1e-3, ref_rng, p)
         st = ship_step(st, 1e-3, rng, p)
         assert (st.steps_since_draw, st.u_heave, st.u_pitch) == ref
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.01, 0.1])
+def test_ship_filter_rk4_matches_rk4_step(dt):
+    # the deck filters' hand-unrolled RK4 against the shared kernel
+    grid = (-2.1, -0.013, -0.0, 0.0, 0.07, 3.3)
+    for x in itertools.product(grid, repeat=4):
+        for u in (-1.7, -0.0, 0.0, 0.4):
+            ref = rk4_step(lambda _t, s: _ship_filter_derivative(s, u), x,
+                           0.0, dt)
+            assert _bits(_ship_filter_rk4(x, u, dt)) == _bits(ref)
 
 
 # ---------------------------------------------------------- wind sample

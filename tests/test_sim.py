@@ -440,9 +440,9 @@ def test_sink_step_metrics_rebuilt_from_full_rate_trace(controller):
 
 
 # ------------------------------------------------------------ aborts
-_TABLE_LOW = ("OutOfTableRange: alpha = -5.001950550059223 deg outside "
+_TABLE_LOW = ("OutOfTableRange: alpha = -5.001950550062759 deg outside "
               "table range [-5.0, 40.0] deg")
-_TABLE_HIGH = ("OutOfTableRange: alpha = 40.05402938390042 deg outside "
+_TABLE_HIGH = ("OutOfTableRange: alpha = 40.054029383903405 deg outside "
                "table range [-5.0, 40.0] deg")
 _NON_FINITE = "non-finite state after step"
 _STEP_M45 = {"pitch_step_deg": -45.0, "theta_r_low_deg": -60.0}

@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,43 +53,52 @@ def test_trim_infeasible_moment_raises(params):
         solve_trim(params, stub)
 
 
-def _raise_on_first_line_search(monkeypatch, exc):
-    """Make _trim_residuals raise exc on the first line-search evaluation.
+@pytest.mark.parametrize("alpha_deg", [-4.9, -2.0, 0.0, 7.1, 20.0, 39.9])
+@pytest.mark.parametrize("v", [40.0, 69.1, 120.0])
+def test_closed_forms_zero_pitch_and_path_rates(params, model, v, alpha_deg):
+    alpha = math.radians(alpha_deg)
+    delta_e, _, xdot = trimlin._level_flight(v, alpha, params, model)
+    v_dot, theta_dot, _, q_dot = xdot[:4]
+    q_s = dynamic_pressure(v, params.rho) * params.s_ref
+    cm_base = model.coefficients(alpha, 0.0, 0.0)[2]
+    c_d = model.coefficients(alpha, 0.0, delta_e)[1]
+    # a few ulps of the terms that cancel
+    ulps = 4.0 * sys.float_info.epsilon
+    assert abs(q_dot) <= ulps * q_s * params.c_bar * abs(cm_base) / params.j_y
+    assert abs(v_dot) <= ulps * q_s * abs(c_d) / params.m
+    assert theta_dot == 0.0
 
-    The first Newton iteration evaluates the residual once, then twice
-    per unknown for the Jacobian; the eighth call is the line search's.
-    """
-    real = trimlin._trim_residuals
+
+def test_default_model_residuals_at_rounding(trim):
+    assert max(abs(r) for r in trim.residuals) <= 1e-12
+
+
+def test_trim_off_table_iterate_tries_next_airspeed(params, model, trim):
+    # the table ends between the trim alphas of 69.1 and 71.1 m/s
+    narrow = replace(model, alpha_max=trim.alpha_star - math.radians(0.05))
+    with pytest.raises(OutOfTableRange):
+        trimlin._newton_alpha(trim.v_t_star, params, narrow, 200, 1e-10,
+                              math.radians(5.0))
+    tp = solve_trim(params, narrow)
+    assert tp.v_t_star == trim.v_t_star + 2.0
+    assert tp.alpha_star < narrow.alpha_max
+    assert max(abs(r) for r in tp.residuals) < 1e-10
+
+
+def test_trim_propagates_balance_bugs(monkeypatch, params, model):
+    real = trimlin.rigid_body_derivative
     calls = []
 
-    def residuals(*args):
+    def kernel(*args):
         calls.append(args)
-        if len(calls) == 8:
-            raise exc
+        if len(calls) == 2:   # the first slope evaluation
+            raise ZeroDivisionError("bug")
         return real(*args)
 
-    monkeypatch.setattr(trimlin, "_trim_residuals", residuals)
-    return calls
-
-
-def test_trim_line_search_propagates_residual_bugs(monkeypatch, params,
-                                                   model):
-    calls = _raise_on_first_line_search(monkeypatch,
-                                        ZeroDivisionError("bug"))
+    monkeypatch.setattr(trimlin, "rigid_body_derivative", kernel)
     with pytest.raises(ZeroDivisionError, match="bug"):
         solve_trim(params, model)
-    assert len(calls) == 8
-
-
-def test_trim_line_search_halves_step_off_table(monkeypatch, params, model,
-                                                trim):
-    calls = _raise_on_first_line_search(monkeypatch,
-                                        OutOfTableRange("off table"))
-    again = solve_trim(params, model)
-    assert len(calls) > 8
-    assert again.v_t_star == trim.v_t_star
-    assert again.alpha_star == pytest.approx(trim.alpha_star, abs=1e-9)
-    assert again.delta_e_star == pytest.approx(trim.delta_e_star, abs=1e-9)
+    assert len(calls) == 2
 
 
 def test_linearize_theta_row_is_identity(linear):
