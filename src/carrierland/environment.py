@@ -14,7 +14,8 @@ controllable canonical form and driven by zero-order-held Gaussian
 noise.  The nominal noise powers are +4.5 dB (heave) and -20 dB
 (pitch); a common input gain (default 0.16) calibrates the long-run
 extremes to roughly 4 m of heave and 3 deg of deck pitch, matching the
-published sea-state targets for this filter set.
+published sea-state targets for this filter set.  ship_step takes the
+exact zero-order-hold step x <- Phi x + Gamma u (see _deck_zoh).
 
 Landing point.  The touchdown point sits 81 m aft of the ship's centre
 of mass:  x_L = x_G - 81 cos(theta_s),  z_L = z_G - 81 sin(theta_s).
@@ -33,6 +34,7 @@ zero-order-held Gaussian noise of power -60 dB.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -143,52 +145,62 @@ def _ship_filter_derivative(x, u):
             u - a0 * x[0] - a1 * x[1] - a2 * x[2] - a3 * x[3])
 
 
-def _ship_filter_rk4(x, u, dt):
-    # unrolled RK4 of the canonical-form filter; hot path of long runs
-    a3, a2, a1, a0 = SHIP_DENOM
-    x0, x1, x2, x3 = x
-    half = 0.5 * dt
+def _matmul5(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j]
+             + a[i][3] * b[3][j] + a[i][4] * b[4][j] for j in range(5)]
+            for i in range(5)]
 
-    k10, k11, k12 = x1, x2, x3
-    k13 = u - a0 * x0 - a1 * x1 - a2 * x2 - a3 * x3
 
-    y0 = x0 + half * k10; y1 = x1 + half * k11
-    y2 = x2 + half * k12; y3 = x3 + half * k13
-    k20, k21, k22 = y1, y2, y3
-    k23 = u - a0 * y0 - a1 * y1 - a2 * y2 - a3 * y3
+@functools.lru_cache(maxsize=16)
+def _deck_zoh(dt, dt_noise):
+    """Hold length, Phi(dt) (16 floats, row-major) and Gamma(dt) (4).
 
-    y0 = x0 + half * k20; y1 = x1 + half * k21
-    y2 = x2 + half * k22; y3 = x3 + half * k23
-    k30, k31, k32 = y1, y2, y3
-    k33 = u - a0 * y0 - a1 * y1 - a2 * y2 - a3 * y3
-
-    y0 = x0 + dt * k30; y1 = x1 + dt * k31
-    y2 = x2 + dt * k32; y3 = x3 + dt * k33
-    k40, k41, k42 = y1, y2, y3
-    k43 = u - a0 * y0 - a1 * y1 - a2 * y2 - a3 * y3
-
-    sixth = dt / 6.0
-    return (x0 + sixth * (k10 + 2.0 * (k20 + k30) + k40),
-            x1 + sixth * (k11 + 2.0 * (k21 + k31) + k41),
-            x2 + sixth * (k12 + 2.0 * (k22 + k32) + k42),
-            x3 + sixth * (k13 + 2.0 * (k23 + k33) + k43))
+    Phi = exp(A dt), Gamma = integral of exp(A s) e4 over [0, dt], A the
+    filters' canonical form: the top block of exp([[A, e4], [0, 0]] dt)
+    (Van Loan, IEEE TAC 23(3), 1978), a 16-term Horner-form Taylor series
+    of the matrix scaled to row-sum norm < 0.5, then squared back; plain
+    floats, so the constants do not depend on a BLAS summation order.
+    """
+    squarings = max(0, math.frexp(dt * (1.0 + sum(SHIP_DENOM)))[1] + 1)
+    h = dt * 0.5 ** squarings
+    m = [[h * float(j == i + 1) for j in range(5)] for i in range(3)] + [
+        [-c * h for c in SHIP_DENOM[::-1]] + [h], [0.0] * 5]
+    e = eye = [[float(i == j) for j in range(5)] for i in range(5)]
+    for k in range(16, 0, -1):
+        e = [[eye[i][j] + v / k for j, v in enumerate(row)]
+             for i, row in enumerate(_matmul5(m, e))]
+    for _ in range(squarings):
+        e = _matmul5(e, e)
+    return (max(1, round(dt_noise / dt)),
+            tuple(v for r in e[:4] for v in r[:4]), tuple(r[4] for r in e[:4]))
 
 
 def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
               params: ShipParams | None = None) -> ShipState:
-    """Advance both deck-motion filters one RK4 step of size dt.
+    """Advance both deck-motion filters one step of size dt.
 
     White-noise inputs are redrawn every dt_noise seconds and held in
-    between; dt must divide dt_noise.
+    between; dt must divide dt_noise.  The step is the exact zero-order
+    hold x <- Phi x + Gamma u, with the constants of _deck_zoh.
     """
     p = params or ShipParams()
+    hold, phi, gam = _deck_zoh(dt, p.dt_noise)
     k, u_h, u_p = held_ship_inputs(state.steps_since_draw, state.u_heave,
-                                   state.u_pitch, max(1, round(p.dt_noise / dt)),
-                                   rng, p)
-    hf = _ship_filter_rk4(state.heave_filter, u_h, dt)
-    pf = _ship_filter_rk4(state.pitch_filter, u_p, dt)
-    return ShipState(heave_filter=hf, pitch_filter=pf,
-                     u_heave=u_h, u_pitch=u_p, steps_since_draw=k)
+                                   state.u_pitch, hold, rng, p)
+    (f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23,
+     f30, f31, f32, f33), (g0, g1, g2, g3) = phi, gam
+    h0, h1, h2, h3 = state.heave_filter
+    p0, p1, p2, p3 = state.pitch_filter
+    return ShipState(
+        (f00 * h0 + f01 * h1 + f02 * h2 + f03 * h3 + g0 * u_h,
+         f10 * h0 + f11 * h1 + f12 * h2 + f13 * h3 + g1 * u_h,
+         f20 * h0 + f21 * h1 + f22 * h2 + f23 * h3 + g2 * u_h,
+         f30 * h0 + f31 * h1 + f32 * h2 + f33 * h3 + g3 * u_h),
+        (f00 * p0 + f01 * p1 + f02 * p2 + f03 * p3 + g0 * u_p,
+         f10 * p0 + f11 * p1 + f12 * p2 + f13 * p3 + g1 * u_p,
+         f20 * p0 + f21 * p1 + f22 * p2 + f23 * p3 + g2 * u_p,
+         f30 * p0 + f31 * p1 + f32 * p2 + f33 * p3 + g3 * u_p),
+        u_h, u_p, k)
 
 
 @dataclass
@@ -356,7 +368,8 @@ class Environment:
                                 dt_noise=self.noise_dt,
                                 enabled=self.noise_on)
         if self.ship_rng is not None and self.warmup_s > 0.0:
-            n = int(round(self.warmup_s / self.dt))
-            for _ in range(n):
-                self.ship = ship_step(self.ship, self.dt, self.ship_rng,
-                                      self.ship_params)
+            step, st, dt = ship_step, self.ship, self.dt
+            rng, p = self.ship_rng, self.ship_params
+            for _ in range(int(round(self.warmup_s / dt))):
+                st = step(st, dt, rng, p)
+            self.ship = st

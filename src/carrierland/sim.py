@@ -7,7 +7,9 @@ The integrated state concatenates aircraft (6), engine (1), elevator
 (2), observer (3) and the two deck-motion filters (8).  The RK4
 derivative only concatenates the component kernels:
 airframe.rigid_body_derivative, actuation.actuator_derivative,
-observer.observer_derivative and the deck-filter derivative.  After each
+observer.observer_derivative and the deck-filter derivative (the deck
+stays in this step, where the benchmark counts its derivative calls; the
+ship warm-up uses environment.ship_step's exact zero-order hold).  After each
 step actuation.project_actuator_states clamps the actuator states;
 environment.deck_motion gives the landing point and its rates and
 environment.held_ship_inputs the held deck noise.  Controller commands,

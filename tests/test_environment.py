@@ -5,14 +5,17 @@ import pytest
 
 from carrierland.environment import (LANDING_POINT_OFFSET, Environment,
                                      PitchNoise, ShipParams, ShipState,
-                                     WindField, WindParams, _ship_filter_rk4,
-                                     deck_motion, rng_streams, ship_step,
-                                     wake_periodic, wake_steady)
+                                     WindField, WindParams, deck_motion,
+                                     rng_streams, ship_step, wake_periodic,
+                                     wake_steady)
 
 
-class _ZeroRng:
+class _ConstRng:
+    def __init__(self, value=0.0):
+        self.value = value
+
     def normal(self, mean, sigma):
-        return 0.0
+        return self.value
 
 
 def test_ship_at_rest_stays_at_rest():
@@ -27,10 +30,11 @@ def test_ship_at_rest_stays_at_rest():
 
 def test_heave_filter_dc_gain():
     # constant unit input settles at 1.21/0.16 (slowest poles ~25 s)
-    x = (0.0, 0.0, 0.0, 0.0)
+    st = ShipState()
+    rng = _ConstRng(1.0)
     for _ in range(400000):
-        x = _ship_filter_rk4(x, 1.0, 1e-3)
-    assert 1.21 * x[0] == pytest.approx(1.21 / 0.16, rel=1e-5)
+        st = ship_step(st, 1e-3, rng)
+    assert st.z_g == pytest.approx(1.21 / 0.16, rel=1e-5)
 
 
 def test_ship_amplitudes_sane_short_run():
@@ -144,10 +148,10 @@ def test_wake_periodic_continuous_in_time():
 
 
 def test_pitch_noise_periodic_component():
-    noise = PitchNoise(_ZeroRng(), dt=1e-3, dt_noise=0.01)
+    noise = PitchNoise(_ConstRng(), dt=1e-3, dt_noise=0.01)
     assert noise.sample(0.0) == 0.0
     # rebuild so the hold counter does not matter
-    noise = PitchNoise(_ZeroRng(), dt=1e-3, dt_noise=0.01)
+    noise = PitchNoise(_ConstRng(), dt=1e-3, dt_noise=0.01)
     assert noise.sample(math.pi / 14.0) == pytest.approx(0.001, rel=1e-12)
 
 

@@ -4,11 +4,12 @@ The references below are the plain forms of each kernel: RK4 stages
 built as tuples from generators, coefficient tables evaluated with the
 generic polynomial loop, and the observer injection taking the sign of
 the error once per term.  Every rewritten kernel must return the same
-floats, down to the sign of zero, so traces stay byte-identical.
+floats, down to the sign of zero, so traces stay byte-identical.  The
+deck filters' exact zero-order-hold step replaced an RK4 step, so it is
+held to rk4_step and to an eigendecomposition within stated tolerances.
 """
 
 import inspect
-import itertools
 import math
 import struct
 from dataclasses import replace
@@ -23,9 +24,9 @@ from carrierland import control
 from carrierland.airframe import (AircraftParams, OutOfTableRange,
                                   default_aero_model, rigid_body_derivative,
                                   state_derivative)
-from carrierland.environment import (ShipParams, ShipState, WindSample,
-                                     _held_sigma, _ship_filter_derivative,
-                                     _ship_filter_rk4, deck_motion,
+from carrierland.environment import (SHIP_DENOM, ShipParams, ShipState,
+                                     WindSample, _deck_zoh, _held_sigma,
+                                     _ship_filter_derivative, deck_motion,
                                      held_ship_inputs, rng_streams, ship_step)
 from carrierland.control import OuterGains, PitchGains
 from carrierland.integrate import rk4_step
@@ -510,15 +511,52 @@ def test_ship_step_draws_match_reference():
         assert (st.steps_since_draw, st.u_heave, st.u_pitch) == ref
 
 
-@pytest.mark.parametrize("dt", [1e-3, 0.01, 0.1])
-def test_ship_filter_rk4_matches_rk4_step(dt):
-    # the deck filters' hand-unrolled RK4 against the shared kernel
-    grid = (-2.1, -0.013, -0.0, 0.0, 0.07, 3.3)
-    for x in itertools.product(grid, repeat=4):
-        for u in (-1.7, -0.0, 0.0, 0.4):
-            ref = rk4_step(lambda _t, s: _ship_filter_derivative(s, u), x,
-                           0.0, dt)
-            assert _bits(_ship_filter_rk4(x, u, dt)) == _bits(ref)
+def test_deck_zoh_matches_rk4_step():
+    # 60 s of both deck filters at dt = 1e-3: the exact zero-order-hold
+    # step against rk4_step of the filter derivative on the same inputs
+    dt = 1e-3
+    st, p = ShipState(), ShipParams()
+    rng = rng_streams(1)["ship"]
+    heave = pitch = (0.0, 0.0, 0.0, 0.0)
+    worst = 0.0
+    for _ in range(60000):
+        st = ship_step(st, dt, rng, p)
+        u_h, u_p = st.u_heave, st.u_pitch
+        heave = rk4_step(lambda _t, s: _ship_filter_derivative(s, u_h),
+                         heave, 0.0, dt)
+        pitch = rk4_step(lambda _t, s: _ship_filter_derivative(s, u_p),
+                         pitch, 0.0, dt)
+        for got, ref in ((st.heave_filter, heave), (st.pitch_filter, pitch)):
+            scale = max(map(abs, ref))
+            worst = max(worst, max(abs(a - b) for a, b in zip(got, ref))
+                        / scale)
+    assert 0.0 < worst < 1e-10
+
+
+_DECK_A = np.array([[0.0, 1.0, 0.0, 0.0],
+                    [0.0, 0.0, 1.0, 0.0],
+                    [0.0, 0.0, 0.0, 1.0],
+                    [-c for c in SHIP_DENOM[::-1]]])
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0, 10.0])
+def test_deck_zoh_phi_matches_eigendecomposition(dt):
+    # relative to the largest element: Phi(1e-3) has elements near 1e-10
+    lam, vec = np.linalg.eig(_DECK_A)
+    ref = (vec @ np.diag(np.exp(lam * dt)) @ np.linalg.inv(vec)).real
+    phi = np.array(_deck_zoh(dt, 0.1)[1]).reshape(4, 4)
+    assert np.abs(phi - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0, 10.0])
+@pytest.mark.parametrize("u", [1.0, -0.37, 2.9e-3])
+def test_deck_zoh_keeps_dc_state(dt, u):
+    # x = (u/a0, 0, 0, 0) is the equilibrium of the filter under input u
+    _, phi, gam = _deck_zoh(dt, 0.1)
+    x = (u / SHIP_DENOM[3], 0.0, 0.0, 0.0)
+    for i in range(4):
+        got = sum(phi[4 * i + j] * x[j] for j in range(4)) + gam[i] * u
+        assert abs(got - x[i]) <= 1e-14 * abs(x[0])
 
 
 # ---------------------------------------------------------- wind sample
