@@ -10,6 +10,7 @@ held to rk4_step and to an eigendecomposition within stated tolerances.
 """
 
 import inspect
+import itertools
 import math
 import struct
 from dataclasses import replace
@@ -531,6 +532,24 @@ def test_deck_zoh_matches_rk4_step():
             worst = max(worst, max(abs(a - b) for a, b in zip(got, ref))
                         / scale)
     assert 0.0 < worst < 1e-10
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.01, 0.1])
+def test_ship_filter_rk4_matches_rk4_step(dt):
+    # one deck-filter step, exact zero-order hold against rk4_step, over a
+    # grid of states and inputs: RK4's local error is O(dt^5) and the
+    # filter's matrix norm is near 2, so dt^5 bounds it, plus roundoff
+    _, phi, gam = _deck_zoh(dt, 0.1)
+    grid = (-2.1, -0.013, -0.0, 0.0, 0.07, 3.3)
+    for x in itertools.product(grid, repeat=4):
+        for u in (-1.7, -0.0, 0.0, 0.4):
+            ref = rk4_step(lambda _t, s: _ship_filter_derivative(s, u), x,
+                           0.0, dt)
+            got = [sum(phi[4 * i + j] * x[j] for j in range(4))
+                   + gam[i] * u for i in range(4)]
+            scale = max(max(map(abs, x)), abs(u))
+            err = max(abs(a - b) for a, b in zip(got, ref))
+            assert err <= (dt ** 5 + 1e-15) * scale
 
 
 _DECK_A = np.array([[0.0, 1.0, 0.0, 0.0],
