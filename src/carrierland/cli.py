@@ -11,8 +11,8 @@ Subcommands:
     sweep       repeat a scenario over consecutive seeds and aggregate
 
 Configuration precedence: built-in defaults, then --config file, then
---set key=value overrides (repeatable).  `run --help` lists the
-available keys.  Every run writes a resolved_config.json snapshot that
+--set key=value overrides (repeatable).  `run --help` lists each key
+and its domain.  Every run writes a resolved_config.json snapshot that
 reproduces the run byte-for-byte when passed back via --config.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 model abort
@@ -71,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run", help="run one scenario",
-        epilog="config keys: " + ", ".join(sorted(CONFIG_KEYS)))
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="config keys and their domains (exit 2 outside them):\n"
+        + "\n".join(f"  {key:<19} {entry.domain.text}"
+                    for key, entry in sorted(CONFIG_KEYS.items())))
     _add_run_args(p_run)
     p_run.add_argument("--require-settled", action="store_true",
                        help="exit 4 when the scenario metric does not settle")

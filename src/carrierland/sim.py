@@ -50,8 +50,11 @@ every sample drawn and every float written to the trace.
 from __future__ import annotations
 
 import copy
+import linecache
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
                        OutOfTableRange, default_aero_model,
@@ -139,66 +142,34 @@ class ScenarioConfig:
             raise ConfigError(f"obs.*: {exc}") from exc
 
     def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if self.controller not in CONTROLLERS:
-            raise ConfigError(f"controller must be one of {CONTROLLERS}")
-        if not self.dt > 0.0:
-            raise ConfigError("dt must be > 0")
-        if self.duration is not None and not self.duration > 0.0:
-            raise ConfigError("duration must be > 0")
-        if not math.isfinite(self.dt):
-            raise ConfigError("dt must be finite")
-        if not math.isfinite(self.resolved_duration() / self.dt):
-            raise ConfigError("duration must be finite, and so must "
-                              "duration / dt")
-        if self.resolved_duration() / self.dt > MAX_STEPS:
-            raise ConfigError(f"duration / dt must be <= {MAX_STEPS:g} steps")
-        if self.trace_decimation < 1:
-            raise ConfigError("trace_decimation must be >= 1")
+        """Raise a one-line ConfigError naming the key unless every value
+        lies in its CONFIG_KEYS domain and the rules across keys hold: dt
+        divides the noise holds; the run and the ship warm-up take at most
+        MAX_STEPS steps; theta_r_low_deg <= theta_r_high_deg; the approach,
+        which preloads integrators through 1 / ki, has vel.ki and sink.ki
+        nonzero; a sink step has a nonzero command; with wind on, v_wd > 0
+        and the wake phase, as wake_extent / v_wd, is finite; and the
+        observer parameters and the aero model file are valid."""
+        _check_domains(self)
+        dt = self.dt
         for key in ("dt_noise", "noise_dt"):
             # each noise sample is held for a whole number of steps
-            steps = getattr(self, key) / self.dt
+            steps = getattr(self, key) / dt
             if steps < 1.0:
                 raise ConfigError(f"{key} must be >= dt")
             if not math.isfinite(steps):
                 raise ConfigError(f"{key} / dt must be finite")
             if abs(steps - round(steps)) > 1e-9 * steps:
                 raise ConfigError(f"dt must divide {key}")
-        if not (self.ship_warmup_s >= 0.0
-                and math.isfinite(self.ship_warmup_s / self.dt)):
-            raise ConfigError("ship_warmup_s must be >= 0 and finite, and so "
-                              "must ship_warmup_s / dt")
-        if self.ship_warmup_s / self.dt > MAX_STEPS:
-            raise ConfigError(f"ship_warmup_s / dt must be <= {MAX_STEPS:g} "
-                              "steps")
-        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
-            raise ConfigError("t_max must be > 0 and finite")
-        if not 0.0 <= self.turb_norm < math.inf:
-            raise ConfigError("turb_norm must be >= 0 and finite")
-        # numpy rejects a negative scale, -0.0 included
-        if not (math.copysign(1.0, self.ship_noise_gain) > 0.0
-                and self.ship_noise_gain < math.inf):
-            raise ConfigError("ship_noise_gain must be >= +0.0 and finite")
-        if not math.isfinite(self.glide_slope_deg):
-            raise ConfigError("glide_slope_deg must be finite")
+        for key, span in (("duration", self.resolved_duration()),
+                          ("ship_warmup_s", self.ship_warmup_s)):
+            if span / dt > MAX_STEPS:
+                raise ConfigError(f"{key} / dt must be <= {MAX_STEPS:g} "
+                                  "steps")
         if not self.theta_r_low_deg <= self.theta_r_high_deg:
             raise ConfigError("theta_r_low_deg must be <= theta_r_high_deg")
-        if not (self.pitch.dqdot_dde != 0.0
-                and math.isfinite(self.pitch.dqdot_dde)):
-            raise ConfigError("pitch.dqdot_dde must be nonzero and finite")
-        if not (self.pitch.rate_filter_tau >= 0.0
-                and self.outer.deriv_filter_tau >= 0.0):
-            raise ConfigError("pid.tau and guid.tau must be >= 0")
-        if not self.outer.sink_filter_tau >= 0.0:
-            raise ConfigError("sink.tau must be >= 0")
-        if not self.outer.integrator_limit >= 0.0:
-            raise ConfigError("integrator_limit must be >= 0")
-        if not self.outer.sink_notch_zeta >= 0.0:
-            raise ConfigError("sink.notch_zeta must be >= 0")
         if self.scenario == "approach" and (self.outer.ki_v == 0.0
                                             or self.outer.ki_s == 0.0):
-            # the approach preloads both integrators through 1 / ki
             raise ConfigError("vel.ki and sink.ki must be nonzero for "
                               "approach")
         if self.scenario == "sink_step" and self.sink_rate_cmd == 0.0:
@@ -206,13 +177,8 @@ class ScenarioConfig:
         if self.wind_on and not self.v_wd > 0.0:
             raise ConfigError("v_wd must be > 0 when wind is on")
         if self.wind_on and not math.isfinite(self.wake_extent / self.v_wd):
-            # bounds the phase of the periodic wake, which scales as X / v_wd
             raise ConfigError("wake_extent / v_wd must be finite when wind "
                               "is on")
-        if self.initial_range <= 0.0:
-            raise ConfigError("initial_range must be > 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         self.observer_params()
         load_aero_model(self.aero_model_path)
 
@@ -227,78 +193,149 @@ def load_aero_model(path: str | None) -> AeroModel:
         raise ConfigError(f"aero model {path}: {exc}") from exc
 
 
-# Dotted override keys accepted by config files and the CLI, mapped to
-# (attribute path, type).  This registry is the single source of truth
-# for serialization and validation.
-CONFIG_KEYS: dict[str, tuple[str, type]] = {
-    "scenario": ("scenario", str),
-    "controller": ("controller", str),
-    "wind_on": ("wind_on", bool),
-    "noise_on": ("noise_on", bool),
-    "ship_on": ("ship_on", bool),
-    "seed": ("seed", int),
-    "duration": ("duration", float),
-    "dt": ("dt", float),
-    "initial_range": ("initial_range", float),
-    "initial_altitude": ("initial_altitude", float),
-    "pitch_step_deg": ("pitch_step_deg", float),
-    "sink_rate_cmd": ("sink_rate_cmd", float),
-    "glide_slope_deg": ("glide_slope_deg", float),
-    "theta_r_low_deg": ("theta_r_low_deg", float),
-    "theta_r_high_deg": ("theta_r_high_deg", float),
-    "trace_decimation": ("trace_decimation", int),
-    "ship_warmup_s": ("ship_warmup_s", float),
-    "metric_skip_s": ("metric_skip_s", float),
-    "dt_noise": ("dt_noise", float),
-    "noise_dt": ("noise_dt", float),
-    "ship_noise_gain": ("ship_noise_gain", float),
-    "v_wd": ("v_wd", float),
-    "turb_norm": ("turb_norm", float),
-    "wake_extent": ("wake_extent", float),
-    "t_max": ("t_max", float),
-    "aero_model_path": ("aero_model_path", str),
-    "use_local_partials": ("use_local_partials", bool),
-    "obs.k1": ("obs_k1", float),
-    "obs.k2": ("obs_k2", float),
-    "obs.k3": ("obs_k3", float),
-    "obs.alpha1": ("obs_alpha1", float),
-    "obs.epsilon": ("obs_epsilon", float),
-    "pitch.kp": ("pitch.kp_theta", float),
-    "pitch.kd": ("pitch.kd_theta", float),
-    "pitch.dqdot_dq": ("pitch.dqdot_dq", float),
-    "pitch.dqdot_dde": ("pitch.dqdot_dde", float),
-    "pid.kp": ("pitch.kp_theta2", float),
-    "pid.ki": ("pitch.ki_theta", float),
-    "pid.kd": ("pitch.kd_theta2", float),
-    "pid.tau": ("pitch.rate_filter_tau", float),
-    "vel.kp": ("outer.kp_v", float),
-    "vel.ki": ("outer.ki_v", float),
-    "vel.kd": ("outer.kd_v", float),
-    "sink.kp": ("outer.kp_s", float),
-    "sink.ki": ("outer.ki_s", float),
-    "sink.tau": ("outer.sink_filter_tau", float),
-    "sink.notch_omega": ("outer.sink_notch_omega", float),
-    "sink.notch_zeta": ("outer.sink_notch_zeta", float),
-    "guid.kp": ("outer.kp_z", float),
-    "guid.ki": ("outer.ki_z", float),
-    "guid.kd": ("outer.kd_z", float),
-    "guid.tau": ("outer.deriv_filter_tau", float),
-    "integrator_limit": ("outer.integrator_limit", float),
-}
+_MAX = math.nextafter(math.inf, 0.0)   # the largest float
 
-_NULLABLE_KEYS = {"duration", "t_max", "aero_model_path"}
+
+class Domain(NamedTuple):
+    """The values of a config key: numbers lo <= v <= hi, so "> 0" is
+    lo = 5e-324, or, where `test` is set, what it passes; and None where
+    nullable.  `text` states the domain in errors and in `run --help`."""
+    text: str
+    lo: float = -_MAX
+    hi: float = _MAX
+    test: Callable[[object], bool] | None = None
+    nullable: bool = False
+
+    def error(self, key: str, value) -> str:
+        message = f"{key} must be {self.text}"
+        below, _, above = self.text.rpartition(" and ")
+        if below and isinstance(value, float) and value > self.hi:
+            return f"{key} must be {above} ({message})"  # the bound broken
+        return message
+
+
+_FINITE = Domain("finite")
+_POSITIVE = Domain("> 0 and finite", math.ulp(0.0))
+_NON_NEGATIVE = Domain(">= 0 and finite", 0.0)
+# a time constant or a clamp: inf freezes the filter or lifts the clamp
+_AT_LEAST_ZERO = Domain(">= 0", 0.0, math.inf)
+_UNIT = Domain("> 0 and < 1", math.ulp(0.0), math.nextafter(1.0, 0.0))
+_ON_OFF = Domain("on or off", False, True)
+_POSITIVE_OR_NULL = Domain("> 0 and finite, or null", math.ulp(0.0),
+                           nullable=True)
+
+
+class ConfigKey(tuple):
+    """(attribute path split at its dots, type), as CONFIG_KEYS entries
+    have always unpacked, with the key's domain as `.domain`."""
+
+    def __new__(cls, path: str, typ: type, domain: Domain):
+        entry = super().__new__(cls, (tuple(path.split(".")), typ))
+        entry.domain = domain
+        return entry
+
+
+# Dotted override keys accepted by config files and the CLI, mapped to
+# (attribute path, type) and a domain.  This registry is the single
+# source of truth for serialization and validation.
+CONFIG_KEYS: dict[str, ConfigKey] = {key: ConfigKey(*entry) for key, entry in {
+    "scenario": ("scenario", str, Domain(f"one of {SCENARIOS}",
+                                         test=SCENARIOS.__contains__)),
+    "controller": ("controller", str, Domain(f"one of {CONTROLLERS}",
+                                             test=CONTROLLERS.__contains__)),
+    "wind_on": ("wind_on", bool, _ON_OFF),
+    "noise_on": ("noise_on", bool, _ON_OFF),
+    "ship_on": ("ship_on", bool, _ON_OFF),
+    "seed": ("seed", int, Domain(">= 0", 0, math.inf)),
+    "duration": ("duration", float, _POSITIVE_OR_NULL),
+    "dt": ("dt", float, _POSITIVE),
+    "initial_range": ("initial_range", float, _POSITIVE),
+    "initial_altitude": ("initial_altitude", float, _FINITE),
+    "pitch_step_deg": ("pitch_step_deg", float, _FINITE),
+    "sink_rate_cmd": ("sink_rate_cmd", float, _FINITE),
+    "glide_slope_deg": ("glide_slope_deg", float, _FINITE),
+    "theta_r_low_deg": ("theta_r_low_deg", float, _FINITE),
+    "theta_r_high_deg": ("theta_r_high_deg", float, _FINITE),
+    "trace_decimation": ("trace_decimation", int, Domain(">= 1", 1, math.inf)),
+    "ship_warmup_s": ("ship_warmup_s", float, _NON_NEGATIVE),
+    "metric_skip_s": ("metric_skip_s", float, _FINITE),
+    "dt_noise": ("dt_noise", float, _FINITE),
+    "noise_dt": ("noise_dt", float, _FINITE),
+    # numpy rejects a negative scale, -0.0 included
+    "ship_noise_gain": ("ship_noise_gain", float, Domain(
+        ">= +0.0 and finite", 0.0,
+        test=lambda v: math.copysign(1.0, v) > 0.0 and v <= _MAX)),
+    "v_wd": ("v_wd", float, _FINITE),
+    "turb_norm": ("turb_norm", float, _NON_NEGATIVE),
+    "wake_extent": ("wake_extent", float, _FINITE),
+    "t_max": ("t_max", float, _POSITIVE_OR_NULL),
+    "aero_model_path": ("aero_model_path", str, Domain(
+        "a JSON aero model file, or null", nullable=True,
+        test=lambda v: isinstance(v, str))),
+    "use_local_partials": ("use_local_partials", bool, _ON_OFF),
+    "obs.k1": ("obs_k1", float, _POSITIVE),
+    "obs.k2": ("obs_k2", float, _FINITE),
+    "obs.k3": ("obs_k3", float, _POSITIVE),
+    "obs.alpha1": ("obs_alpha1", float, _UNIT),
+    "obs.epsilon": ("obs_epsilon", float, _UNIT),
+    "pitch.kp": ("pitch.kp_theta", float, _FINITE),
+    "pitch.kd": ("pitch.kd_theta", float, _FINITE),
+    "pitch.dqdot_dq": ("pitch.dqdot_dq", float, _FINITE),
+    "pitch.dqdot_dde": ("pitch.dqdot_dde", float, Domain(
+        "nonzero and finite", test=lambda v: v != 0.0 and -_MAX <= v <= _MAX)),
+    "pid.kp": ("pitch.kp_theta2", float, _FINITE),
+    "pid.ki": ("pitch.ki_theta", float, _FINITE),
+    "pid.kd": ("pitch.kd_theta2", float, _FINITE),
+    "pid.tau": ("pitch.rate_filter_tau", float, _AT_LEAST_ZERO),
+    "vel.kp": ("outer.kp_v", float, _FINITE),
+    "vel.ki": ("outer.ki_v", float, _FINITE),
+    "vel.kd": ("outer.kd_v", float, _FINITE),
+    "sink.kp": ("outer.kp_s", float, _FINITE),
+    "sink.ki": ("outer.ki_s", float, _FINITE),
+    "sink.tau": ("outer.sink_filter_tau", float, _AT_LEAST_ZERO),
+    "sink.notch_omega": ("outer.sink_notch_omega", float, _NON_NEGATIVE),
+    "sink.notch_zeta": ("outer.sink_notch_zeta", float, _NON_NEGATIVE),
+    "guid.kp": ("outer.kp_z", float, _FINITE),
+    "guid.ki": ("outer.ki_z", float, _FINITE),
+    "guid.kd": ("outer.kd_z", float, _FINITE),
+    "guid.tau": ("outer.deriv_filter_tau", float, _AT_LEAST_ZERO),
+    "integrator_limit": ("outer.integrator_limit", float, _AT_LEAST_ZERO),
+}.items()}
+
+_VALUES = attrgetter(*(".".join(attrs) for attrs, _ in CONFIG_KEYS.values()))
+
+
+def _compile_domain_check():
+    """validate's test of each value against its domain, written out from
+    CONFIG_KEYS as integrate.py writes out the RK4 kernel: one `if` per
+    key, in table order, raising the key's domain error.  A call takes
+    about 4 us where a loop over the table took 11 us (2-core x86)."""
+    lines = ["def check_domains(c):"]
+    for i, (key, entry) in enumerate(CONFIG_KEYS.items()):
+        d = entry.domain
+        inside = f"tests[{i}](v)" if d.test else f"{d.lo!r} <= v <= {d.hi!r}"
+        if d.nullable:
+            inside = f"(v is None or {inside})"
+        lines += [f"    v = c.{'.'.join(entry[0])}", f"    if not {inside}:",
+                  f"        raise ConfigError(keys[{key!r}].domain.error("
+                  f"{key!r}, v))"]
+    source = "\n".join(lines) + "\n"
+    filename = "<config domain check>"
+    linecache.cache[filename] = (len(source), None,
+                                 source.splitlines(True), filename)
+    namespace = {"ConfigError": ConfigError, "keys": CONFIG_KEYS,
+                 "inf": math.inf,
+                 "tests": [e.domain.test for e in CONFIG_KEYS.values()]}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["check_domains"]
+
+
+_check_domains = _compile_domain_check()
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Flat, canonical key-value form of a configuration."""
-    out = {}
-    for key, (path, _typ) in CONFIG_KEYS.items():
-        obj = cfg
-        *heads, leaf = path.split(".")
-        for h in heads:
-            obj = getattr(obj, h)
-        out[key] = getattr(obj, leaf)
-    return out
+    return dict(zip(CONFIG_KEYS, _VALUES(cfg)))
 
 
 def config_from_dict(d: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
@@ -317,32 +354,34 @@ def config_from_dict(d: dict, base: ScenarioConfig | None = None) -> ScenarioCon
 
 
 def set_config_key(cfg: ScenarioConfig, key: str, value) -> None:
-    if key not in CONFIG_KEYS:
-        raise ConfigError(
-            f"unknown config key '{key}'; valid keys: {sorted(CONFIG_KEYS)}")
-    path, typ = CONFIG_KEYS[key]
+    """Set a known key to value as the key's type: a bool key takes a
+    bool or an on/off string, an int key no fraction, a number key no
+    bool, and only a nullable key null; the domain is validate()'s."""
+    (*heads, leaf), typ = entry = CONFIG_KEYS[key]
     if value is None:
-        if key not in _NULLABLE_KEYS:
+        if not entry.domain.nullable:
             raise ConfigError(f"{key} may not be null")
-        coerced = None
-    elif typ is bool and isinstance(value, str):
-        low = value.strip().lower()
+    elif typ is bool:
+        low = value.strip().lower() if isinstance(value, str) else None
         if low in ("1", "true", "on", "yes"):
-            coerced = True
+            value = True
         elif low in ("0", "false", "off", "no"):
-            coerced = False
-        else:
-            raise ConfigError(f"{key}: cannot parse '{value}' as on/off")
+            value = False
+        elif not isinstance(value, bool):
+            raise ConfigError(f"{key}: cannot parse {value!r} as on/off")
+    elif typ is not str and isinstance(value, bool) or (
+            typ is int and isinstance(value, float)
+            and not value.is_integer()):
+        raise ConfigError(f"{key}: expected {typ.__name__}, got {value!r}")
     else:
         try:
-            coerced = typ(value)
-        except (TypeError, ValueError) as exc:
+            value = typ(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     obj = cfg
-    *heads, leaf = path.split(".")
     for h in heads:
         obj = getattr(obj, h)
-    setattr(obj, leaf, coerced)
+    setattr(obj, leaf, value)
 
 
 @dataclass

@@ -9,7 +9,9 @@ import pytest
 
 from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
                              build_parser, main)
-from carrierland.sim import CONFIG_KEYS, CONTROLLERS, SCENARIOS
+from carrierland.airframe import AircraftParams
+from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
+                             ScenarioConfig, config_to_dict)
 
 
 def run_cli(*argv):
@@ -270,6 +272,15 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
      "sink.tau must be >= 0"),
     (("--scenario", "sink_step", "--set", "sink.tau=nan"),
      "sink.tau must be >= 0"),
+    (("--set", "pitch.kp=nan"), "pitch.kp must be finite"),
+    (("--set", "vel.kp=inf"), "vel.kp must be finite"),
+    (("--set", "pitch_step_deg=nan"), "pitch_step_deg must be finite"),
+    (("--set", "initial_altitude=nan"), "initial_altitude must be finite"),
+    (("--set", "pitch.dqdot_dq=inf"), "pitch.dqdot_dq must be finite"),
+    (("--set", "guid.kp=nan"), "guid.kp must be finite"),
+    (("--set", "sink.notch_omega=nan"), "sink.notch_omega must be >= 0"),
+    (("--set", "metric_skip_s=nan"), "metric_skip_s must be finite"),
+    (("--set", "initial_range=inf"), "initial_range must be finite"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     err = _usage_error(capsys, "run", *argv, "--duration", "0.1",
@@ -390,3 +401,58 @@ def test_config_fuzz_runs_or_rejects():
             assert code in (EXIT_OK, EXIT_ABORT, EXIT_UNSETTLED), message
 
     check()
+
+
+@pytest.mark.parametrize("config, key", [
+    ('{"seed": 1.7}', "seed"),
+    ('{"trace_decimation": 2.9}', "trace_decimation"),
+    ('{"seed": true}', "seed"),
+    ('{"wind_on": 2}', "wind_on"),
+])
+def test_config_file_value_of_the_wrong_type_is_a_usage_error(
+        tmp_path, capsys, config, key):
+    # each was coerced before: seed 1, decimation 2, seed 1, wind on
+    path = tmp_path / "cfg.json"
+    path.write_text(config + "\n")
+    err = _usage_error(capsys, "run", "--config", str(path),
+                       "--duration", "0.01", "--out", str(tmp_path / "out"))
+    assert key in err
+
+
+def test_config_file_takes_integral_floats_for_int_keys(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": 2.0, "trace_decimation": 5.0, '
+                    '"wind_on": true}\n')
+    assert run_cli("run", "--config", str(path), "--duration", "0.01",
+                   "--out", str(tmp_path / "out")) == EXIT_OK
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json")
+                          .read_text())
+    assert (resolved["seed"], resolved["trace_decimation"],
+            resolved["wind_on"]) == (2, 5, True)
+
+
+# an inside value for the keys whose default is null
+_NULL_DEFAULT_INSIDE = {"duration": 0.01, "t_max": AircraftParams().t_max}
+
+
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_numeric_key_domain_boundaries(tmp_path, capsys, key):
+    """A value inside each numeric key's domain runs; nan and the nearest
+    value outside each finite edge of the domain exit 2 naming the key."""
+    (_, typ), domain = CONFIG_KEYS[key], CONFIG_KEYS[key].domain
+    inside = _NULL_DEFAULT_INSIDE.get(key,
+                                      config_to_dict(ScenarioConfig())[key])
+    argv = ("run", "--set", "duration=0.01", "--out", str(tmp_path))
+    assert inside is not None
+    assert run_cli(*argv, "--set", f"{key}={inside!r}") in (
+        EXIT_OK, EXIT_ABORT, EXIT_UNSETTLED)
+    capsys.readouterr()
+    outside = [math.nan]
+    if domain.lo > -math.inf:
+        outside.append(domain.lo - 1 if typ is int
+                       else math.nextafter(domain.lo, -math.inf))
+    if domain.hi < math.inf:
+        outside.append(math.nextafter(domain.hi, math.inf))
+    for value in outside:
+        err = _usage_error(capsys, *argv, "--set", f"{key}={value!r}")
+        assert key in err, value
