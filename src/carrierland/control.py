@@ -274,12 +274,7 @@ class NotchFilter:
     """
 
     def __init__(self, omega0: float, zeta: float, dt: float):
-        k = 2.0 / dt
-        k2 = k * k
-        w2 = omega0 * omega0
-        a0 = k2 + 2.0 * zeta * omega0 * k + w2
-        self.b = ((k2 + w2) / a0, (2.0 * (w2 - k2)) / a0, (k2 + w2) / a0)
-        self.a = ((2.0 * (w2 - k2)) / a0, (k2 - 2.0 * zeta * omega0 * k + w2) / a0)
+        self.b, self.a = notch_coefficients(omega0, zeta, dt)
         self._x1 = self._x2 = 0.0
         self._y1 = self._y2 = 0.0
         self._primed = False
@@ -295,6 +290,17 @@ class NotchFilter:
         self._x2, self._x1 = self._x1, x
         self._y2, self._y1 = self._y1, y
         return y
+
+
+def notch_coefficients(omega0: float, zeta: float, dt: float):
+    """((b0, b1, b2), (a1, a2)) of NotchFilter's Tustin biquad at step dt;
+    a large omega0 or zeta overflows them to inf or nan."""
+    k = 2.0 / dt
+    k2 = k * k
+    w2 = omega0 * omega0
+    a0 = k2 + 2.0 * zeta * omega0 * k + w2
+    return (((k2 + w2) / a0, (2.0 * (w2 - k2)) / a0, (k2 + w2) / a0),
+            ((2.0 * (w2 - k2)) / a0, (k2 - 2.0 * zeta * omega0 * k + w2) / a0))
 
 
 def flight_path_generator(x_l, z_l, x_l_rate, z_l_rate, x, xdot, tan_gs):

@@ -45,10 +45,9 @@ class ObserverParams:
         if violations:
             raise ValueError("invalid observer parameters: " + "; ".join(violations))
         # injection gains and exponents, computed once for observer_derivative
-        eps = self.epsilon
+        g3, g2, g1 = injection_gains(self)
         object.__setattr__(self, "_injection", (
-            self.k3 / eps, self.k2 / (eps * eps), -(self.k1 / (eps ** 3)),
-            self.alpha3, self.alpha2, self.alpha1))
+            g3, g2, -g1, self.alpha3, self.alpha2, self.alpha1))
 
     @property
     def alpha2(self) -> float:
@@ -57,6 +56,12 @@ class ObserverParams:
     @property
     def alpha3(self) -> float:
         return (self.alpha1 + 2.0) / 3.0
+
+
+def injection_gains(p) -> tuple[float, float, float]:
+    """(k3/eps, k2/eps^2, k1/eps^3), the output-injection gains."""
+    eps = p.epsilon
+    return p.k3 / eps, p.k2 / (eps * eps), p.k1 / (eps ** 3)
 
 
 def validate_params(p) -> list[str]:
@@ -78,6 +83,11 @@ def validate_params(p) -> list[str]:
         v.append("epsilon must lie in the open interval (0, 1)")
     elif p.epsilon ** 3 == 0.0:
         v.append("epsilon**3 underflows to 0; the gain k1/eps^3 is undefined")
+    if not v:
+        for name, gain in zip(("k3/eps", "k2/eps^2", "k1/eps^3"),
+                              injection_gains(p)):
+            if not math.isfinite(gain):
+                v.append(f"the gain {name} overflows to {gain!r}")
     return v
 
 

@@ -27,13 +27,15 @@ The observer is never overwritten: the truth law feeds the true pitch
 rate and disturbance to the PD law as arguments, and x1..x3 in the
 trace are the observer's estimates under every law.  Record keeps
 only what the scenario's metrics read: a trace row every
-trace_decimation steps, t and theta on pitch_step, t and zdot on
-sink_step, and on approach a running maximum of |z - z_r| and a running
-sum of squared pitch-reference errors from metric_skip_s on.  The loop
-has one abort exit: an OutOfTableRange or NonFiniteDerivative raised in
-any stage ends the run at the current step head with the exception as
-the reason; a non-finite state after the step ends it with the reason
-"non-finite state after step".
+trace_decimation steps, packed as len(TRACE_HEADER) C doubles onto one
+Trace array (the saturation flags are stored, and read back, as 0.0 and
+1.0), t and theta on pitch_step and t and zdot on sink_step as
+array('d') histories, and on approach a running maximum of |z - z_r|
+and a running sum of squared pitch-reference errors from metric_skip_s
+on.  The loop has one abort exit: an OutOfTableRange or
+NonFiniteDerivative raised in any stage ends the run at the current step
+head with the exception as the reason; a non-finite state after the
+step ends it with the reason "non-finite state after step".
 
 Scenarios:
     pitch_step  step the pitch reference by a fixed angle at t = 0;
@@ -52,8 +54,10 @@ from __future__ import annotations
 import copy
 import linecache
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable, NamedTuple
 
 from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
@@ -63,7 +67,7 @@ from .actuation import (actuator_derivative, project_actuator_states,
                         saturate_inputs)
 from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
                       PitchPID, SinkPI, VelocityPID, flight_path_generator,
-                      known_input)
+                      known_input, notch_coefficients)
 from .environment import (Environment, ShipParams, WindParams,
                           _ship_filter_derivative, deck_motion,
                           held_ship_inputs)
@@ -148,8 +152,10 @@ class ScenarioConfig:
         MAX_STEPS steps; theta_r_low_deg <= theta_r_high_deg; the approach,
         which preloads integrators through 1 / ki, has vel.ki and sink.ki
         nonzero; a sink step has a nonzero command; with wind on, v_wd > 0
-        and the wake phase, as wake_extent / v_wd, is finite; and the
-        observer parameters and the aero model file are valid."""
+        and the wake phase, as wake_extent / v_wd, is finite; an enabled
+        sink notch has finite coefficients at dt; and the observer
+        parameters, their injection gains included, and the aero model
+        file are valid."""
         _check_domains(self)
         dt = self.dt
         for key in ("dt_noise", "noise_dt"):
@@ -179,8 +185,26 @@ class ScenarioConfig:
         if self.wind_on and not math.isfinite(self.wake_extent / self.v_wd):
             raise ConfigError("wake_extent / v_wd must be finite when wind "
                               "is on")
+        omega, zeta = self.outer.sink_notch_omega, self.outer.sink_notch_zeta
+        if omega > 0.0 and not _finite_notch(omega, zeta, dt):
+            # (2 / dt)^2 overflows exactly when the coefficients of the
+            # zero notch do; zeta only scales the damping terms, which
+            # vanish at zeta = 0
+            if not _finite_notch(0.0, 0.0, dt):
+                raise ConfigError(f"dt is too small: the sink notch's "
+                                  f"coefficients at dt = {dt!r} are not "
+                                  "finite")
+            key = ("sink.notch_zeta" if _finite_notch(omega, 0.0, dt)
+                   else "sink.notch_omega")
+            raise ConfigError(f"{key} is too large: the sink notch's "
+                              f"coefficients at dt = {dt!r} are not finite")
         self.observer_params()
         load_aero_model(self.aero_model_path)
+
+
+def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
+    b, a = notch_coefficients(omega, zeta, dt)
+    return all(map(math.isfinite, b + a))
 
 
 def load_aero_model(path: str | None) -> AeroModel:
@@ -402,10 +426,69 @@ class RunMetrics:
         return dict(self.__dict__)
 
 
+TRACE_BLOCK_ROWS = 256   # rows unpacked at a time by Trace iteration
+_TRACE_WIDTH = len(TRACE_HEADER)
+_pack_row = struct.Struct(f"{_TRACE_WIDTH}d").pack
+
+
+class Trace:
+    """Trace rows stored row-major in one array('d'), len(TRACE_HEADER)
+    doubles a row, 8 bytes a cell where a tuple of boxed floats takes
+    about 22.
+
+    Reads like a list of row tuples: len, bool, int indexing (negative
+    too) and iteration, which unpacks TRACE_BLOCK_ROWS rows at a time so
+    that reading never boxes the whole trace at once.  A cell reads back
+    as the float it was given, bit for bit; an int or bool reads back as
+    a float, so the saturation flags read 0.0 and 1.0.  == compares the
+    cells as floats, as on lists of tuples of floats: 0.0 == -0.0, and a
+    row holding nan equals no row.
+    """
+
+    __slots__ = ("cells",)
+
+    def __init__(self):
+        self.cells = array("d")
+
+    def append(self, row) -> None:
+        """Add a row of exactly len(TRACE_HEADER) numbers (struct.error
+        otherwise).
+
+        About 1.1 us a row; array.extend of the tuple would take about
+        2.9 us (2-core x86)."""
+        self.cells.frombytes(_pack_row(*row))
+
+    def __len__(self) -> int:
+        return len(self.cells) // _TRACE_WIDTH
+
+    def __getitem__(self, i) -> tuple:
+        n = len(self)
+        i = index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace row index out of range")
+        return tuple(self.cells[i * _TRACE_WIDTH:(i + 1) * _TRACE_WIDTH])
+
+    def __iter__(self):
+        cells = self.cells
+        step = _TRACE_WIDTH * TRACE_BLOCK_ROWS
+        for start in range(0, len(cells), step):
+            yield from zip(*[iter(cells[start:start + step].tolist())]
+                           * _TRACE_WIDTH)
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.cells == other.cells
+
+
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    trace: list[tuple]
+    # a row of len(TRACE_HEADER) floats per record; sat_elev and sat_thr
+    # read 0.0 or 1.0
+    trace: Trace
     metrics: RunMetrics
     aborted: bool = False
     abort_time: float | None = None
@@ -600,10 +683,11 @@ class Simulation:
                     + _ship_filter_derivative((h0, h1, h2, h3), u_h)
                     + _ship_filter_derivative((p0, p1, p2, p3), u_p))
 
-        trace: list[tuple] = []
+        trace = Trace()
+        add_row = trace.append
         # step-response history: theta on pitch_step, zdot on sink_step
-        t_hist: list[float] = []
-        y_hist: list[float] = []
+        t_hist = array("d")
+        y_hist = array("d")
         dev_max = None
         theta_err_sq = 0.0
         theta_err_n = 0
@@ -683,13 +767,11 @@ class Simulation:
                         qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g,
                                               w_g)
                     d_true = qdot_now - h_theta
-                    trace.append((
+                    add_row((
                         t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
                         zdot_r, z_r, ox1, ox2, ox3, d_true, u_g, w_g,
                         wind.u1, wind.u2, wind.u3, wind.w1, wind.w2, wind.w3,
-                        z_g, theta_s, lp_x, lp_z, noise,
-                        1 if sat_e else 0, 1 if sat_t else 0,
-                    ))
+                        z_g, theta_s, lp_x, lp_z, noise, sat_e, sat_t))
                     obs_err_sq += _square(ox3 - d_true)
 
                 if approach:

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import struct
+import sys
 import tempfile
 import warnings
 
@@ -11,7 +13,8 @@ from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
                              build_parser, main)
 from carrierland.airframe import AircraftParams
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
-                             ScenarioConfig, config_to_dict)
+                             ConfigError, ScenarioConfig, config_from_dict,
+                             config_to_dict)
 
 
 def run_cli(*argv):
@@ -281,11 +284,102 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     (("--set", "sink.notch_omega=nan"), "sink.notch_omega must be >= 0"),
     (("--set", "metric_skip_s=nan"), "metric_skip_s must be finite"),
     (("--set", "initial_range=inf"), "initial_range must be finite"),
+    (("--set", "obs.k2=1e308"), "obs.*: invalid observer parameters: the "
+     "gain k2/eps^2 overflows to inf"),
+    (("--set", "obs.k3=1e308"), "obs.*: invalid observer parameters: the "
+     "gain k3/eps overflows to inf"),
+    (("--set", "obs.k1=1e307", "--set", "obs.k2=1e8", "--set", "obs.k3=1e300"),
+     "obs.*: invalid observer parameters: the gain k1/eps^3 overflows"),
+    (("--set", "obs.epsilon=1e-105"), "obs.*: invalid observer parameters: "
+     "the gain k1/eps^3 overflows"),
+    (("--scenario", "sink_step", "--set", "sink.notch_omega=1e300"),
+     "sink.notch_omega is too large"),
+    (("--scenario", "sink_step", "--set", "sink.notch_omega=1e160"),
+     "sink.notch_omega is too large"),
+    (("--scenario", "sink_step", "--set", "sink.notch_zeta=1e308"),
+     "sink.notch_zeta is too large"),
+    (("--dt", "1e-160", "--set", "dt_noise=1e-160", "--set",
+      "noise_dt=1e-160", "--duration", "1e-153", "--set", "ship_warmup_s=0"),
+     "dt is too small: the sink notch's coefficients"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
-    err = _usage_error(capsys, "run", *argv, "--duration", "0.1",
+    # argv comes last, so that its own --duration wins
+    err = _usage_error(capsys, "run", "--duration", "0.1", *argv,
                        "--out", str(tmp_path))
     assert fragment in err
+
+
+def _float_bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _bits_float(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", n))[0]
+
+
+_MAX = sys.float_info.max
+_BIG_K1 = {"obs.k2": 1e8, "obs.k3": 1e300}   # room for k1 under the k2 rule
+
+
+@pytest.mark.parametrize("key, inside, outside, extra, edge", [
+    ("obs.k3", 3.0, 1e308, {}, 0.3 * _MAX),                  # k3 / eps
+    ("obs.k2", 2.75, 1e308, {}, 0.09 * _MAX),                # k2 / eps^2
+    ("obs.k1", 0.75, 1e308, _BIG_K1, 0.027 * _MAX),          # k1 / eps^3
+    ("obs.epsilon", 0.3, 1e-110, {}, (0.75 / _MAX) ** (1 / 3)),
+    ("sink.notch_omega", 7.1, 1e300, {}, math.sqrt(_MAX / 2)),   # 2 w0^2
+    ("sink.notch_zeta", 0.25, 1e308, {}, _MAX / (2 * 7.1 * 2000)),
+])
+def test_gain_overflow_edges(tmp_path, capsys, key, inside, outside, extra,
+                             edge):
+    """Bisect the floats between an accepted and a rejected value down to
+    the two neighbours at the edge: the edge is where the gain or notch
+    coefficient overflows, the value inside it runs (0, 3 or 4) and the
+    float past it exits 2 naming the key."""
+    def accepted(value):
+        try:
+            config_from_dict({**extra, key: value}).validate()
+        except ConfigError:
+            return False
+        return True
+
+    lo, hi = _float_bits(inside), _float_bits(outside)
+    assert accepted(inside) and not accepted(outside)
+    while abs(hi - lo) > 1:
+        mid = (lo + hi) // 2
+        if accepted(_bits_float(mid)):
+            lo = mid
+        else:
+            hi = mid
+    last, first = _bits_float(lo), _bits_float(hi)
+    assert last == pytest.approx(edge, rel=1e-6)
+    argv = ["run", "--duration", "0.01", "--out", str(tmp_path)]
+    if key.startswith("sink."):
+        argv += ["--scenario", "sink_step"]
+    for k, v in extra.items():
+        argv += ["--set", f"{k}={v!r}"]
+    assert run_cli(*argv, "--set", f"{key}={last!r}") in (
+        EXIT_OK, EXIT_ABORT, EXIT_UNSETTLED)
+    capsys.readouterr()
+    err = _usage_error(capsys, *argv, "--set", f"{key}={first!r}")
+    assert (key if key.startswith("sink.") else "obs.*") in err
+
+
+def test_notch_dt_edge(tmp_path, capsys):
+    """2 (2/dt)^2, a notch coefficient's numerator, overflows below
+    dt = 2 / sqrt(max / 2): a dt just above that runs, one just below
+    exits 2 naming dt."""
+    edge = 2.0 / math.sqrt(_MAX / 2)
+
+    def argv(dt):
+        return ["run", "--dt", repr(dt), "--set", f"dt_noise={dt!r}",
+                "--set", f"noise_dt={dt!r}", "--duration", repr(100 * dt),
+                "--set", "ship_warmup_s=0", "--out", str(tmp_path)]
+
+    assert run_cli(*argv(edge * (1 + 1e-6))) in (EXIT_OK, EXIT_ABORT,
+                                                 EXIT_UNSETTLED)
+    capsys.readouterr()
+    assert "dt is too small" in _usage_error(capsys,
+                                             *argv(edge * (1 - 1e-6)))
 
 
 def test_hold_intervals_accept_exact_multiples(tmp_path, capsys):

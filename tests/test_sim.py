@@ -1,4 +1,7 @@
+import gc
 import math
+import struct
+import tracemalloc
 
 import pytest
 
@@ -6,8 +9,9 @@ from carrierland import sim
 from carrierland.airframe import state_derivative
 from carrierland.control import known_input
 from carrierland.integrate import rk4_step
-from carrierland.sim import (CONTROLLERS, ConfigError, RunMetrics,
-                             ScenarioConfig, TRACE_HEADER, _step_response,
+from carrierland.sim import (CONTROLLERS, TRACE_BLOCK_ROWS, ConfigError,
+                             RunMetrics, ScenarioConfig, Simulation,
+                             TRACE_HEADER, Trace, _step_response,
                              compare_controllers, config_from_dict,
                              config_to_dict, run_scenario, set_config_key,
                              settle_time, write_trace_csv)
@@ -132,6 +136,111 @@ def test_trace_shape_and_header():
     assert len(TRACE_HEADER) == 32
     assert all(len(row) == len(TRACE_HEADER) for row in r.trace)
     assert len(r.trace) == int(0.5 / cfg.dt / cfg.trace_decimation)
+
+
+# ------------------------------------------------------- trace store
+def _bits(row):
+    return [struct.pack("<d", v) for v in row]
+
+
+def test_trace_round_trips_floats_bit_for_bit():
+    specials = (-0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                -5e-324, 1.7976931348623157e308, 0.1, 29.111000000012595,
+                struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0])
+    width = len(TRACE_HEADER)
+    rows = [tuple(specials[(i + j) % len(specials)] for j in range(width))
+            for i in range(TRACE_BLOCK_ROWS + 3)]
+    trace = Trace()
+    for row in rows:
+        trace.append(row)
+    assert len(trace) == len(rows)
+    assert [_bits(row) for row in trace] == [_bits(row) for row in rows]
+    for i in (TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, -1):
+        assert _bits(trace[i]) == _bits(rows[i])
+
+
+def _row(*head):
+    """A full trace row: head, then zeros."""
+    return head + (0.0,) * (len(TRACE_HEADER) - len(head))
+
+
+def _trace_of(rows):
+    trace = Trace()
+    for row in rows:
+        trace.append(row)
+    return trace
+
+
+def test_trace_reads_like_a_list_of_rows():
+    rows = [_row(0.0, 1.5), _row(2.0, -3.0), _row(4.0, 5.0)]
+    trace = _trace_of(rows)
+    assert len(trace) == len(rows) and bool(trace) and list(trace) == rows
+    assert not Trace() and len(Trace()) == 0 and list(Trace()) == []
+    for i in range(-len(rows), len(rows)):
+        assert trace[i] == rows[i]
+    for i in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[i]
+        with pytest.raises(IndexError):
+            trace[i]
+    with pytest.raises(TypeError):
+        trace[0.0]
+    with pytest.raises(struct.error):
+        trace.append(rows[0] + (1.0,))
+    with pytest.raises(struct.error):
+        trace.append(rows[0][1:])
+    assert len(trace) == len(rows)
+    # == of two traces is == of their lists of rows
+    pairs = [
+        (rows, list(rows)),
+        (rows, rows[:2]),
+        (rows, rows[:2] + [_row(4.0, -5.0)]),
+        ([_row(0.0, -0.0)], [_row(-0.0, 0.0)]),
+        ([_row(math.nan, 1.0)], [_row(float("nan"), 1.0)]),
+        ([], []),
+    ]
+    for a, b in pairs:
+        assert (_trace_of(a) == _trace_of(b)) is (a == b), (a, b)
+        assert (_trace_of(a) != _trace_of(b)) is (a != b), (a, b)
+    assert trace != rows                                # not a list
+
+
+def test_run_trace_writes_the_bytes_of_its_rows_with_int_flags(tmp_path):
+    r = run_scenario(ScenarioConfig(pitch_step_deg=5.0, duration=0.5))
+    flags = (TRACE_HEADER.index("sat_elev"), TRACE_HEADER.index("sat_thr"))
+    assert isinstance(r.trace, Trace)
+    assert {row[i] for row in r.trace for i in flags} == {0.0, 1.0}
+    rows = [row[:flags[0]] + tuple(int(row[i]) for i in flags)
+            for row in r.trace]
+    got, ref = tmp_path / "trace.csv", tmp_path / "rows.csv"
+    write_trace_csv(got, r.trace)
+    write_trace_csv(ref, rows)
+    assert got.read_bytes() == ref.read_bytes()
+
+
+def _dense_sink_peak(duration: float) -> tuple[int, int]:
+    """tracemalloc peak of a run with a trace row per step, and its rows."""
+    run = Simulation(ScenarioConfig(scenario="sink_step", duration=duration,
+                                    trace_decimation=1)).run
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.aborted
+    return peak, len(result.trace)
+
+
+def test_dense_trace_memory_per_row():
+    _dense_sink_peak(0.1)                 # first-run caches
+    peak3, rows3 = _dense_sink_peak(3.0)
+    peak6, rows6 = _dense_sink_peak(6.0)
+    assert rows6 - rows3 == 3000
+    per_row = (peak6 - peak3) / (rows6 - rows3)
+    # 32 cells of 8 bytes, the array's growth margin, two history cells
+    assert per_row <= 400, per_row
 
 
 def test_trim_hold_without_disturbances():
