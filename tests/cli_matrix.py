@@ -19,9 +19,11 @@ The cases cover trim and linearize, the approach under each control law
 with two seeds, pitch and sink steps clean, disturbed and with a trace
 row every step, a pitch step that leaves the aero table, observer gains
 that abort or are rejected under each law, a PID gain that pins the
-elevator, a sweep, a compare, and three values outside their keys'
-domains on a pitch step.  The whole matrix takes about half a minute on
-a 2-core x86 machine.  pytest does not collect this file.
+elevator, a sweep, a compare, three values outside their keys' domains
+on a pitch step, and a pitch step whose pitch law takes its partials from
+the linearization (use_local_partials=on).  The whole matrix takes about
+half a minute on a 2-core x86 machine.  pytest does not collect this
+file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -98,6 +100,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     for setting in ("pitch.kp=nan", "initial_range=inf", "guid.kp=nan"):
         out.append((setting.replace(".", "_").replace("=", "_"),
                     ("run", "--scenario", "pitch_step", "--set", setting)))
+    out.append(("use_local_partials_on",
+                ("run", "--scenario", "pitch_step",
+                 "--set", "use_local_partials=on")))
     return out
 
 

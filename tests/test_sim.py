@@ -9,12 +9,13 @@ from carrierland import sim
 from carrierland.airframe import state_derivative
 from carrierland.control import known_input
 from carrierland.integrate import rk4_step
-from carrierland.sim import (CONTROLLERS, TRACE_BLOCK_ROWS, ConfigError,
-                             RunMetrics, ScenarioConfig, Simulation,
-                             TRACE_HEADER, Trace, _step_response,
+from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
+                             ConfigError, RunMetrics, ScenarioConfig,
+                             Simulation, TRACE_HEADER, Trace, _step_response,
                              compare_controllers, config_from_dict,
                              config_to_dict, run_scenario, set_config_key,
                              settle_time, write_trace_csv)
+from carrierland.trimlin import linearize
 
 
 # ---------------------------------------------------------------- RK4
@@ -105,6 +106,21 @@ def test_config_validation_messages(key, value, msg):
     with pytest.raises(ConfigError, match=msg):
         set_config_key(cfg, key, value)
         cfg.validate()
+
+
+def test_first_key_outside_its_domain_in_table_order_is_named():
+    bad = {"scenario": "warp", "seed": -1, "duration": 0.0, "dt": -1.0,
+           "ship_noise_gain": -0.0, "obs.k1": 0.0, "pitch.dqdot_dde": 0.0,
+           "integrator_limit": -1.0}
+    assert list(bad) == [k for k in CONFIG_KEYS if k in bad]
+    for i, first in enumerate(bad):
+        for later in list(bad)[i + 1:]:
+            # set the later key first: the table's order decides
+            cfg = config_from_dict({later: bad[later], first: bad[first]})
+            with pytest.raises(ConfigError) as err:
+                cfg.validate()
+            assert str(err.value).startswith(f"{first} must be "), (
+                first, later, str(err.value))
 
 
 def test_gain_override_paths():
@@ -212,10 +228,11 @@ def test_run_trace_writes_the_bytes_of_its_rows_with_int_flags(tmp_path):
     assert {row[i] for row in r.trace for i in flags} == {0.0, 1.0}
     rows = [row[:flags[0]] + tuple(int(row[i]) for i in flags)
             for row in r.trace]
-    got, ref = tmp_path / "trace.csv", tmp_path / "rows.csv"
-    write_trace_csv(got, r.trace)
-    write_trace_csv(ref, rows)
-    assert got.read_bytes() == ref.read_bytes()
+    lines = [",".join(TRACE_HEADER)] + [
+        ",".join(format(v, ".10g") for v in row) for row in rows]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, r.trace)
+    assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode()
 
 
 def _dense_sink_peak(duration: float) -> tuple[int, int]:
@@ -454,6 +471,30 @@ def test_truth_law_trace_holds_observer_estimates():
     theta_star = r.trim.theta_star
     assert any(x1 != th - theta_star for x1, th in zip(
         _column(r.trace, "x1"), _column(r.trace, "theta")))
+
+
+def test_local_partials_come_from_linearize_only_when_on(monkeypatch,
+                                                          params, model,
+                                                          trim):
+    linear = linearize(trim, params, model)
+    on = Simulation(ScenarioConfig(use_local_partials=True))
+    assert (on.gains.dqdot_dq, on.gains.dqdot_dde) == (
+        linear.dqdot_dq, linear.dqdot_dde_deg)
+    # the default model reproduces the published partials
+    assert on.gains.dqdot_dq == pytest.approx(-0.15, rel=1e-9)
+    assert on.gains.dqdot_dde == pytest.approx(-0.015, rel=1e-9)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return linearize(*args)
+
+    monkeypatch.setattr(sim, "linearize", counted)
+    off = Simulation(ScenarioConfig())
+    assert calls == []
+    assert off.gains == ScenarioConfig().pitch
+    Simulation(ScenarioConfig(use_local_partials=True))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("controller, calls", [("opd", 100),
