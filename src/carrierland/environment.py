@@ -1,8 +1,9 @@
 """
 Stochastic environment: carrier deck motion, landing-point kinematics,
-air-wake wind and pitch measurement noise.  Everything is driven by
-named RNG sub-streams derived from one run seed, so each source can be
-toggled without disturbing the samples the others draw.
+air-wake wind and pitch measurement noise.  Each white source is held:
+it draws on the first step and then every hold-th step (next_hold_count),
+from its own RNG sub-stream of one run seed, so a source can be toggled,
+and draws nothing when off, without disturbing the samples the others draw.
 
 Ship motion.  Heave z_g and deck pitch theta_s come from two
 fourth-order shaping filters sharing the denominator
@@ -51,10 +52,39 @@ DEFAULT_SHIP_NOISE_GAIN = 0.16         # calibrated amplitude factor, see module
 SHIP_HEAVE_POWER_DB = 4.5
 SHIP_PITCH_POWER_DB = -20.0
 PITCH_NOISE_POWER_DB = -60.0
+WIND_U1_PSD, WIND_W1_PSD = 200.0, 71.6  # turbulence spatial PSD heights
+WIND_LENGTH_SCALE = 100.0              # m; spatial corner Omega = omega / V
+WAKE_OMEGA_P = 1.25                    # periodic wake frequency, rad/s
+WAKE_THETA_S_AMP = 0.05                # deck-pitch amplitude of the wake, rad
+
+
+def hold_steps(dt_noise: float, dt: float) -> int:
+    """Steps of size dt that one held noise sample lasts."""
+    return max(1, round(dt_noise / dt))
+
+
+def next_hold_count(k: int, hold: int) -> int:
+    """A held source's count of steps since its last draw, one step on
+    from k (-1: no draw yet); 0 when the source draws this step."""
+    return 0 if k < 0 or k + 1 >= hold else k + 1
 
 
 def _held_sigma(power_db: float, dt_noise: float) -> float:
     return math.sqrt(10.0 ** (power_db / 10.0) / dt_noise)
+
+
+def held_noise_scales(source: str, dt_noise: float, gain: float) -> tuple:
+    """Sigmas of a held source at hold dt_noise and its gain: "ship"
+    (gain ship_noise_gain) the deck inputs' (heave, pitch); "wind" (gain
+    turb_norm) the unit input's, then the turbulence's (u1, w1), sigma^2 =
+    turb_norm * psd / length scale (0.5, the two-sided rad/m convention,
+    gives 1.0 and 0.60 m/s)."""
+    if source == "ship":
+        return (_held_sigma(SHIP_HEAVE_POWER_DB, dt_noise) * gain,
+                _held_sigma(SHIP_PITCH_POWER_DB, dt_noise) * gain)
+    return (math.sqrt(1.0 / dt_noise),
+            math.sqrt(gain * WIND_U1_PSD / WIND_LENGTH_SCALE),
+            math.sqrt(gain * WIND_W1_PSD / WIND_LENGTH_SCALE))
 
 
 @dataclass
@@ -62,8 +92,6 @@ class ShipParams:
     x_g: float = 0.0                       # ship centre of mass, m (speed 0)
     dt_noise: float = DEFAULT_DT_NOISE
     noise_gain: float = DEFAULT_SHIP_NOISE_GAIN
-    heave_power_db: float = SHIP_HEAVE_POWER_DB
-    pitch_power_db: float = SHIP_PITCH_POWER_DB
 
 
 @dataclass
@@ -124,19 +152,16 @@ def deck_motion(h0, h1, p2, p3, x_g):
 def held_ship_inputs(k, u_heave, u_pitch, hold, rng, p: ShipParams):
     """Advance the held white-noise inputs of the deck filters one step.
 
-    k counts the steps since the last draw (-1: none yet).  When the
-    hold of `hold` steps runs out, both inputs are redrawn from rng, or
-    kept when rng is None (ship motion off).  Returns
-    (k, u_heave, u_pitch).
+    k counts the steps since the last draw (next_hold_count).  On a
+    draw step both inputs are redrawn from rng, or kept when rng is None
+    (ship motion off).  Returns (k, u_heave, u_pitch).
     """
-    if k < 0 or k + 1 >= hold:
-        if rng is not None:
-            u_heave = rng.normal(
-                0.0, _held_sigma(p.heave_power_db, p.dt_noise) * p.noise_gain)
-            u_pitch = rng.normal(
-                0.0, _held_sigma(p.pitch_power_db, p.dt_noise) * p.noise_gain)
-        return 0, u_heave, u_pitch
-    return k + 1, u_heave, u_pitch
+    k = next_hold_count(k, hold)
+    if k == 0 and rng is not None:
+        sigma_h, sigma_p = held_noise_scales("ship", p.dt_noise, p.noise_gain)
+        u_heave = rng.normal(0.0, sigma_h)
+        u_pitch = rng.normal(0.0, sigma_p)
+    return k, u_heave, u_pitch
 
 
 def _ship_filter_derivative(x, u):
@@ -171,7 +196,7 @@ def _deck_zoh(dt, dt_noise):
              for i, row in enumerate(_matmul5(m, e))]
     for _ in range(squarings):
         e = _matmul5(e, e)
-    return (max(1, round(dt_noise / dt)),
+    return (hold_steps(dt_noise, dt),
             tuple(v for r in e[:4] for v in r[:4]), tuple(r[4] for r in e[:4]))
 
 
@@ -206,39 +231,24 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
 @dataclass
 class WindParams:
     v_wd: float = 10.0                  # wind over deck, m/s
-    u1_psd: float = 200.0               # spatial PSD heights
-    w1_psd: float = 71.6
-    length_scale: float = 100.0         # spatial corner: Omega = omega/V
-    # turbulence sigma^2 = turb_norm * psd / length_scale; the default
-    # 0.5 is the two-sided rad/m spectral convention, giving
-    # sigma_u1 = 1.0 m/s and sigma_w1 = 0.60 m/s (pi/2 would treat the
-    # integral as one-sided, scaling both up by sqrt(pi))
-    turb_norm: float = 0.5
-    omega_p: float = 1.25               # periodic wake frequency, rad/s
-    theta_s_amp: float = 0.05           # deck-pitch amplitude used by the wake, rad
+    turb_norm: float = 0.5              # see held_noise_scales
     wake_extent: float = 914.0          # m; wake terms are zero beyond this
     dt_noise: float = DEFAULT_DT_NOISE
 
 
 def wake_steady(x_dist: float, wake_extent: float = 914.0):
     """Steady wake components (u2, w2) at distance X ahead of the pitch centre."""
-    if 0.0 < x_dist < wake_extent:
-        u2 = 0.002 * x_dist
-    else:
-        u2 = 0.0
-    if 0.0 <= x_dist < wake_extent:
-        w2 = -1.0 + 0.0013 * x_dist
-    else:
-        w2 = 0.0
-    return u2, w2
+    if not 0.0 <= x_dist < wake_extent:
+        return 0.0, 0.0
+    return (0.002 * x_dist if x_dist > 0.0 else 0.0), -1.0 + 0.0013 * x_dist
 
 
 def wake_periodic(t: float, x_dist: float, p: WindParams):
     """Periodic wake components (u3, w3), zero outside the wake extent."""
     if not 0.0 <= x_dist < p.wake_extent:
         return 0.0, 0.0
-    c = math.cos(p.omega_p * (2.28 * t + x_dist / (0.85 * p.v_wd)) + 0.1)
-    scale = p.theta_s_amp * p.v_wd
+    c = math.cos(WAKE_OMEGA_P * (2.28 * t + x_dist / (0.85 * p.v_wd)) + 0.1)
+    scale = WAKE_THETA_S_AMP * p.v_wd
     u3 = scale * (2.22 + 0.000091 * x_dist) * c
     w3 = scale * (4.98 + 0.0018 * x_dist) * c
     return u3, w3
@@ -248,10 +258,9 @@ class WindField:
     """Stateful wind model: turbulence filters plus wake terms.
 
     The turbulence filters are exact zero-order-hold discretizations of
-    first-order lags with corner frequency v_ref/length_scale, scaled so
-    the stationary output variance matches the spatial-spectrum level
-    (sigma^2 = turb_norm * psd / length_scale; see WindParams.turb_norm,
-    default 0.5).
+    first-order lags with corner frequency v_ref / WIND_LENGTH_SCALE,
+    scaled so the stationary output variance matches the spatial-spectrum
+    level (held_noise_scales).  Off, the field is calm and draws nothing.
     """
 
     def __init__(self, params: WindParams, rng_u: np.random.Generator,
@@ -260,36 +269,29 @@ class WindField:
         self.p = params
         self.rng_u = rng_u
         self.rng_w = rng_w
-        self.dt = dt
         self.enabled = enabled
-        tau = params.length_scale / v_ref
+        tau = WIND_LENGTH_SCALE / v_ref
         self._phi = math.exp(-dt / tau)
-        self._hold_steps = max(1, round(params.dt_noise / dt))
+        self._hold = hold_steps(params.dt_noise, dt)
         self._since_draw = -1
-        sigma_u = math.sqrt(params.turb_norm * params.u1_psd / params.length_scale)
-        sigma_w = math.sqrt(params.turb_norm * params.w1_psd / params.length_scale)
+        self._in_sigma, sigma_u, sigma_w = held_noise_scales(
+            "wind", params.dt_noise, params.turb_norm)
         # input gain giving the target stationary output variance
         self._gain_u = sigma_u * math.sqrt(2.0 * tau)
         self._gain_w = sigma_w * math.sqrt(2.0 * tau)
-        self._in_sigma = math.sqrt(1.0 / params.dt_noise)
-        self._held_u = 0.0
-        self._held_w = 0.0
-        self.u1 = 0.0
-        self.w1 = 0.0
+        self._held_u = self._held_w = self.u1 = self.w1 = 0.0
 
     def sample(self, t: float, aircraft_x: float, ship_x: float) -> WindSample:
         """Advance the turbulence filters by dt and sample the total wind."""
-        if self._since_draw < 0 or self._since_draw + 1 >= self._hold_steps:
+        if not self.enabled:
+            return CALM
+        k = self._since_draw = next_hold_count(self._since_draw, self._hold)
+        if k == 0:
             self._held_u = self.rng_u.normal(0.0, self._in_sigma)
             self._held_w = self.rng_w.normal(0.0, self._in_sigma)
-            self._since_draw = 0
-        else:
-            self._since_draw += 1
         phi = self._phi
         self.u1 = phi * self.u1 + (1.0 - phi) * self._gain_u * self._held_u
         self.w1 = phi * self.w1 + (1.0 - phi) * self._gain_w * self._held_w
-        if not self.enabled:
-            return CALM
         x_dist = ship_x - aircraft_x
         u2, w2 = wake_steady(x_dist, self.p.wake_extent)
         u3, w3 = wake_periodic(t, x_dist, self.p)
@@ -303,28 +305,25 @@ class PitchNoise:
 
     The stated noise power is taken as the sample variance of the held
     random component (sigma = 1 mrad at -60 dB, matching the amplitude
-    of the 1 mrad periodic term), not as a spectral density.
+    of the 1 mrad periodic term), not as a spectral density.  Off, the
+    noise is zero and draws nothing.
     """
 
     def __init__(self, rng: np.random.Generator, dt: float,
-                 dt_noise: float = DEFAULT_DT_NOISE,
-                 power_db: float = PITCH_NOISE_POWER_DB,
-                 enabled: bool = True):
+                 dt_noise: float = DEFAULT_DT_NOISE, enabled: bool = True):
         self.rng = rng
         self.enabled = enabled
-        self._sigma = math.sqrt(10.0 ** (power_db / 10.0))
-        self._hold_steps = max(1, round(dt_noise / dt))
+        self._sigma = math.sqrt(10.0 ** (PITCH_NOISE_POWER_DB / 10.0))
+        self._hold = hold_steps(dt_noise, dt)
         self._since_draw = -1
         self._held = 0.0
 
     def sample(self, t: float) -> float:
-        if self._since_draw < 0 or self._since_draw + 1 >= self._hold_steps:
-            self._held = self.rng.normal(0.0, self._sigma)
-            self._since_draw = 0
-        else:
-            self._since_draw += 1
         if not self.enabled:
             return 0.0
+        k = self._since_draw = next_hold_count(self._since_draw, self._hold)
+        if k == 0:
+            self._held = self.rng.normal(0.0, self._sigma)
         return 0.001 * math.sin(7.0 * t) + self._held
 
 

@@ -69,7 +69,7 @@ from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
                       known_input, notch_coefficients)
 from .environment import (Environment, ShipParams, WindParams,
                           _ship_filter_derivative, deck_motion,
-                          held_ship_inputs)
+                          held_noise_scales, held_ship_inputs, hold_steps)
 from .integrate import rk4_step
 from .observer import ObserverParams, observer_derivative
 from .trimlin import TrimNotConverged, TrimPoint, linearize, solve_trim
@@ -151,8 +151,9 @@ class ScenarioConfig:
         MAX_STEPS steps; theta_r_low_deg <= theta_r_high_deg; the approach,
         which preloads integrators through 1 / ki, has vel.ki and sink.ki
         nonzero; a sink step has a nonzero command; with wind on, v_wd > 0
-        and the wake phase, as wake_extent / v_wd, is finite; an enabled
-        sink notch has finite coefficients at dt; and the observer
+        and the wake phase, as wake_extent / v_wd, is finite; the held
+        noise sigmas of the ship and the wind, each while on, are finite; an
+        enabled sink notch has finite coefficients at dt; and the observer
         parameters, their injection gains included, and the aero model
         file are valid."""
         _check_domains(self)
@@ -184,6 +185,18 @@ class ScenarioConfig:
         if self.wind_on and not math.isfinite(self.wake_extent / self.v_wd):
             raise ConfigError("wake_extent / v_wd must be finite when wind "
                               "is on")
+        for source, on, key in (("ship", self.ship_on, "ship_noise_gain"),
+                                ("wind", self.wind_on, "turb_norm")):
+            sigmas = held_noise_scales(source, self.dt_noise,
+                                       getattr(self, key))
+            if on and not all(map(math.isfinite, sigmas)):
+                unscaled = held_noise_scales(source, self.dt_noise, 1.0)
+                problem = (f"{key} is too large"
+                           if all(map(math.isfinite, unscaled))
+                           else "dt_noise is too small")
+                raise ConfigError(f"{problem}: the held {source} noise's "
+                                  f"sigmas at dt_noise = {self.dt_noise!r} "
+                                  "are not finite")
         omega, zeta = self.outer.sink_notch_omega, self.outer.sink_notch_zeta
         if omega > 0.0 and not _finite_notch(omega, zeta, dt):
             # (2 / dt)^2 overflows exactly when the coefficients of the
@@ -634,7 +647,7 @@ class Simulation:
             + env.ship.heave_filter + env.ship.pitch_filter
 
         ship_rng = env.ship_rng
-        hold = max(1, round(ship_params.dt_noise / dt))
+        hold = hold_steps(ship_params.dt_noise, dt)
         ship_since_draw = env.ship.steps_since_draw
         wind_sample = env.wind.sample
         noise_sample = env.noise.sample

@@ -31,6 +31,8 @@ from .airframe import (AeroModel, AircraftParams, OutOfTableRange,
                        state_derivative)
 
 TRIM_AIRSPEED = 69.1  # m/s, nominal approach speed
+TRIM_MAX_ITER = 200   # Newton iterations on alpha per candidate airspeed
+TRIM_TOL = 1e-10      # rad/s, the |alpha'| a trim point leaves
 
 
 class TrimNotConverged(RuntimeError):
@@ -86,34 +88,32 @@ def _level_flight(v: float, alpha: float, params: AircraftParams,
 
 
 def _newton_alpha(v: float, params: AircraftParams, model: AeroModel,
-                  max_iter: int, tol: float, alpha: float):
+                  alpha: float):
     """(alpha, delta_e, thrust, residuals) of level flight at airspeed v.
 
     An alpha off the aero table raises OutOfTableRange.
     """
     h = 1e-7
-    for _ in range(max_iter):
+    for _ in range(TRIM_MAX_ITER):
         delta_e, thrust, xdot = _level_flight(v, alpha, params, model)
-        if abs(xdot[2]) < tol:
+        if abs(xdot[2]) < TRIM_TOL:
             return alpha, delta_e, thrust, (xdot[2], xdot[3], xdot[0])
         slope = (_level_flight(v, alpha + h, params, model)[2][2]
                  - _level_flight(v, alpha - h, params, model)[2][2]) / (2 * h)
         if slope == 0.0:
             raise TrimNotConverged("alpha' does not depend on alpha")
         alpha -= xdot[2] / slope
-    raise TrimNotConverged(f"no convergence after {max_iter} iterations")
+    raise TrimNotConverged(f"no convergence after {TRIM_MAX_ITER} iterations")
 
 
 def solve_trim(params: AircraftParams, model: AeroModel,
                v_target: float = TRIM_AIRSPEED,
-               max_iter: int = 200, tol: float = 1e-10,
                alpha_guess: float = math.radians(5.0)) -> TrimPoint:
     """Solve steady level flight at (or as near as feasible to) v_target.
 
     Tries the candidate airspeed first; if the model cannot balance
     there (lift ceiling, thrust limit, an alpha iterate off the table),
-    walks the airspeed outward until a feasible point is found.  tol
-    bounds |alpha'| in rad/s.
+    walks the airspeed outward until a feasible point is found.
 
     Raises TrimNotConverged when no candidate admits a solution, or when
     v_target is not positive or so small or large that the moment scale
@@ -136,7 +136,6 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     for v in candidates:
         try:
             alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
-                                                        max_iter, tol,
                                                         alpha_guess)
         except (TrimNotConverged, OutOfTableRange) as exc:
             last_err = exc if isinstance(exc, TrimNotConverged) \

@@ -17,13 +17,15 @@ meant to leave outputs alone is checked with
 
 The cases cover trim and linearize, the approach under each control law
 with two seeds, pitch and sink steps clean, disturbed and with a trace
-row every step, a pitch step that leaves the aero table, observer gains
-that abort or are rejected under each law, a PID gain that pins the
-elevator, a sweep, a compare, three values outside their keys' domains
-on a pitch step, and a pitch step whose pitch law takes its partials from
-the linearization (use_local_partials=on).  The whole matrix takes about
-half a minute on a 2-core x86 machine.  pytest does not collect this
-file.
+row every step, an approach with wind but no sensor noise (seed 0) and a
+pitch step with sensor noise but no wind (seed 3), so that each source's
+off path is checked on its own, a pitch step that leaves the aero table,
+observer gains that abort or are rejected under each law, a PID gain
+that pins the elevator, a sweep, a compare, three values outside their
+keys' domains on a pitch step, and a pitch step whose pitch law takes its
+partials from the linearization (use_local_partials=on).  The whole
+matrix takes about half a minute on a 2-core x86 machine.  pytest does
+not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -74,6 +76,12 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
             out.append((f"approach_{law}_s{seed}",
                         ("run", "--scenario", "approach", "--controller", law,
                          "--wind", "on", "--noise", "on", "--seed", str(seed))))
+    out.append(("approach_opd_wind_only_s0",
+                ("run", "--scenario", "approach", "--wind", "on",
+                 "--noise", "off", "--seed", "0")))
+    out.append(("pitch_step_opd_noise_only_s3",
+                ("run", "--scenario", "pitch_step", "--wind", "off",
+                 "--noise", "on", "--seed", "3")))
     for scenario in ("pitch_step", "sink_step"):
         for law in LAWS:
             for variant, args in STEP_VARIANTS.items():

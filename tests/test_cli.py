@@ -301,6 +301,17 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     (("--dt", "1e-160", "--set", "dt_noise=1e-160", "--set",
       "noise_dt=1e-160", "--duration", "1e-153", "--set", "ship_warmup_s=0"),
      "dt is too small: the sink notch's coefficients"),
+    (("--set", "ship_noise_gain=1e308"),
+     "ship_noise_gain is too large: the held ship noise's sigmas"),
+    (("--scenario", "approach", "--wind", "on", "--set", "turb_norm=1e308"),
+     "turb_norm is too large: the held wind noise's sigmas"),
+    (("--dt", "1e-309", "--set", "dt_noise=1e-309", "--set",
+      "noise_dt=1e-309", "--duration", "1e-302", "--set", "ship_warmup_s=0"),
+     "dt_noise is too small: the held ship noise's sigmas"),
+    (("--ship", "off", "--wind", "on", "--dt", "1e-309", "--set",
+      "dt_noise=1e-309", "--set", "noise_dt=1e-309", "--duration", "1e-302",
+      "--set", "ship_warmup_s=0"),
+     "dt_noise is too small: the held wind noise's sigmas"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     # argv comes last, so that its own --duration wins
@@ -328,13 +339,17 @@ _BIG_K1 = {"obs.k2": 1e8, "obs.k3": 1e300}   # room for k1 under the k2 rule
     ("obs.epsilon", 0.3, 1e-110, {}, (0.75 / _MAX) ** (1 / 3)),
     ("sink.notch_omega", 7.1, 1e300, {}, math.sqrt(_MAX / 2)),   # 2 w0^2
     ("sink.notch_zeta", 0.25, 1e308, {}, _MAX / (2 * 7.1 * 2000)),
+    # the held heave sigma at dt_noise = 0.1 times the gain
+    ("ship_noise_gain", 0.16, 1e308, {}, _MAX / math.sqrt(10 ** 0.45 / 0.1)),
+    # turb_norm times the u1 PSD height, 200
+    ("turb_norm", 0.5, 1e308, {"wind_on": True}, _MAX / 200),
 ])
 def test_gain_overflow_edges(tmp_path, capsys, key, inside, outside, extra,
                              edge):
     """Bisect the floats between an accepted and a rejected value down to
-    the two neighbours at the edge: the edge is where the gain or notch
-    coefficient overflows, the value inside it runs (0, 3 or 4) and the
-    float past it exits 2 naming the key."""
+    the two neighbours at the edge: the edge is where the gain, notch
+    coefficient or held-noise sigma overflows, the value inside it runs
+    (0, 3 or 4) and the float past it exits 2 naming the key."""
     def accepted(value):
         try:
             config_from_dict({**extra, key: value}).validate()
@@ -361,7 +376,7 @@ def test_gain_overflow_edges(tmp_path, capsys, key, inside, outside, extra,
         EXIT_OK, EXIT_ABORT, EXIT_UNSETTLED)
     capsys.readouterr()
     err = _usage_error(capsys, *argv, "--set", f"{key}={first!r}")
-    assert (key if key.startswith("sink.") else "obs.*") in err
+    assert ("obs.*" if key.startswith("obs.") else key) in err
 
 
 def test_notch_dt_edge(tmp_path, capsys):
@@ -440,6 +455,22 @@ _NUMERIC_KEYS = sorted(k for k, (_, typ) in CONFIG_KEYS.items()
 _SHORT_KEYS = {"duration": (0.001, 0.2), "ship_warmup_s": (0.0, 0.3)}
 
 
+def _domain_draws(st, key):
+    """A numeric key's values from its CONFIG_KEYS domain: the finite
+    edges, the nearest value past each, values inside, and nan."""
+    (_, typ), domain = CONFIG_KEYS[key], CONFIG_KEYS[key].domain
+    lo, hi = domain.lo, domain.hi
+    if typ is int:
+        beyond = (lo - 1, hi + 1)
+        inside = st.integers(int(lo), int(min(hi, 2 ** 40)))
+    else:
+        beyond = (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
+        inside = st.floats(lo, hi)
+    edges = [v for edge, past in zip((lo, hi), beyond) if math.isfinite(edge)
+             for v in (edge, past)]
+    return st.one_of(st.sampled_from(edges + [math.nan]), inside)
+
+
 def _config_draws(st):
     """(scenario, controller, wind, noise, ship, settings) draws, where
     settings always holds the short keys and up to four other keys."""
@@ -453,10 +484,8 @@ def _config_draws(st):
             values[key] = st.sampled_from(
                 degenerate + [0.001, 0.002, 0.0005, 0.003, 0.01, 0.05,
                               1e-300, 5e-324])
-        elif CONFIG_KEYS[key][1] is int:
-            values[key] = st.integers(-3, 2 ** 40)
         else:
-            values[key] = st.one_of(special, st.floats())
+            values[key] = _domain_draws(st, key)
     other = st.lists(st.sampled_from(
         [k for k in _NUMERIC_KEYS if k not in _SHORT_KEYS]).flatmap(
             lambda k: st.tuples(st.just(k), values[k])), max_size=4)

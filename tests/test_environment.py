@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from carrierland.environment import (LANDING_POINT_OFFSET, Environment,
-                                     PitchNoise, ShipParams, ShipState,
-                                     WindField, WindParams, deck_motion,
-                                     rng_streams, ship_step, wake_periodic,
-                                     wake_steady)
+from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
+                                     Environment, PitchNoise, ShipParams,
+                                     ShipState, WindField, WindParams,
+                                     deck_motion, held_ship_inputs,
+                                     hold_steps, rng_streams, ship_step,
+                                     wake_periodic, wake_steady)
 
 
 class _ConstRng:
@@ -235,3 +236,56 @@ def test_streams_independent_of_other_sources():
         return out
 
     assert ship_only(7, False) == ship_only(7, True)
+
+
+def test_disabled_sources_draw_nothing():
+    """A source that is off returns calm or zero without touching its
+    generators, so its stream state is that of a fresh generator."""
+    rngs = [np.random.default_rng(s) for s in (2, 3, 4)]
+    before = [r.bit_generator.state for r in rngs]
+    wf = WindField(WindParams(), rngs[0], rngs[1], dt=1e-3, v_ref=69.1,
+                   enabled=False)
+    noise = PitchNoise(rngs[2], dt=1e-3, dt_noise=1e-3, enabled=False)
+    for k in range(1000):
+        assert wf.sample(k * 1e-3, -400.0, 0.0) is CALM
+        assert noise.sample(k * 1e-3) == 0.0
+    assert [r.bit_generator.state for r in rngs] == before
+    assert (wf.u1, wf.w1) == (0.0, 0.0)
+
+
+class _CountingRng:
+    """Records the step of each draw; draws 1.0."""
+
+    def __init__(self):
+        self.step = 0
+        self.draws = []
+
+    def normal(self, mean, sigma):
+        self.draws.append(self.step)
+        return 1.0
+
+
+@pytest.mark.parametrize("dt, dt_noise", [
+    (1e-3, 0.1), (1e-3, 1e-3), (2e-3, 0.01), (5e-4, 0.1), (0.01, 0.05),
+])
+def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
+    """Each held source draws on steps 0, hold, 2 hold, ... and on no
+    other step, hold = hold_steps(dt_noise, dt)."""
+    hold = hold_steps(dt_noise, dt)
+    assert hold == round(dt_noise / dt)
+    n = 4 * hold + 3
+    ship, wind_u, wind_w, noise_rng = (_CountingRng() for _ in range(4))
+    p = ShipParams(dt_noise=dt_noise)
+    wf = WindField(WindParams(dt_noise=dt_noise), wind_u, wind_w, dt=dt,
+                   v_ref=69.1)
+    noise = PitchNoise(noise_rng, dt=dt, dt_noise=dt_noise)
+    k, u_h, u_p = -1, 0.0, 0.0
+    for step in range(n):
+        for rng in (ship, wind_u, wind_w, noise_rng):
+            rng.step = step
+        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, ship, p)
+        wf.sample(step * dt, -400.0, 0.0)
+        noise.sample(step * dt)
+    expected = list(range(0, n, hold))
+    assert ship.draws == [s for s in expected for _ in (0, 1)]  # heave, pitch
+    assert wind_u.draws == wind_w.draws == noise_rng.draws == expected

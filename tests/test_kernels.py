@@ -25,10 +25,12 @@ from carrierland import control
 from carrierland.airframe import (AircraftParams, OutOfTableRange,
                                   default_aero_model, rigid_body_derivative,
                                   state_derivative)
-from carrierland.environment import (SHIP_DENOM, ShipParams, ShipState,
-                                     WindSample, _deck_zoh, _held_sigma,
-                                     _ship_filter_derivative, deck_motion,
-                                     held_ship_inputs, rng_streams, ship_step)
+from carrierland.environment import (SHIP_DENOM, SHIP_HEAVE_POWER_DB,
+                                     SHIP_PITCH_POWER_DB, ShipParams,
+                                     ShipState, WindSample, _deck_zoh,
+                                     _held_sigma, _ship_filter_derivative,
+                                     deck_motion, held_ship_inputs,
+                                     rng_streams, ship_step)
 from carrierland.control import OuterGains, PitchGains
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
@@ -441,9 +443,9 @@ def test_deck_motion_matches_engine_lines():
 def ref_engine_ship_draws(rng, params, dt, n, since, u_heave, u_pitch,
                           ship_on=True):
     """The engine's held deck-noise draws, one (k, u_h, u_p) per step."""
-    sig_h = _held_sigma(params.heave_power_db, params.dt_noise) \
+    sig_h = _held_sigma(SHIP_HEAVE_POWER_DB, params.dt_noise) \
         * params.noise_gain
-    sig_p = _held_sigma(params.pitch_power_db, params.dt_noise) \
+    sig_p = _held_sigma(SHIP_PITCH_POWER_DB, params.dt_noise) \
         * params.noise_gain
     hold = max(1, round(params.dt_noise / dt))
     out = []
@@ -464,9 +466,9 @@ def ref_ship_step(state, dt, rng, p):
     hold = max(1, round(p.dt_noise / dt))
     k = state.steps_since_draw
     if k < 0 or k + 1 >= hold:
-        u_h = rng.normal(0.0, _held_sigma(p.heave_power_db, p.dt_noise)
+        u_h = rng.normal(0.0, _held_sigma(SHIP_HEAVE_POWER_DB, p.dt_noise)
                          * p.noise_gain)
-        u_p = rng.normal(0.0, _held_sigma(p.pitch_power_db, p.dt_noise)
+        u_p = rng.normal(0.0, _held_sigma(SHIP_PITCH_POWER_DB, p.dt_noise)
                          * p.noise_gain)
         k = 0
     else:

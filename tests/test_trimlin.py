@@ -77,7 +77,7 @@ def test_trim_off_table_iterate_tries_next_airspeed(params, model, trim):
     # the table ends between the trim alphas of 69.1 and 71.1 m/s
     narrow = replace(model, alpha_max=trim.alpha_star - math.radians(0.05))
     with pytest.raises(OutOfTableRange):
-        trimlin._newton_alpha(trim.v_t_star, params, narrow, 200, 1e-10,
+        trimlin._newton_alpha(trim.v_t_star, params, narrow,
                               math.radians(5.0))
     tp = solve_trim(params, narrow)
     assert tp.v_t_star == trim.v_t_star + 2.0
