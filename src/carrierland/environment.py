@@ -2,8 +2,10 @@
 Stochastic environment: carrier deck motion, landing-point kinematics,
 air-wake wind and pitch measurement noise.  Each white source is held:
 it draws on the first step and then every hold-th step (next_hold_count),
-from its own RNG sub-stream of one run seed, so a source can be toggled,
-and draws nothing when off, without disturbing the samples the others draw.
+from its own RNG stream of one run seed: child i of SeedSequence(seed),
+ship 0, wind_u 1, wind_w 2, noise 3 (rng_stream).  A source that is off
+gets no generator and draws nothing, so toggling one leaves the samples
+the others draw unchanged.
 
 Ship motion.  Heave z_g and deck pitch theta_s come from two
 fourth-order shaping filters sharing the denominator
@@ -26,8 +28,8 @@ by first-order low-pass filters matched to the spatial spectra
 200/(1+(100 Ohm)^2) and 71.6/(1+(100 Ohm)^2), a steady wake profile
 (u2, w2) linear in the distance X ahead of the ship's pitch centre, and
 a periodic wake component (u3, w3) phase-locked to the deck-pitch
-frequency.  Wake terms vanish outside 0 <= X < 914 m.  The random wake
-component is omitted.
+frequency.  Wake terms vanish outside 0 <= X < wake_extent (914 m).  The
+random wake component is omitted.
 
 Measurement noise.  Pitch measurement noise is 0.001 sin(7 t) plus
 zero-order-held Gaussian noise of power -60 dB.
@@ -47,7 +49,8 @@ SHIP_HEAVE_NUM = 1.21
 SHIP_PITCH_NUM = 0.773                 # multiplies s^2
 LANDING_POINT_OFFSET = 81.0            # m aft of the centre of mass
 
-DEFAULT_DT_NOISE = 0.1                 # s, zero-order hold for all white sources
+DEFAULT_DT_NOISE = 0.1                 # s, zero-order hold of the deck and wind inputs
+DEFAULT_PITCH_NOISE_DT = 0.01          # s, zero-order hold of the pitch-sensor noise
 DEFAULT_SHIP_NOISE_GAIN = 0.16         # calibrated amplitude factor, see module doc
 SHIP_HEAVE_POWER_DB = 4.5
 SHIP_PITCH_POWER_DB = -20.0
@@ -56,6 +59,8 @@ WIND_U1_PSD, WIND_W1_PSD = 200.0, 71.6  # turbulence spatial PSD heights
 WIND_LENGTH_SCALE = 100.0              # m; spatial corner Omega = omega / V
 WAKE_OMEGA_P = 1.25                    # periodic wake frequency, rad/s
 WAKE_THETA_S_AMP = 0.05                # deck-pitch amplitude of the wake, rad
+DEFAULT_WAKE_EXTENT = 914.0            # m; wake terms are zero beyond this
+STREAM_NAMES = ("ship", "wind_u", "wind_w", "noise")  # child i of the run seed
 
 
 def hold_steps(dt_noise: float, dt: float) -> int:
@@ -232,11 +237,11 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
 class WindParams:
     v_wd: float = 10.0                  # wind over deck, m/s
     turb_norm: float = 0.5              # see held_noise_scales
-    wake_extent: float = 914.0          # m; wake terms are zero beyond this
+    wake_extent: float = DEFAULT_WAKE_EXTENT
     dt_noise: float = DEFAULT_DT_NOISE
 
 
-def wake_steady(x_dist: float, wake_extent: float = 914.0):
+def wake_steady(x_dist: float, wake_extent: float = DEFAULT_WAKE_EXTENT):
     """Steady wake components (u2, w2) at distance X ahead of the pitch centre."""
     if not 0.0 <= x_dist < wake_extent:
         return 0.0, 0.0
@@ -263,8 +268,8 @@ class WindField:
     level (held_noise_scales).  Off, the field is calm and draws nothing.
     """
 
-    def __init__(self, params: WindParams, rng_u: np.random.Generator,
-                 rng_w: np.random.Generator, dt: float, v_ref: float,
+    def __init__(self, params: WindParams, rng_u: np.random.Generator | None,
+                 rng_w: np.random.Generator | None, dt: float, v_ref: float,
                  enabled: bool = True):
         self.p = params
         self.rng_u = rng_u
@@ -309,8 +314,8 @@ class PitchNoise:
     noise is zero and draws nothing.
     """
 
-    def __init__(self, rng: np.random.Generator, dt: float,
-                 dt_noise: float = DEFAULT_DT_NOISE, enabled: bool = True):
+    def __init__(self, rng: np.random.Generator | None, dt: float,
+                 dt_noise: float = DEFAULT_PITCH_NOISE_DT, enabled: bool = True):
         self.rng = rng
         self.enabled = enabled
         self._sigma = math.sqrt(10.0 ** (PITCH_NOISE_POWER_DB / 10.0))
@@ -327,13 +332,18 @@ class PitchNoise:
         return 0.001 * math.sin(7.0 * t) + self._held
 
 
+def rng_stream(seed: int, name: str) -> np.random.Generator:
+    """The generator of one stochastic source: child i of
+    SeedSequence(seed), i the index of name in STREAM_NAMES.  Built from
+    its spawn key alone, it is bit-identical to SeedSequence(seed).spawn(4)[i]
+    without building the other three."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(STREAM_NAMES.index(name),)))
+
+
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
     """Independent, reproducible generators for each stochastic source."""
-    root = np.random.SeedSequence(seed)
-    names = ("ship", "wind_u", "wind_w", "noise")
-    children = root.spawn(len(names))
-    return {name: np.random.default_rng(child)
-            for name, child in zip(names, children)}
+    return {name: rng_stream(seed, name) for name in STREAM_NAMES}
 
 
 @dataclass
@@ -349,21 +359,24 @@ class Environment:
     wind_on: bool = True
     noise_on: bool = True
     warmup_s: float = 0.0
-    noise_dt: float = 0.01
+    noise_dt: float = DEFAULT_PITCH_NOISE_DT
     ship: ShipState = field(init=False)
     wind: WindField = field(init=False)
     noise: PitchNoise = field(init=False)
 
     def __post_init__(self):
-        streams = rng_streams(self.seed)
-        # the deck-noise stream; None with ship motion off, so the held
-        # inputs are never redrawn and the deck stays level
-        self.ship_rng = streams["ship"] if self.ship_on else None
+        def stream(name, on):
+            # a source that is off gets no generator: it never draws
+            return rng_stream(self.seed, name) if on else None
+
+        # None with ship motion off, so the held deck inputs are never
+        # redrawn and the deck stays level
+        self.ship_rng = stream("ship", self.ship_on)
         self.ship = ShipState()
-        self.wind = WindField(self.wind_params, streams["wind_u"],
-                              streams["wind_w"], self.dt, self.v_ref,
-                              enabled=self.wind_on)
-        self.noise = PitchNoise(streams["noise"], self.dt,
+        self.wind = WindField(self.wind_params, stream("wind_u", self.wind_on),
+                              stream("wind_w", self.wind_on), self.dt,
+                              self.v_ref, enabled=self.wind_on)
+        self.noise = PitchNoise(stream("noise", self.noise_on), self.dt,
                                 dt_noise=self.noise_dt,
                                 enabled=self.noise_on)
         if self.ship_rng is not None and self.warmup_s > 0.0:

@@ -52,6 +52,7 @@ every sample drawn and every float written to the trace.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import struct
 from array import array
@@ -67,7 +68,9 @@ from .actuation import (actuator_derivative, project_actuator_states,
 from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
                       PitchPID, SinkPI, VelocityPID, flight_path_generator,
                       known_input, notch_coefficients)
-from .environment import (Environment, ShipParams, WindParams,
+from .environment import (DEFAULT_DT_NOISE, DEFAULT_PITCH_NOISE_DT,
+                          DEFAULT_SHIP_NOISE_GAIN, DEFAULT_WAKE_EXTENT,
+                          Environment, ShipParams, WindParams,
                           _ship_filter_derivative, deck_motion,
                           held_noise_scales, held_ship_inputs, hold_steps)
 from .integrate import rk4_step
@@ -113,12 +116,12 @@ class ScenarioConfig:
     trace_decimation: int = 10
     ship_warmup_s: float = 60.0
     metric_skip_s: float = 5.0         # transient excluded from path metrics
-    dt_noise: float = 0.1
-    noise_dt: float = 0.01            # hold interval of the pitch-noise sensor
-    ship_noise_gain: float = 0.16
+    dt_noise: float = DEFAULT_DT_NOISE
+    noise_dt: float = DEFAULT_PITCH_NOISE_DT  # hold of the pitch-noise sensor
+    ship_noise_gain: float = DEFAULT_SHIP_NOISE_GAIN
     v_wd: float = 10.0
     turb_norm: float = 0.5
-    wake_extent: float = 914.0
+    wake_extent: float = DEFAULT_WAKE_EXTENT
     t_max: float | None = None         # thrust-limit override, N
     aero_model_path: str | None = None
     use_local_partials: bool = False   # pitch laws use the recomputed Jacobian
@@ -545,6 +548,14 @@ def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
             0.0, max((yi - target) / step_size for yi in y))
 
 
+@functools.lru_cache(maxsize=8)
+def _trim(params: AircraftParams, model: AeroModel) -> TrimPoint:
+    """solve_trim, once per airframe and aero model in a process: both
+    are frozen and hashable, and the TrimPoint is frozen, so runs share
+    it.  A failing solve raises and is not cached."""
+    return solve_trim(params, model)
+
+
 class Simulation:
     """One configured closed-loop run."""
 
@@ -555,7 +566,7 @@ class Simulation:
                                 if config.t_max else AircraftParams())
         self.model = model = load_aero_model(config.aero_model_path)
         try:
-            self.trim = solve_trim(params, model)
+            self.trim = _trim(params, model)
         except TrimNotConverged as exc:
             raise ConfigError(f"no trim point: {exc}") from exc
         self.obs_params = config.observer_params()

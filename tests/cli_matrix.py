@@ -17,8 +17,9 @@ meant to leave outputs alone is checked with
 
 The cases cover trim and linearize, the approach under each control law
 with two seeds, pitch and sink steps clean, disturbed and with a trace
-row every step, an approach with wind but no sensor noise (seed 0) and a
-pitch step with sensor noise but no wind (seed 3), so that each source's
+row every step, an approach with wind but no sensor noise (seed 0), a
+pitch step with sensor noise but no wind (seed 3) and a pitch step with
+wind and sensor noise but no ship motion (seed 5), so that each source's
 off path is checked on its own, a pitch step that leaves the aero table,
 observer gains that abort or are rejected under each law, a PID gain
 that pins the elevator, a sweep, a compare, three values outside their
@@ -82,6 +83,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("pitch_step_opd_noise_only_s3",
                 ("run", "--scenario", "pitch_step", "--wind", "off",
                  "--noise", "on", "--seed", "3")))
+    out.append(("pitch_step_opd_no_ship_s5",
+                ("run", "--scenario", "pitch_step", "--ship", "off",
+                 "--wind", "on", "--noise", "on", "--seed", "5")))
     for scenario in ("pitch_step", "sink_step"):
         for law in LAWS:
             for variant, args in STEP_VARIANTS.items():

@@ -1,13 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
-                                     Environment, PitchNoise, ShipParams,
-                                     ShipState, WindField, WindParams,
-                                     deck_motion, held_ship_inputs,
-                                     hold_steps, rng_streams, ship_step,
+                                     STREAM_NAMES, Environment, PitchNoise,
+                                     ShipParams, ShipState, WindField,
+                                     WindParams, deck_motion,
+                                     held_ship_inputs, hold_steps,
+                                     rng_stream, rng_streams, ship_step,
                                      wake_periodic, wake_steady)
 
 
@@ -289,3 +291,31 @@ def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
     expected = list(range(0, n, hold))
     assert ship.draws == [s for s in expected for _ in (0, 1)]  # heave, pitch
     assert wind_u.draws == wind_w.draws == noise_rng.draws == expected
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 + 5, 2**63])
+def test_rng_stream_is_the_spawned_child(seed):
+    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
+    streams = rng_streams(seed)
+    for name, child in zip(("ship", "wind_u", "wind_w", "noise"), children):
+        want = np.random.default_rng(child).bit_generator.state
+        assert rng_stream(seed, name).bit_generator.state == want
+        assert streams[name].bit_generator.state == want
+
+
+@pytest.mark.parametrize("ship_on, wind_on, noise_on",
+                         list(itertools.product((False, True), repeat=3)))
+def test_environment_builds_a_generator_only_for_a_source_that_is_on(
+        ship_on, wind_on, noise_on):
+    env = Environment(ShipParams(), WindParams(), dt=1e-3, seed=9,
+                      v_ref=69.1, ship_on=ship_on, wind_on=wind_on,
+                      noise_on=noise_on)
+    fresh = rng_streams(9)
+    for rng, name, on in ((env.ship_rng, "ship", ship_on),
+                          (env.wind.rng_u, "wind_u", wind_on),
+                          (env.wind.rng_w, "wind_w", wind_on),
+                          (env.noise.rng, "noise", noise_on)):
+        if on:
+            assert rng.bit_generator.state == fresh[name].bit_generator.state
+        else:
+            assert rng is None

@@ -7,7 +7,9 @@ import pytest
 
 from carrierland import sim
 from carrierland.airframe import state_derivative
+from carrierland.cli import EXIT_USAGE, main as cli_main
 from carrierland.control import known_input
+from carrierland.environment import PitchNoise, rng_stream
 from carrierland.integrate import rk4_step
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
                              ConfigError, RunMetrics, ScenarioConfig,
@@ -15,7 +17,7 @@ from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
                              compare_controllers, config_from_dict,
                              config_to_dict, run_scenario, set_config_key,
                              settle_time, write_trace_csv)
-from carrierland.trimlin import linearize
+from carrierland.trimlin import linearize, solve_trim
 
 
 # ---------------------------------------------------------------- RK4
@@ -495,6 +497,67 @@ def test_local_partials_come_from_linearize_only_when_on(monkeypatch,
     assert off.gains == ScenarioConfig().pitch
     Simulation(ScenarioConfig(use_local_partials=True))
     assert len(calls) == 1
+
+
+def test_runs_of_one_airframe_share_one_trim_solve(monkeypatch, trim):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_trim(*args)
+
+    monkeypatch.setattr(sim, "solve_trim", counted)
+    a = Simulation(ScenarioConfig())
+    calls.clear()   # solved here or by an earlier test in this process
+    b = Simulation(ScenarioConfig(scenario="sink_step", seed=4))
+    assert a.trim is b.trim and a.trim == trim
+    # a t_max no other test uses, so its first solve is a miss
+    own = [Simulation(ScenarioConfig(t_max=71172.5)) for _ in range(3)]
+    assert own[0].trim is not a.trim
+    assert own[0].trim is own[1].trim is own[2].trim
+    assert own[0].trim == solve_trim(own[0].params, own[0].model)
+    assert [args[0].t_max for args in calls] == [71172.5]
+
+
+def test_failing_trim_is_solved_again_on_each_run(monkeypatch, capsys,
+                                                  tmp_path):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_trim(*args)
+
+    monkeypatch.setattr(sim, "solve_trim", counted)
+    for n in (1, 2):
+        assert cli_main(["run", "--set", "t_max=1000",
+                         "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "no trim point" in capsys.readouterr().err
+        assert len(calls) == n
+
+
+def test_default_pitch_noise_holds_as_a_default_run(monkeypatch):
+    """A PitchNoise built with its defaults draws on the same steps as
+    the sensor noise of a run with the default config."""
+    build, envs = sim.Environment, []
+
+    def recorded(**kwargs):
+        envs.append(build(**kwargs))
+        return envs[-1]
+
+    monkeypatch.setattr(sim, "Environment", recorded)
+    cfg = ScenarioConfig(noise_on=True, duration=0.2)
+    run_scenario(cfg)
+    (env,) = envs
+    ref = PitchNoise(rng_stream(cfg.seed, "noise"), cfg.dt)
+    t = 0.0
+    for _ in range(200):
+        ref.sample(t)
+        t += cfg.dt
+    # as many draws over the run, then in step with it
+    assert ref.rng.bit_generator.state == env.noise.rng.bit_generator.state
+    for _ in range(25):
+        assert ref.sample(t) == env.noise.sample(t)
+        t += cfg.dt
 
 
 @pytest.mark.parametrize("controller, calls", [("opd", 100),
