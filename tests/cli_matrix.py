@@ -23,10 +23,15 @@ wind and sensor noise but no ship motion (seed 5), so that each source's
 off path is checked on its own, a pitch step that leaves the aero table,
 observer gains that abort or are rejected under each law, a PID gain
 that pins the elevator, a sweep, a compare, three values outside their
-keys' domains on a pitch step, and a pitch step whose pitch law takes its
-partials from the linearization (use_local_partials=on).  The whole
-matrix takes about half a minute on a 2-core x86 machine.  pytest does
-not collect this file.
+keys' domains on a pitch step, a pitch step whose pitch law takes its
+partials from the linearization (use_local_partials=on), a ship noise
+gain whose held draw overflows at t = 0 (exit 3), PID's limit cycle on a
+1e-6 m/s sink step, and the output layer's edges: a compare where PID
+aborts (exit 3, both partial traces), a compare given --set
+controller=pid (its resolved_config.json is the base config), a sweep
+whose runs abort (exit 3) and a one-seed sweep from seed 4.  The whole
+matrix takes about 40 s on a 2-core x86 machine.  pytest does not
+collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -115,6 +120,24 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("use_local_partials_on",
                 ("run", "--scenario", "pitch_step",
                  "--set", "use_local_partials=on")))
+    out.append(("ship_noise_gain_3_3e307",
+                ("run", "--scenario", "pitch_step", "--ship", "on",
+                 "--set", "ship_noise_gain=3.3e307", "--duration", "2")))
+    out.append(("sink_pid_limit_cycle",
+                ("run", "--scenario", "sink_step", "--controller", "pid",
+                 "--set", "sink_rate_cmd=1e-6")))
+    out.append(("compare_sink_pid_aborts",
+                ("compare", "--scenario", "sink_step", "--duration", "3")))
+    out.append(("compare_set_controller_pid",
+                ("compare", "--scenario", "pitch_step", "--duration", "2",
+                 "--set", "controller=pid")))
+    out.append(("sweep_aborts",
+                ("sweep", "--scenario", "pitch_step",
+                 "--set", "pitch_step_deg=-45", "--set", "theta_r_low_deg=-60",
+                 "--duration", "3", "--runs", "2")))
+    out.append(("sweep_one_seed_4",
+                ("sweep", "--scenario", "sink_step", "--duration", "2",
+                 "--runs", "1", "--seed", "4")))
     return out
 
 

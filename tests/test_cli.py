@@ -147,28 +147,63 @@ def test_require_settled_only_on_run(tmp_path, capsys, command):
     assert not (tmp_path / command).exists()
 
 
+# (argv, exit code, each law's aborted flag)
+_COMPARE_CASES = [
+    (("--scenario", "pitch_step", "--seed", "3", "--duration", "2.0"),
+     EXIT_OK, {"opd": False, "pid": False}),
+    # PID leaves the aero table on the default 10 m/s sink command
+    (("--scenario", "sink_step", "--duration", "3"),
+     EXIT_ABORT, {"opd": False, "pid": True}),
+]
+
+
 def test_compare_outputs(tmp_path, capsys):
-    out = tmp_path / "cmp"
-    code = run_cli("compare", "--scenario", "pitch_step", "--seed", "3",
-                   "--duration", "2.0", "--out", str(out))
-    assert code == EXIT_OK
-    names = sorted(p.name for p in out.iterdir())
-    assert names == ["comparison.json", "metrics_opd.json", "metrics_pid.json",
-                     "resolved_config.json", "trace_opd.csv", "trace_pid.csv"]
-    summary = json.loads((out / "comparison.json").read_text())
-    assert "speedup_ratio" in summary
+    for k, (argv, code, aborted) in enumerate(_COMPARE_CASES):
+        out = tmp_path / f"cmp{k}"
+        assert run_cli("compare", *argv, "--out", str(out)) == code
+        names = sorted(p.name for p in out.iterdir())
+        assert names == ["comparison.json", "metrics_opd.json",
+                         "metrics_pid.json", "resolved_config.json",
+                         "trace_opd.csv", "trace_pid.csv"]
+        for law, flag in aborted.items():
+            metrics = json.loads((out / f"metrics_{law}.json").read_text())
+            assert metrics["aborted"] is flag
+        summary = json.loads((out / "comparison.json").read_text())
+        assert sorted(summary) == ["fraction_faster", "opd_settle_s",
+                                   "pid_settle_s", "speedup_ratio"]
+
+
+# (argv, exit code, seeds); every run of the second case aborts
+_SWEEP_CASES = [
+    (("--seed", "10", "--duration", "1.0", "--runs", "3"),
+     EXIT_OK, [10, 11, 12]),
+    (("--set", "pitch_step_deg=-45", "--set", "theta_r_low_deg=-60",
+      "--duration", "3", "--runs", "2"), EXIT_ABORT, [0, 1]),
+]
 
 
 def test_sweep_outputs(tmp_path, capsys):
-    out = tmp_path / "sw"
-    code = run_cli("sweep", "--scenario", "pitch_step", "--seed", "10",
-                   "--duration", "1.0", "--runs", "3", "--out", str(out))
-    assert code == EXIT_OK
-    dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
-    assert dirs == ["seed_10", "seed_11", "seed_12"]
-    agg = (out / "aggregate.csv").read_text().strip().splitlines()
-    assert agg[0].startswith("seed,")
-    assert len(agg) == 4
+    for k, (argv, code, seeds) in enumerate(_SWEEP_CASES):
+        out = tmp_path / f"sw{k}"
+        assert run_cli("sweep", "--scenario", "pitch_step", *argv,
+                       "--out", str(out)) == code
+        dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert dirs == sorted(f"seed_{s}" for s in seeds)
+        agg = (out / "aggregate.csv").read_text().strip().splitlines()
+        header = agg[0].split(",")
+        assert header[0] == "seed"
+        assert len(agg) == len(seeds) + 1
+        # each row repeats its seed's metrics.json
+        for line, seed in zip(agg[1:], seeds):
+            row = dict(zip(header, line.split(",")))
+            metrics = json.loads((out / f"seed_{seed}" / "metrics.json")
+                                 .read_text())
+            assert row["seed"] == str(seed)
+            st = metrics["settle_time_2pct"]
+            assert row["settle_time_2pct"] == ("" if st is None
+                                               else format(st, ".10g"))
+            assert row["aborted"] == str(int(metrics["aborted"]))
+            assert metrics["aborted"] is (code == EXIT_ABORT)
 
 
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):
