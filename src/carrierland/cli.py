@@ -7,13 +7,17 @@ Subcommands:
     run         run one scenario, writing trace.csv / metrics.json /
                 resolved_config.json into the output directory
     compare     run the observer-PD and PID pitch laws against the same
-                seeded environment and write paired outputs
-    sweep       repeat a scenario over consecutive seeds and aggregate
+                seeded environment, writing trace_opd.csv / trace_pid.csv /
+                metrics_opd.json / metrics_pid.json, one resolved_config.json
+                of the base config (its controller is ignored) and
+                comparison.json
+    sweep       repeat a scenario over consecutive seeds, writing run's
+                three files into seed_<n>/ per seed and one aggregate.csv
 
 Configuration precedence: built-in defaults, then --config file, then
 --set key=value overrides (repeatable).  `run --help` lists each key
-and its domain.  Every run writes a resolved_config.json snapshot that
-reproduces the run byte-for-byte when passed back via --config.
+and its domain.  The resolved_config.json of a run or a sweep seed
+reproduces that run byte-for-byte when passed back via --config.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 model abort
 (simulation left its valid envelope), 4 run completed but a required
@@ -194,32 +198,33 @@ def cmd_linearize(args) -> int:
     return EXIT_OK
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _emit_run(result: RunResult, out_dir: str, suffix: str = "") -> None:
+    """Write one run's files: resolved_config.json (untagged runs only),
+    then trace[_suffix].csv and metrics[_suffix].json."""
     os.makedirs(out_dir, exist_ok=True)
+    if not suffix:
+        _write_json(os.path.join(out_dir, "resolved_config.json"),
+                    config_to_dict(result.config))
     tag = f"_{suffix}" if suffix else ""
     write_trace_csv(os.path.join(out_dir, f"trace{tag}.csv"), result.trace)
-    payload = result.metrics.to_dict()
+    payload = dict(vars(result.metrics))
     payload["aborted"] = result.aborted
     if result.aborted:
         payload["abort_time"] = result.abort_time
         payload["abort_reason"] = result.abort_reason
-    with open(os.path.join(out_dir, f"metrics{tag}.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _emit_config(cfg: ScenarioConfig, out_dir: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.json"), "w") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(out_dir, f"metrics{tag}.json"), payload)
 
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
     out_dir = out_dir_for(args, f"{cfg.scenario}_{cfg.controller}_s{cfg.seed}")
     result = run_scenario(cfg)
-    _emit_config(cfg, out_dir)
     _emit_run(result, out_dir)
     m = result.metrics
     if result.aborted:
@@ -262,31 +267,28 @@ def _print_summary(cfg: ScenarioConfig, m) -> None:
 def cmd_compare(args) -> int:
     cfg = resolve_config(args)
     out_dir = out_dir_for(args, f"compare_{cfg.scenario}_s{cfg.seed}")
-    result = compare_controllers(cfg)
-    _emit_config(cfg, out_dir)
-    _emit_run(result.opd, out_dir, suffix="opd")
-    _emit_run(result.pid, out_dir, suffix="pid")
-    summary = {
-        "opd_settle_s": result.opd.metrics.settle_time_2pct,
-        "pid_settle_s": result.pid.metrics.settle_time_2pct,
-        "speedup_ratio": result.speedup_ratio,
-        "fraction_faster": result.fraction_faster,
-    }
-    with open(os.path.join(out_dir, "comparison.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    for name, res in (("opd", result.opd), ("pid", result.pid)):
+    runs = compare_controllers(cfg)._asdict()
+    os.makedirs(out_dir, exist_ok=True)
+    # one config for both laws: the base config, whose controller is unread
+    _write_json(os.path.join(out_dir, "resolved_config.json"),
+                config_to_dict(cfg))
+    for law, res in runs.items():
+        _emit_run(res, out_dir, suffix=law)
+    opd, pid = (res.metrics.settle_time_2pct for res in runs.values())
+    speedup = pid / opd if opd and pid and opd > 0.0 else None
+    faster = None if speedup is None else 1.0 - 1.0 / speedup
+    _write_json(os.path.join(out_dir, "comparison.json"),
+                {"opd_settle_s": opd, "pid_settle_s": pid,
+                 "speedup_ratio": speedup, "fraction_faster": faster})
+    for law, res in runs.items():
         st = res.metrics.settle_time_2pct
         state = f"{st:.3f} s" if st is not None else "not settled"
         extra = " (aborted)" if res.aborted else ""
-        print(f"  {name}: settle {state}{extra}")
-    if result.speedup_ratio is not None:
-        print(f"  speedup: {result.speedup_ratio:.2f}x "
-              f"({100 * result.fraction_faster:.0f}% faster)")
+        print(f"  {law}: settle {state}{extra}")
+    if speedup is not None:
+        print(f"  speedup: {speedup:.2f}x ({100 * faster:.0f}% faster)")
     print(f"outputs written to {out_dir}")
-    if result.opd.aborted or result.pid.aborted:
-        return EXIT_ABORT
-    return EXIT_OK
+    return EXIT_ABORT if any(r.aborted for r in runs.values()) else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -296,16 +298,11 @@ def cmd_sweep(args) -> int:
     out_dir = out_dir_for(args, f"sweep_{cfg.scenario}_{cfg.controller}")
     os.makedirs(out_dir, exist_ok=True)
     rows = []
-    any_abort = False
-    for k in range(args.runs):
-        run_cfg = config_from_dict({"seed": cfg.seed + k}, base=cfg)
-        run_dir = os.path.join(out_dir, f"seed_{run_cfg.seed}")
-        result = run_scenario(run_cfg)
-        _emit_config(run_cfg, run_dir)
-        _emit_run(result, run_dir)
-        any_abort = any_abort or result.aborted
+    for seed in range(cfg.seed, cfg.seed + args.runs):
+        result = run_scenario(config_from_dict({"seed": seed}, base=cfg))
+        _emit_run(result, os.path.join(out_dir, f"seed_{seed}"))
         m = result.metrics
-        rows.append((run_cfg.seed, m.settle_time_2pct, m.steady_state_error,
+        rows.append((seed, m.settle_time_2pct, m.steady_state_error,
                      m.max_glidepath_deviation, result.aborted))
     agg_path = os.path.join(out_dir, "aggregate.csv")
     with open(agg_path, "w") as f:
@@ -318,7 +315,7 @@ def cmd_sweep(args) -> int:
     if settled:
         print(f"  settled {len(settled)}/{len(rows)}, "
               f"settle range {min(settled):.3f}-{max(settled):.3f} s")
-    return EXIT_ABORT if any_abort else EXIT_OK
+    return EXIT_ABORT if any(row[-1] for row in rows) else EXIT_OK
 
 
 def _opt(v) -> str:

@@ -421,9 +421,6 @@ class RunMetrics:
     thrust_saturation_count: int = 0
     observer_rms_error: float | None = None
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 # rows unboxed at a time by Trace iteration, and so by write_trace_csv
 TRACE_BLOCK_ROWS = 64
@@ -856,31 +853,16 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     return Simulation(config).run()
 
 
-@dataclass
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     opd: RunResult
     pid: RunResult
-
-    @property
-    def speedup_ratio(self) -> float | None:
-        a = self.opd.metrics.settle_time_2pct
-        b = self.pid.metrics.settle_time_2pct
-        if a and b and a > 0.0:
-            return b / a
-        return None
-
-    @property
-    def fraction_faster(self) -> float | None:
-        r = self.speedup_ratio
-        return None if r is None else 1.0 - 1.0 / r
 
 
 def compare_controllers(config: ScenarioConfig) -> ComparisonResult:
     """Run the observer-PD and PID laws against identical environments."""
-    return ComparisonResult(
-        opd=run_scenario(config_from_dict({"controller": "opd"}, base=config)),
-        pid=run_scenario(config_from_dict({"controller": "pid"}, base=config)),
-    )
+    return ComparisonResult(*(
+        run_scenario(config_from_dict({"controller": law}, base=config))
+        for law in ComparisonResult._fields))
 
 
 def write_trace_csv(path, trace: Trace) -> None:
