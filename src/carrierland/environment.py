@@ -3,9 +3,9 @@ Stochastic environment: carrier deck motion, landing-point kinematics,
 air-wake wind and pitch measurement noise.  Each white source is held:
 it draws on the first step and then every hold-th step (next_hold_count),
 from its own RNG stream of one run seed: child i of SeedSequence(seed),
-ship 0, wind_u 1, wind_w 2, noise 3 (rng_stream).  A source that is off
-gets no generator and draws nothing, so toggling one leaves the samples
-the others draw unchanged.
+ship 0, wind_u 1, wind_w 2, noise 3 (rng_stream).  A source is off
+exactly when it has no generator; it then draws nothing, so toggling one
+leaves the samples the others draw unchanged.
 
 Ship motion.  Heave z_g and deck pitch theta_s come from two
 fourth-order shaping filters sharing the denominator
@@ -248,11 +248,16 @@ def wake_steady(x_dist: float, wake_extent: float = DEFAULT_WAKE_EXTENT):
     return (0.002 * x_dist if x_dist > 0.0 else 0.0), -1.0 + 0.0013 * x_dist
 
 
+def wake_phase(t: float, x_dist: float, v_wd: float) -> float:
+    """The periodic wake's phase, rad: rises in t and in X once v_wd > 0."""
+    return WAKE_OMEGA_P * (2.28 * t + x_dist / (0.85 * v_wd)) + 0.1
+
+
 def wake_periodic(t: float, x_dist: float, p: WindParams):
     """Periodic wake components (u3, w3), zero outside the wake extent."""
     if not 0.0 <= x_dist < p.wake_extent:
         return 0.0, 0.0
-    c = math.cos(WAKE_OMEGA_P * (2.28 * t + x_dist / (0.85 * p.v_wd)) + 0.1)
+    c = math.cos(wake_phase(t, x_dist, p.v_wd))
     scale = WAKE_THETA_S_AMP * p.v_wd
     u3 = scale * (2.22 + 0.000091 * x_dist) * c
     w3 = scale * (4.98 + 0.0018 * x_dist) * c
@@ -265,16 +270,15 @@ class WindField:
     The turbulence filters are exact zero-order-hold discretizations of
     first-order lags with corner frequency v_ref / WIND_LENGTH_SCALE,
     scaled so the stationary output variance matches the spatial-spectrum
-    level (held_noise_scales).  Off, the field is calm and draws nothing.
+    level (held_noise_scales).  Off, with no generators (rng_u None), the
+    field is calm and draws nothing.
     """
 
     def __init__(self, params: WindParams, rng_u: np.random.Generator | None,
-                 rng_w: np.random.Generator | None, dt: float, v_ref: float,
-                 enabled: bool = True):
+                 rng_w: np.random.Generator | None, dt: float, v_ref: float):
         self.p = params
         self.rng_u = rng_u
         self.rng_w = rng_w
-        self.enabled = enabled
         tau = WIND_LENGTH_SCALE / v_ref
         self._phi = math.exp(-dt / tau)
         self._hold = hold_steps(params.dt_noise, dt)
@@ -288,7 +292,7 @@ class WindField:
 
     def sample(self, t: float, aircraft_x: float, ship_x: float) -> WindSample:
         """Advance the turbulence filters by dt and sample the total wind."""
-        if not self.enabled:
+        if self.rng_u is None:
             return CALM
         k = self._since_draw = next_hold_count(self._since_draw, self._hold)
         if k == 0:
@@ -310,21 +314,20 @@ class PitchNoise:
 
     The stated noise power is taken as the sample variance of the held
     random component (sigma = 1 mrad at -60 dB, matching the amplitude
-    of the 1 mrad periodic term), not as a spectral density.  Off, the
-    noise is zero and draws nothing.
+    of the 1 mrad periodic term), not as a spectral density.  Off, with
+    no generator (rng None), the noise is zero and draws nothing.
     """
 
     def __init__(self, rng: np.random.Generator | None, dt: float,
-                 dt_noise: float = DEFAULT_PITCH_NOISE_DT, enabled: bool = True):
+                 dt_noise: float = DEFAULT_PITCH_NOISE_DT):
         self.rng = rng
-        self.enabled = enabled
         self._sigma = math.sqrt(10.0 ** (PITCH_NOISE_POWER_DB / 10.0))
         self._hold = hold_steps(dt_noise, dt)
         self._since_draw = -1
         self._held = 0.0
 
     def sample(self, t: float) -> float:
-        if not self.enabled:
+        if self.rng is None:
             return 0.0
         k = self._since_draw = next_hold_count(self._since_draw, self._hold)
         if k == 0:
@@ -369,16 +372,14 @@ class Environment:
             # a source that is off gets no generator: it never draws
             return rng_stream(self.seed, name) if on else None
 
-        # None with ship motion off, so the held deck inputs are never
-        # redrawn and the deck stays level
+        # with ship motion off the held deck inputs stay 0: a level deck
         self.ship_rng = stream("ship", self.ship_on)
         self.ship = ShipState()
         self.wind = WindField(self.wind_params, stream("wind_u", self.wind_on),
                               stream("wind_w", self.wind_on), self.dt,
-                              self.v_ref, enabled=self.wind_on)
+                              self.v_ref)
         self.noise = PitchNoise(stream("noise", self.noise_on), self.dt,
-                                dt_noise=self.noise_dt,
-                                enabled=self.noise_on)
+                                dt_noise=self.noise_dt)
         if self.ship_rng is not None and self.warmup_s > 0.0:
             step, st, dt = ship_step, self.ship, self.dt
             rng, p = self.ship_rng, self.ship_params

@@ -70,9 +70,9 @@ from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
                       known_input, notch_coefficients)
 from .environment import (DEFAULT_DT_NOISE, DEFAULT_PITCH_NOISE_DT,
                           DEFAULT_SHIP_NOISE_GAIN, DEFAULT_WAKE_EXTENT,
-                          Environment, ShipParams, WindParams,
-                          _ship_filter_derivative, deck_motion,
-                          held_noise_scales, held_ship_inputs, hold_steps)
+                          Environment, ShipParams, WindParams, deck_motion,
+                          _ship_filter_derivative, held_noise_scales,
+                          held_ship_inputs, hold_steps, wake_phase)
 from .integrate import rk4_step
 from .observer import ObserverParams, observer_derivative
 from .trimlin import TrimNotConverged, TrimPoint, linearize, solve_trim
@@ -154,11 +154,11 @@ class ScenarioConfig:
         MAX_STEPS steps; theta_r_low_deg <= theta_r_high_deg; the approach,
         which preloads integrators through 1 / ki, has vel.ki and sink.ki
         nonzero; a sink step has a nonzero command; with wind on, v_wd > 0
-        and the wake phase, as wake_extent / v_wd, is finite; the held
-        noise sigmas of the ship and the wind, each while on, are finite; an
-        enabled sink notch has finite coefficients at dt; and the observer
-        parameters, their injection gains included, and the aero model
-        file are valid."""
+        and wake_phase(duration, wake_extent, v_wd), which bounds the run's
+        wake phases, is finite; the held noise sigmas of the ship and the
+        wind, each while on, are finite; an enabled sink notch has finite
+        coefficients at dt; and the observer parameters, their injection
+        gains included, and the aero model file are valid."""
         _check_domains(self)
         dt = self.dt
         for key in ("dt_noise", "noise_dt"):
@@ -185,9 +185,10 @@ class ScenarioConfig:
             raise ConfigError("sink_rate_cmd must be nonzero for sink_step")
         if self.wind_on and not self.v_wd > 0.0:
             raise ConfigError("v_wd must be > 0 when wind is on")
-        if self.wind_on and not math.isfinite(self.wake_extent / self.v_wd):
-            raise ConfigError("wake_extent / v_wd must be finite when wind "
-                              "is on")
+        if self.wind_on and not math.isfinite(wake_phase(
+                self.resolved_duration(), self.wake_extent, self.v_wd)):
+            raise ConfigError("wake_extent / v_wd or duration is too large: "
+                              "the wake phase is not finite with wind on")
         for source, on, key in (("ship", self.ship_on, "ship_noise_gain"),
                                 ("wind", self.wind_on, "turb_norm")):
             sigmas = held_noise_scales(source, self.dt_noise,
@@ -494,15 +495,15 @@ class RunResult:
     trim: TrimPoint | None = None
 
 
-def settle_time(t, y, target: float, band_fraction: float = 0.02):
+def settle_time(t, y, target: float):
     """First time after which y stays inside the +-band around target.
 
-    The band is band_fraction of |target|, the absolute target, not the
-    step size: on a 1 deg pitch step to theta* + 1 deg ~ 8.1 deg the 2 %
-    band is ~0.16 deg, 16 % of the step.  Returns None when the signal
-    never enters the band or leaves it again before the window ends.
+    The band is 2 % of |target|, the absolute target, not the step size:
+    on a 1 deg pitch step to theta* + 1 deg ~ 8.1 deg the band is
+    ~0.16 deg, 16 % of the step.  Returns None when the signal never
+    enters the band or leaves it again before the window ends.
     """
-    band = band_fraction * abs(target)
+    band = 0.02 * abs(target)
     last_out = -1
     for i in range(len(y) - 1, -1, -1):
         if abs(y[i] - target) > band:
@@ -530,15 +531,17 @@ def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
     """Settling, steady-state and overshoot metrics of a step response.
 
     The step goes from `start` to `target`.  The steady-state error is
-    the mean over the last second relative to |target|; the overshoot is
-    the peak excursion past the target relative to the step size.
+    the mean over the last second relative to |target|, None at a zero
+    target; the overshoot is the peak excursion past the target relative
+    to the step size, None for a zero step.
     """
     st = settle_time(t, y, target)
     metrics.settle_time_2pct = st
     metrics.settled = st is not None
     tail = y[-max(1, int(1.0 / dt)):]
-    metrics.steady_state_error = abs(
-        sum(tail) / len(tail) - target) / abs(target)
+    if target != 0.0:
+        metrics.steady_state_error = abs(
+            sum(tail) / len(tail) - target) / abs(target)
     step_size = target - start
     if step_size != 0.0:
         metrics.overshoot = max(
@@ -750,7 +753,8 @@ class Simulation:
                 if use_pid:
                     de_cmd = pid_step(theta_r, theta_meas, dt)
                 elif use_truth:
-                    qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g, w_g)
+                    qdot_now = state_derivative(v, th, al, q, de, t_eng, u_g,
+                                                w_g, model, params)[3]
                     d_truth = qdot_now - known_input(q, de, delta_e_trim,
                                                      gains)
                     de_cmd = opd_step(theta_r, theta_meas, q, d_truth)
@@ -770,8 +774,8 @@ class Simulation:
                 if k % decim == 0:
                     # the truth law already evaluated it this step
                     if not use_truth:
-                        qdot_now = self._qdot(v, th, al, q, de, t_eng, u_g,
-                                              w_g)
+                        qdot_now = state_derivative(v, th, al, q, de, t_eng,
+                                                    u_g, w_g, model, params)[3]
                     d_true = qdot_now - h_theta
                     add_row((
                         t, v, th, al, q, x, z, gamma, de, t_eng, theta_r,
@@ -840,12 +844,6 @@ class Simulation:
         return RunResult(config=self.cfg, trace=trace, metrics=metrics,
                          aborted=aborted, abort_time=t if aborted else None,
                          abort_reason=abort_reason, trim=self.trim)
-
-    # ------------------------------------------------------------------
-    def _qdot(self, v, th, al, q, de, thrust, u_g, w_g) -> float:
-        """Pitch acceleration at the given point (for d_true and truth mode)."""
-        return state_derivative(v, th, al, q, de, thrust, u_g, w_g,
-                                self.model, self.params)[3]
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -29,9 +29,11 @@ gain whose held draw overflows at t = 0 (exit 3), PID's limit cycle on a
 1e-6 m/s sink step, and the output layer's edges: a compare where PID
 aborts (exit 3, both partial traces), a compare given --set
 controller=pid (its resolved_config.json is the base config), a sweep
-whose runs abort (exit 3) and a one-seed sweep from seed 4.  The whole
-matrix takes about 40 s on a 2-core x86 machine.  pytest does not
-collect this file.
+whose runs abort (exit 3) and a one-seed sweep from seed 4; then a pitch
+step to a target of exactly 0 rad on the default airframe (null
+steady-state error) and a finite wake_extent / v_wd whose wake phase
+overflows (exit 2).  The whole matrix takes about 40 s on a 2-core x86
+machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -138,6 +140,13 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("sweep_one_seed_4",
                 ("sweep", "--scenario", "sink_step", "--duration", "2",
                  "--runs", "1", "--seed", "4")))
+    out.append(("pitch_step_zero_target",
+                ("run", "--scenario", "pitch_step",
+                 "--set", "pitch_step_deg=-7.099999999999988")))
+    out.append(("wake_phase_overflow",
+                ("run", "--scenario", "pitch_step", "--wind", "on",
+                 "--set", "v_wd=1.3e-305", "--set", "wake_extent=2200",
+                 "--duration", "0.01")))
     return out
 
 

@@ -347,6 +347,11 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
       "dt_noise=1e-309", "--set", "noise_dt=1e-309", "--duration", "1e-302",
       "--set", "ship_warmup_s=0"),
      "dt_noise is too small: the held wind noise's sigmas"),
+    # wake_extent / v_wd is finite, but the wake phase it feeds is not
+    (("--wind", "on", "--set", "v_wd=1.3e-305", "--set", "wake_extent=2200",
+      "--duration", "0.01"), "wake_extent / v_wd or duration is too large"),
+    (("--scenario", "approach", "--wind", "on", "--set", "v_wd=1.3e-305",
+      "--set", "wake_extent=2200"), "the wake phase is not finite"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     # argv comes last, so that its own --duration wins
@@ -539,6 +544,16 @@ def test_config_fuzz_runs_or_rejects():
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
                          database=None)
     @hypothesis.given(_config_draws(hypothesis.strategies))
+    # a pitch step to exactly 0 rad on the default airframe, a value of
+    # measure zero that the draws miss
+    @hypothesis.example(("pitch_step", "opd", False, False, True,
+                         [("duration", 0.2), ("ship_warmup_s", 0.0),
+                          ("pitch_step_deg", -7.099999999999988)]))
+    # a finite wake_extent / v_wd whose wake phase overflows, at the
+    # float edge that the draws miss
+    @hypothesis.example(("pitch_step", "opd", True, False, True,
+                         [("duration", 0.01), ("ship_warmup_s", 0.0),
+                          ("v_wd", 1.3e-305), ("wake_extent", 2200.0)]))
     def check(draw):
         scenario, controller, wind, noise, ship, settings = draw
         argv = ["run", "--scenario", scenario, "--controller", controller,

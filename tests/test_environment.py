@@ -10,7 +10,8 @@ from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
                                      WindParams, deck_motion,
                                      held_ship_inputs, hold_steps,
                                      rng_stream, rng_streams, ship_step,
-                                     wake_periodic, wake_steady)
+                                     wake_periodic, wake_phase,
+                                     wake_steady)
 
 
 class _ConstRng:
@@ -140,6 +141,20 @@ def test_wake_periodic_example_value():
     assert wake_periodic(3.0, 1000.0, p) == (0.0, 0.0)
 
 
+def test_wake_periodic_is_the_cosine_of_wake_phase():
+    """One phase expression: wake_periodic takes its cosine, and it rises
+    in t and X, so its value at the run's end and the wake's far edge
+    bounds the phases a run computes."""
+    p = WindParams(v_wd=7.0)
+    for t, x in ((0.0, 0.0), (2.5, 400.0), (30.0, 913.0)):
+        c, scale = math.cos(wake_phase(t, x, p.v_wd)), 0.05 * p.v_wd
+        assert wake_periodic(t, x, p) == (scale * (2.22 + 0.000091 * x) * c,
+                                          scale * (4.98 + 0.0018 * x) * c)
+    assert wake_phase(0.0, 0.0, 7.0) < wake_phase(1.0, 0.0, 7.0) \
+        < wake_phase(1.0, 10.0, 7.0)
+    assert wake_phase(0.01, 2200.0, 1.3e-305) == math.inf
+
+
 def test_wake_periodic_continuous_in_time():
     p = WindParams()
     prev = wake_periodic(0.0, 400.0, p)
@@ -167,7 +182,7 @@ def test_pitch_noise_variance_convention():
 
 
 def test_pitch_noise_disabled_is_zero_everywhere():
-    noise = PitchNoise(np.random.default_rng(4), dt=1e-3, enabled=False)
+    noise = PitchNoise(None, dt=1e-3)
     assert all(noise.sample(t) == 0.0 for t in (0.0, 0.3, 1.7))
 
 
@@ -202,8 +217,7 @@ def test_wind_sample_components_sum():
 
 def test_disabled_wind_returns_calm():
     p = WindParams()
-    wf = WindField(p, np.random.default_rng(2), np.random.default_rng(3),
-                   dt=1e-3, v_ref=69.1, enabled=False)
+    wf = WindField(p, None, None, dt=1e-3, v_ref=69.1)
     s = wf.sample(0.5, -400.0, 0.0)
     assert s.u_g == 0.0 and s.w_g == 0.0
 
@@ -241,17 +255,13 @@ def test_streams_independent_of_other_sources():
 
 
 def test_disabled_sources_draw_nothing():
-    """A source that is off returns calm or zero without touching its
-    generators, so its stream state is that of a fresh generator."""
-    rngs = [np.random.default_rng(s) for s in (2, 3, 4)]
-    before = [r.bit_generator.state for r in rngs]
-    wf = WindField(WindParams(), rngs[0], rngs[1], dt=1e-3, v_ref=69.1,
-                   enabled=False)
-    noise = PitchNoise(rngs[2], dt=1e-3, dt_noise=1e-3, enabled=False)
+    """A source is off exactly when it has no generator: it then returns
+    calm or zero on every step, and its filters stay at rest."""
+    wf = WindField(WindParams(), None, None, dt=1e-3, v_ref=69.1)
+    noise = PitchNoise(None, dt=1e-3, dt_noise=1e-3)
     for k in range(1000):
         assert wf.sample(k * 1e-3, -400.0, 0.0) is CALM
         assert noise.sample(k * 1e-3) == 0.0
-    assert [r.bit_generator.state for r in rngs] == before
     assert (wf.u1, wf.w1) == (0.0, 0.0)
 
 

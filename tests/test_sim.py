@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import struct
 import tracemalloc
@@ -301,6 +302,39 @@ def test_environment_identical_across_compared_controllers():
     for ra, rb in zip(cmp.opd.trace, cmp.pid.trace):
         for c in env_cols:
             assert ra[c] == rb[c]
+
+
+_DECK_COLUMNS = ("z_g", "theta_s", "x_l", "z_l")
+
+
+@pytest.mark.parametrize("scenario", ["pitch_step", "sink_step"])
+@pytest.mark.parametrize("controller", CONTROLLERS)
+def test_deck_motion_is_exogenous_to_the_aircraft(tmp_path, scenario,
+                                                  controller):
+    """Off the approach nothing reads the deck, so switching the ship on
+    or off moves only the deck's own trace columns: every other cell
+    keeps its bits and metrics.json its bytes."""
+    runs, metrics, codes = {}, {}, set()
+    for ship in ("on", "off"):
+        argv = ["--scenario", scenario, "--controller", controller,
+                "--ship", ship, "--wind", "off", "--noise", "off",
+                "--seed", "1", "--duration", "2"]
+        cfg = config_from_dict({"scenario": scenario, "controller": controller,
+                                "ship_on": ship == "on", "seed": 1,
+                                "duration": 2.0})
+        runs[ship] = run_scenario(cfg).trace
+        codes.add(cli_main(["run", *argv, "--out", str(tmp_path / ship)]))
+        metrics[ship] = (tmp_path / ship / "metrics.json").read_bytes()
+    # PID aborts on the sink step (an alpha-table exit), at the same step
+    assert len(codes) == 1 and metrics["on"] == metrics["off"]
+    assert len(runs["on"]) == len(runs["off"]) > 0
+    deck = {_COL[c] for c in _DECK_COLUMNS}
+    moved = set()
+    for row_on, row_off in zip(runs["on"], runs["off"]):
+        for j, (a, b) in enumerate(zip(_bits(row_on), _bits(row_off))):
+            if a != b:
+                moved.add(j)
+    assert moved == deck
 
 
 def test_model_abort_is_reported():
@@ -650,6 +684,27 @@ def test_sink_step_metrics_rebuilt_from_full_rate_trace(controller):
         _column(r.trace, "w_g"))]
     _assert_step_metrics(r.metrics, _column(r.trace, "t"), zdot, 0.0,
                          -cfg.sink_rate_cmd, cfg.dt)
+
+
+@pytest.mark.parametrize("target", [0.0, -0.0])
+def test_step_response_to_a_zero_target_has_no_steady_state_error(target):
+    # the error is relative to |target|; the settle band, 2 % of it, is 0
+    m = RunMetrics()
+    _step_response(m, [0.0, 1.0, 2.0], [0.1, 0.05, 0.0], 0.1, target, 1.0)
+    assert m.steady_state_error is None
+    assert (m.settled, m.settle_time_2pct, m.overshoot) == (True, 2.0, 0.0)
+
+
+def test_pitch_step_to_a_zero_target_runs(tmp_path):
+    trim = sim._trim(sim.AircraftParams(), sim.load_aero_model(None))
+    step = math.degrees(-trim.theta_star)
+    assert trim.theta_star + math.radians(step) == 0.0
+    assert cli_main(["run", "--scenario", "pitch_step", "--set",
+                     f"pitch_step_deg={step!r}", "--duration", "2",
+                     "--out", str(tmp_path)]) == 0
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    assert metrics["settled"] is False
+    assert metrics["steady_state_error"] is None
 
 
 # ------------------------------------------------------------ aborts
