@@ -15,8 +15,6 @@ integration step so the servo cannot integrate past its stops.
 
 from __future__ import annotations
 
-import math
-
 from .airframe import AircraftParams
 
 ENGINE_TAU = 0.625          # s, non-afterburner lag
@@ -86,8 +84,3 @@ def project_actuator_states(thrust, de, de_rate, params: AircraftParams):
             de_rate = 0.0
         projected = True
     return thrust, de, de_rate, projected
-
-
-def elevator_peak_overshoot(zeta: float = ELEVATOR_ZETA) -> float:
-    """Fractional step-response overshoot of an underdamped second-order lag."""
-    return math.exp(-math.pi * zeta / math.sqrt(1.0 - zeta * zeta))

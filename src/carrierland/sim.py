@@ -26,13 +26,14 @@ elevator command, the observer's known input under every pitch law.
 The observer is never overwritten: the truth law feeds the true pitch
 rate and disturbance to the PD law as arguments, and x1..x3 in the
 trace are the observer's estimates under every law.  Record keeps
-only what the scenario's metrics read: a trace row every
-trace_decimation steps, packed as len(TRACE_HEADER) C doubles onto one
-Trace array (the saturation flags are stored, and read back, as 0.0 and
-1.0), t and theta on pitch_step and t and zdot on sink_step as
-array('d') histories, and on approach a running maximum of |z - z_r|
-and a running sum of squared pitch-reference errors from metric_skip_s
-on.  The loop has one abort exit: an OutOfTableRange or
+only what the scenario's metrics read, in memory that does not grow
+with the run: a trace row every trace_decimation steps, packed as
+len(TRACE_HEADER) C doubles onto a Trace, which spills past
+TRACE_SPOOL_BYTES to a temporary file (the saturation flags are stored,
+and read back, as 0.0 and 1.0); theta on pitch_step and zdot on
+sink_step folded into a StepResponse; and on approach a running maximum
+of |z - z_r| and a running sum of squared pitch-reference errors from
+metric_skip_s on.  The loop has one abort exit: an OutOfTableRange or
 NonFiniteDerivative raised in any stage ends the run at the current step
 head with the exception as the reason; a non-finite state after the
 step ends it with the reason "non-finite state after step".
@@ -54,8 +55,11 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
 import struct
-from array import array
+import tempfile
+import weakref
+from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, index
 from typing import Callable, NamedTuple
@@ -423,17 +427,23 @@ class RunMetrics:
     observer_rms_error: float | None = None
 
 
-# rows unboxed at a time by Trace iteration, and so by write_trace_csv
+# bytes of rows a Trace keeps in memory, 4 096 rows; past it the rows
+# live in an unlinked temporary file
+TRACE_SPOOL_BYTES = 1 << 20
+# rows unpacked at a time by Trace iteration, and so by write_trace_csv
 TRACE_BLOCK_ROWS = 64
 _TRACE_WIDTH = len(TRACE_HEADER)
-_pack_row = struct.Struct(f"{_TRACE_WIDTH}d").pack
+_ROW = struct.Struct(f"{_TRACE_WIDTH}d")
 _CSV_ROW = ",".join(["%.10g"] * _TRACE_WIDTH) + "\n"
 
 
 class Trace:
-    """Trace rows stored row-major in one array('d'), len(TRACE_HEADER)
-    doubles a row, 8 bytes a cell where a tuple of boxed floats takes
-    about 22.
+    """Trace rows packed row-major, len(TRACE_HEADER) C doubles a row, 8
+    bytes a cell where a tuple of boxed floats takes about 22.  The rows
+    go to a SpooledTemporaryFile: the first TRACE_SPOOL_BYTES stay in
+    memory, and past that they spill to an unlinked temporary file, so a
+    run's memory does not grow with its length.  The file is closed when
+    the Trace is dropped.
 
     Reads like a list of row tuples: len, bool, int indexing (negative
     too) and iteration, which unpacks TRACE_BLOCK_ROWS rows at a time so
@@ -444,21 +454,29 @@ class Trace:
     row holding nan equals no row.
     """
 
-    __slots__ = ("cells",)
+    __slots__ = ("file", "__weakref__")
 
     def __init__(self):
-        self.cells = array("d")
+        self.file = tempfile.SpooledTemporaryFile(TRACE_SPOOL_BYTES)
+        weakref.finalize(self, self.file.close)
 
     def append(self, row) -> None:
         """Add a row of exactly len(TRACE_HEADER) numbers (struct.error
-        otherwise).
-
-        About 1.1 us a row; array.extend of the tuple would take about
-        2.9 us (2-core x86)."""
-        self.cells.frombytes(_pack_row(*row))
+        otherwise)."""
+        self.file.write(_ROW.pack(*row))
 
     def __len__(self) -> int:
-        return len(self.cells) // _TRACE_WIDTH
+        # every read leaves the file at its end
+        return self.file.tell() // _ROW.size
+
+    def _read(self, start: int, rows: int) -> bytes:
+        """The packed rows start .. start + rows - 1 that exist; the file is
+        left at its end, where append writes."""
+        f = self.file
+        f.seek(start * _ROW.size)
+        data = f.read(rows * _ROW.size)
+        f.seek(0, os.SEEK_END)
+        return data
 
     def __getitem__(self, i) -> tuple:
         n = len(self)
@@ -467,19 +485,16 @@ class Trace:
             i += n
         if not 0 <= i < n:
             raise IndexError("trace row index out of range")
-        return tuple(self.cells[i * _TRACE_WIDTH:(i + 1) * _TRACE_WIDTH])
+        return _ROW.unpack(self._read(i, 1))
 
     def __iter__(self):
-        cells = self.cells
-        step = _TRACE_WIDTH * TRACE_BLOCK_ROWS
-        for start in range(0, len(cells), step):
-            yield from zip(*[iter(cells[start:start + step].tolist())]
-                           * _TRACE_WIDTH)
+        for start in range(0, len(self), TRACE_BLOCK_ROWS):
+            yield from _ROW.iter_unpack(self._read(start, TRACE_BLOCK_ROWS))
 
     def __eq__(self, other):
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.cells == other.cells
+        return len(self) == len(other) and all(map(tuple.__eq__, self, other))
 
 
 @dataclass
@@ -495,23 +510,81 @@ class RunResult:
     trim: TrimPoint | None = None
 
 
-def settle_time(t, y, target: float):
-    """First time after which y stays inside the +-band around target.
+class StepResponse:
+    """Settling, steady-state and overshoot metrics of a step response
+    from `start` to `target`, folded one sample at a time, so a run keeps
+    no history of the response.
 
-    The band is 2 % of |target|, the absolute target, not the step size:
-    on a 1 deg pitch step to theta* + 1 deg ~ 8.1 deg the band is
-    ~0.16 deg, 16 % of the step.  Returns None when the signal never
-    enters the band or leaves it again before the window ends.
+    - Settle time: the time of the first sample after the last one outside
+      the +-band around target, None while the last sample is outside.
+      The band is 2 % of |target|, the absolute target, not the step size:
+      on a 1 deg pitch step to theta* + 1 deg ~ 8.1 deg the band is
+      ~0.16 deg, 16 % of the step.  A nan sample counts as inside.
+    - Steady-state error: the mean of the last max(1, int(1 / dt))
+      samples, the last second, relative to |target|; None at a zero
+      target.
+    - Overshoot: the peak excursion past the target relative to the step
+      size, at least 0; None for a zero step.
     """
-    band = 0.02 * abs(target)
-    last_out = -1
-    for i in range(len(y) - 1, -1, -1):
-        if abs(y[i] - target) > band:
-            last_out = i
-            break
-    if last_out == len(y) - 1:
-        return None
-    return t[last_out + 1]
+
+    __slots__ = ("target", "band", "step_size", "settle", "peak", "tail")
+
+    def __init__(self, start: float, target: float, dt: float,
+                 samples: int):
+        """`samples` bounds the samples to be added.  It caps the tail's
+        length, which deque needs as a C ssize_t however small dt is."""
+        self.target = target
+        self.band = 0.02 * abs(target)
+        self.step_size = target - start
+        self.settle = None
+        self.peak = None
+        # the last second, summed oldest first as sum() of a list is
+        self.tail = deque(maxlen=max(1, int(min(1.0 / dt, samples))))
+
+    def add(self, t: float, y: float) -> None:
+        target = self.target
+        if abs(y - target) > self.band:
+            self.settle = None
+        elif self.settle is None:
+            self.settle = t
+        step_size = self.step_size
+        if step_size != 0.0:
+            excursion = (y - target) / step_size
+            # max()'s rule, nan included: first value, then only a
+            # greater one
+            if self.peak is None or excursion > self.peak:
+                self.peak = excursion
+        self.tail.append(y)
+
+    def into(self, metrics: RunMetrics) -> None:
+        """Set the metrics of the samples added; none leaves them unset."""
+        tail = self.tail
+        if not tail:
+            return
+        metrics.settle_time_2pct = self.settle
+        metrics.settled = self.settle is not None
+        target = self.target
+        if target != 0.0:
+            metrics.steady_state_error = abs(
+                sum(tail) / len(tail) - target) / abs(target)
+        if self.step_size != 0.0:
+            metrics.overshoot = max(0.0, self.peak)
+
+
+def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
+                   dt: float) -> None:
+    """StepResponse's metrics of the samples y at times t."""
+    fold = StepResponse(start, target, dt, len(y))
+    for sample in zip(t, y):
+        fold.add(*sample)
+    fold.into(metrics)
+
+
+def settle_time(t, y, target: float):
+    """StepResponse's settle time of the samples y at times t."""
+    metrics = RunMetrics()
+    _step_response(metrics, t, y, target, target, 1.0)
+    return metrics.settle_time_2pct
 
 
 def _square(x: float) -> float:
@@ -524,28 +597,6 @@ def _square(x: float) -> float:
         return x ** 2
     except OverflowError:
         return math.inf
-
-
-def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
-                   dt: float) -> None:
-    """Settling, steady-state and overshoot metrics of a step response.
-
-    The step goes from `start` to `target`.  The steady-state error is
-    the mean over the last second relative to |target|, None at a zero
-    target; the overshoot is the peak excursion past the target relative
-    to the step size, None for a zero step.
-    """
-    st = settle_time(t, y, target)
-    metrics.settle_time_2pct = st
-    metrics.settled = st is not None
-    tail = y[-max(1, int(1.0 / dt)):]
-    if target != 0.0:
-        metrics.steady_state_error = abs(
-            sum(tail) / len(tail) - target) / abs(target)
-    step_size = target - start
-    if step_size != 0.0:
-        metrics.overshoot = max(
-            0.0, max((yi - target) / step_size for yi in y))
 
 
 @functools.lru_cache(maxsize=8)
@@ -589,7 +640,6 @@ class Simulation:
         n_steps = int(round(cfg.resolved_duration() / dt))
         approach = cfg.scenario == "approach"
         sink_scenario = cfg.scenario == "sink_step"
-        pitch_scenario = cfg.scenario == "pitch_step"
 
         env = Environment(
             ship_params=ShipParams(dt_noise=cfg.dt_noise,
@@ -694,9 +744,12 @@ class Simulation:
 
         trace = Trace()
         add_row = trace.append
-        # step-response history: theta on pitch_step, zdot on sink_step
-        t_hist = array("d")
-        y_hist = array("d")
+        # the step response: theta from trim on pitch_step, zdot from
+        # level flight on sink_step
+        step_response = StepResponse(
+            *((0.0, zdot_cmd) if sink_scenario else (theta_star, theta_cmd)),
+            dt, n_steps)
+        add_sample = step_response.add
         dev_max = None
         theta_err_sq = 0.0
         theta_err_n = 0
@@ -794,8 +847,7 @@ class Simulation:
                         theta_err_sq += _square(th - theta_r)
                         theta_err_n += 1
                 else:
-                    t_hist.append(t)
-                    y_hist.append(zdot if sink_scenario else th)
+                    add_sample(t, zdot if sink_scenario else th)
 
                 # --- integrate the coupled derivative with held inputs
                 y = rk4_step(f, y, t, dt)
@@ -829,17 +881,14 @@ class Simulation:
         metrics.thrust_saturation_count = sat_t_count
         if trace:
             metrics.observer_rms_error = math.sqrt(obs_err_sq / len(trace))
-        if pitch_scenario and t_hist:
-            _step_response(metrics, t_hist, y_hist, theta_star, theta_cmd, dt)
-        if sink_scenario and t_hist:
-            # starts from level flight
-            _step_response(metrics, t_hist, y_hist, 0.0, zdot_cmd, dt)
         if approach:
             metrics.max_glidepath_deviation = dev_max
             if theta_err_n:
                 metrics.pitch_ref_rms_error = math.sqrt(
                     theta_err_sq / theta_err_n)
             metrics.settled = touchdown
+        else:
+            step_response.into(metrics)
 
         return RunResult(config=self.cfg, trace=trace, metrics=metrics,
                          aborted=aborted, abort_time=t if aborted else None,

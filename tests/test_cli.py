@@ -554,6 +554,12 @@ def test_config_fuzz_runs_or_rejects():
     @hypothesis.example(("pitch_step", "opd", True, False, True,
                          [("duration", 0.01), ("ship_warmup_s", 0.0),
                           ("v_wd", 1.3e-305), ("wake_extent", 2200.0)]))
+    # a dt whose 1 / dt overflows, which sizes the steady-state tail; the
+    # noise holds equal dt, and the sink notch is off
+    @hypothesis.example(("pitch_step", "opd", False, False, False,
+                         [("duration", 1e-308), ("ship_warmup_s", 0.0),
+                          ("dt", 1e-310), ("dt_noise", 1e-310),
+                          ("noise_dt", 1e-310), ("sink.notch_omega", 0.0)]))
     def check(draw):
         scenario, controller, wind, noise, ship, settings = draw
         argv = ["run", "--scenario", scenario, "--controller", controller,

@@ -1,8 +1,13 @@
 import gc
+import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +18,11 @@ from carrierland.control import known_input
 from carrierland.environment import PitchNoise, rng_stream
 from carrierland.integrate import rk4_step
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
-                             ConfigError, RunMetrics, ScenarioConfig,
-                             Simulation, TRACE_HEADER, Trace, _step_response,
-                             compare_controllers, config_from_dict,
-                             config_to_dict, run_scenario, set_config_key,
-                             settle_time, write_trace_csv)
+                             TRACE_SPOOL_BYTES, ConfigError, RunMetrics,
+                             ScenarioConfig, Simulation, TRACE_HEADER, Trace,
+                             _step_response, compare_controllers,
+                             config_from_dict, config_to_dict, run_scenario,
+                             set_config_key, settle_time, write_trace_csv)
 from carrierland.trimlin import linearize, solve_trim
 
 
@@ -67,6 +72,91 @@ def test_settle_time_requires_staying_in_band():
     assert settle_time(t, y, 1.0) == 3.0
     y = [0.0, 0.5, 0.6, 0.7]
     assert settle_time(t, y, 1.0) is None
+
+
+# The step-response scans over whole histories before StepResponse folded
+# them one sample at a time, as they were: the reference for the fold.
+def ref_settle_time(t, y, target):
+    band = 0.02 * abs(target)
+    last_out = -1
+    for i in range(len(y) - 1, -1, -1):
+        if abs(y[i] - target) > band:
+            last_out = i
+            break
+    if last_out == len(y) - 1:
+        return None
+    return t[last_out + 1]
+
+
+def ref_step_response(metrics, t, y, start, target, dt):
+    st = ref_settle_time(t, y, target)
+    metrics.settle_time_2pct = st
+    metrics.settled = st is not None
+    tail = y[-max(1, int(1.0 / dt)):]
+    if target != 0.0:
+        metrics.steady_state_error = abs(
+            sum(tail) / len(tail) - target) / abs(target)
+    step_size = target - start
+    if step_size != 0.0:
+        metrics.overshoot = max(
+            0.0, max((yi - target) / step_size for yi in y))
+
+
+def _metric_bits(m):
+    """The step-response metrics, floats as bit patterns."""
+    return [m.settled] + [None if v is None else struct.pack("<d", v)
+                          for v in (m.settle_time_2pct, m.steady_state_error,
+                                    m.overshoot)]
+
+
+_SPECIAL = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+            1e308, -1e308)
+
+
+def test_step_response_fold_matches_the_list_scans():
+    """The fold gives the bits of the scans on any history: nan, +-0.0, a
+    zero target, a zero step, a signal that never settles, and runs
+    shorter than the one-second tail."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+
+    @st.composite
+    def histories(draw):
+        target = draw(st.one_of(st.sampled_from((1.0, -2.5, 8.1e-2)),
+                                number))
+        start = draw(st.one_of(st.just(target), number))
+        # samples at, inside, on the edge of and outside the band, or any
+        near = st.sampled_from((0.0, 0.01, -0.019, 0.02, -0.02, 0.021, 0.5,
+                                -3.0))
+        y = draw(st.lists(st.one_of(
+            near.map(lambda e: target + e * abs(target)), number),
+            min_size=1, max_size=60))
+        dt = draw(st.sampled_from((0.001, 0.01, 0.05, 0.3, 1.0, 1.5, 1e-20)))
+        t = [k * dt for k in range(len(y))]
+        return t, y, start, target, dt
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(histories())
+    # settles; never settles; a zero target; a zero step from -0.0; nan
+    @hypothesis.example(([0.0, 0.1, 0.2, 0.3], [0.0, 0.5, 0.99, 1.0],
+                         0.0, 1.0, 0.1))
+    @hypothesis.example(([0.0, 0.5, 1.0], [0.0, 0.5, 0.7], 0.0, 1.0, 0.5))
+    @hypothesis.example(([0.0, 0.5, 1.0], [0.1, 0.0, -0.0], 1.0, 0.0, 0.5))
+    @hypothesis.example(([0.0, 0.5], [-0.0, 0.0], -0.0, 0.0, 0.5))
+    @hypothesis.example(([0.0, 1.0, 2.0], [math.nan, 1.0, 2.0], 0.0, 1.0,
+                         1.0))
+    def check(history):
+        t, y, start, target, dt = history
+        ref, got = RunMetrics(), RunMetrics()
+        ref_step_response(ref, t, y, start, target, dt)
+        _step_response(got, t, y, start, target, dt)
+        assert _metric_bits(got) == _metric_bits(ref)
+        # the same sample's time, or None
+        assert settle_time(t, y, target) is ref_settle_time(t, y, target)
+
+    check()
 
 
 # ------------------------------------------------------------- config
@@ -224,6 +314,91 @@ def test_trace_reads_like_a_list_of_rows():
     assert trace != rows                                # not a list
 
 
+_SPOOL_ROWS = TRACE_SPOOL_BYTES // (8 * len(TRACE_HEADER))
+
+
+def _spilled(trace):
+    """Whether the rows have left memory: a SpooledTemporaryFile keeps
+    them in an io.BytesIO, its _file, until it rolls over to a file."""
+    return not isinstance(trace.file._file, io.BytesIO)
+
+
+def test_trace_spills_past_its_spool_size_and_still_reads_like_a_list():
+    rows = [_row(float(i), -i / 7.0)
+            for i in range(_SPOOL_ROWS + 2 * TRACE_BLOCK_ROWS + 5)]
+    trace = _trace_of(rows[:_SPOOL_ROWS])
+    assert not _spilled(trace)
+    # reads in between leave the appends at the end
+    assert trace[-1] == rows[_SPOOL_ROWS - 1]
+    assert next(iter(trace)) == rows[0]
+    for row in rows[_SPOOL_ROWS:]:
+        trace.append(row)
+        assert trace[-1] == row
+    assert _spilled(trace)
+    assert len(trace) == len(rows) and list(trace) == rows
+    assert trace[_SPOOL_ROWS] == rows[_SPOOL_ROWS] and trace[0] == rows[0]
+    again = _trace_of(rows)
+    assert trace == again
+    again.append(rows[0])
+    assert trace != again and again != trace
+
+
+def _child_env():
+    """The environment of a child python that imports this carrierland."""
+    return dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
+
+
+def test_dropping_a_spilled_trace_closes_its_file():
+    code = "\n".join((
+        "import gc, io",
+        "from carrierland.sim import TRACE_HEADER, TRACE_SPOOL_BYTES, Trace",
+        "trace = Trace()",
+        "row = (0.5,) * len(TRACE_HEADER)",
+        "for _ in range(TRACE_SPOOL_BYTES // (8 * len(row)) + 1):",
+        "    trace.append(row)",
+        "assert not isinstance(trace.file._file, io.BytesIO)",
+        "assert trace[-1] == row and sum(1 for _ in trace) == len(trace)",
+        "del trace",
+        "gc.collect()"))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_dense_run_fits_an_address_space_capped_near_its_baseline(tmp_path):
+    """Recording no longer grows with the run: a pitch step with a trace
+    row every step for 120 s, whose rows alone would take 31 MB in memory,
+    runs in a child whose address space is capped 24 MB above the peak
+    the child reaches by importing the program."""
+    resource = pytest.importorskip("resource")
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read the child's baseline")
+    env = _child_env()
+    probe = subprocess.run(
+        [sys.executable, "-c", "import carrierland.cli; "
+         "print(open('/proc/self/status').read())"],
+        capture_output=True, text=True, env=env, check=True, timeout=120)
+    vm_peak_kb = next(int(line.split()[1])
+                      for line in probe.stdout.splitlines()
+                      if line.startswith("VmPeak:"))
+    cap = (vm_peak_kb + 24 * 1024) * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "carrierland.cli", "run", "--scenario",
+         "pitch_step", "--ship", "off", "--duration", "120", "--set",
+         "trace_decimation=1", "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+        timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    with open(out / "trace.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 120_000
+
+
 def test_run_trace_writes_the_bytes_of_its_rows_with_int_flags(tmp_path):
     r = run_scenario(ScenarioConfig(pitch_step_deg=5.0, duration=0.5))
     flags = (TRACE_HEADER.index("sat_elev"), TRACE_HEADER.index("sat_thr"))
@@ -259,7 +434,8 @@ def test_dense_trace_memory_per_row():
     peak6, rows6 = _dense_sink_peak(6.0)
     assert rows6 - rows3 == 3000
     per_row = (peak6 - peak3) / (rows6 - rows3)
-    # 32 cells of 8 bytes, the array's growth margin, two history cells
+    # 32 cells of 8 bytes and the in-memory spool's growth margin up to
+    # TRACE_SPOOL_BYTES, past which (about 4 100 rows) rows spill to a file
     assert per_row <= 400, per_row
 
 
