@@ -21,7 +21,7 @@ published sea-state targets for this filter set.  ship_step takes the
 exact zero-order-hold step x <- Phi x + Gamma u (see _deck_zoh).
 
 Landing point.  The touchdown point sits 81 m aft of the ship's centre
-of mass:  x_L = x_G - 81 cos(theta_s),  z_L = z_G - 81 sin(theta_s).
+of mass at the origin:  x_L = -81 cos(theta_s),  z_L = z_G - 81 sin(theta_s).
 
 Wind.  Total gust (u_g, w_g) sums free-air turbulence (u1, w1) shaped
 by first-order low-pass filters matched to the spatial spectra
@@ -39,10 +39,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .sim import ScenarioConfig
 
 SHIP_DENOM = (2.08, 1.32, 0.4, 0.16)   # s^3, s^2, s^1, s^0 coefficients
 SHIP_HEAVE_NUM = 1.21
@@ -94,7 +97,6 @@ def held_noise_scales(source: str, dt_noise: float, gain: float) -> tuple:
 
 @dataclass
 class ShipParams:
-    x_g: float = 0.0                       # ship centre of mass, m (speed 0)
     dt_noise: float = DEFAULT_DT_NOISE
     noise_gain: float = DEFAULT_SHIP_NOISE_GAIN
 
@@ -134,11 +136,11 @@ class WindSample(NamedTuple):
 CALM = WindSample(0.0, 0.0)
 
 
-def deck_motion(h0, h1, p2, p3, x_g):
+def deck_motion(h0, h1, p2, p3):
     """Deck attitude and landing point from the deck-filter states.
 
-    Takes the heave filter's first two states (h0, h1), the pitch
-    filter's last two (p2, p3) and the ship's centre of mass x_g.
+    Takes the heave filter's first two states (h0, h1) and the pitch
+    filter's last two (p2, p3); the ship's centre of mass is the origin.
     Returns (z_g, theta_s, x_l, z_l, x_l', z_l'): heave, deck pitch, the
     landing point and its rates.
     """
@@ -148,7 +150,7 @@ def deck_motion(h0, h1, p2, p3, x_g):
     cos_s = math.cos(theta_s)
     theta_s_rate = SHIP_PITCH_NUM * p3
     return (z_g, theta_s,
-            x_g - LANDING_POINT_OFFSET * cos_s,
+            0.0 - LANDING_POINT_OFFSET * cos_s,
             z_g - LANDING_POINT_OFFSET * sin_s,
             LANDING_POINT_OFFSET * sin_s * theta_s_rate,
             SHIP_HEAVE_NUM * h1 - LANDING_POINT_OFFSET * cos_s * theta_s_rate)
@@ -233,14 +235,6 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
         u_h, u_p, k)
 
 
-@dataclass
-class WindParams:
-    v_wd: float = 10.0                  # wind over deck, m/s
-    turb_norm: float = 0.5              # see held_noise_scales
-    wake_extent: float = DEFAULT_WAKE_EXTENT
-    dt_noise: float = DEFAULT_DT_NOISE
-
-
 def wake_steady(x_dist: float, wake_extent: float = DEFAULT_WAKE_EXTENT):
     """Steady wake components (u2, w2) at distance X ahead of the pitch centre."""
     if not 0.0 <= x_dist < wake_extent:
@@ -253,12 +247,12 @@ def wake_phase(t: float, x_dist: float, v_wd: float) -> float:
     return WAKE_OMEGA_P * (2.28 * t + x_dist / (0.85 * v_wd)) + 0.1
 
 
-def wake_periodic(t: float, x_dist: float, p: WindParams):
+def wake_periodic(t: float, x_dist: float, cfg: ScenarioConfig):
     """Periodic wake components (u3, w3), zero outside the wake extent."""
-    if not 0.0 <= x_dist < p.wake_extent:
+    if not 0.0 <= x_dist < cfg.wake_extent:
         return 0.0, 0.0
-    c = math.cos(wake_phase(t, x_dist, p.v_wd))
-    scale = WAKE_THETA_S_AMP * p.v_wd
+    c = math.cos(wake_phase(t, x_dist, cfg.v_wd))
+    scale = WAKE_THETA_S_AMP * cfg.v_wd
     u3 = scale * (2.22 + 0.000091 * x_dist) * c
     w3 = scale * (4.98 + 0.0018 * x_dist) * c
     return u3, w3
@@ -270,27 +264,28 @@ class WindField:
     The turbulence filters are exact zero-order-hold discretizations of
     first-order lags with corner frequency v_ref / WIND_LENGTH_SCALE,
     scaled so the stationary output variance matches the spatial-spectrum
-    level (held_noise_scales).  Off, with no generators (rng_u None), the
-    field is calm and draws nothing.
+    level (held_noise_scales).  The config gives dt, dt_noise, turb_norm,
+    v_wd and wake_extent.  Off, with no generators (rng_u None), the field
+    is calm and draws nothing.
     """
 
-    def __init__(self, params: WindParams, rng_u: np.random.Generator | None,
-                 rng_w: np.random.Generator | None, dt: float, v_ref: float):
-        self.p = params
+    def __init__(self, cfg: ScenarioConfig, rng_u: np.random.Generator | None,
+                 rng_w: np.random.Generator | None, v_ref: float):
+        self.cfg = cfg
         self.rng_u = rng_u
         self.rng_w = rng_w
         tau = WIND_LENGTH_SCALE / v_ref
-        self._phi = math.exp(-dt / tau)
-        self._hold = hold_steps(params.dt_noise, dt)
+        self._phi = math.exp(-cfg.dt / tau)
+        self._hold = hold_steps(cfg.dt_noise, cfg.dt)
         self._since_draw = -1
         self._in_sigma, sigma_u, sigma_w = held_noise_scales(
-            "wind", params.dt_noise, params.turb_norm)
+            "wind", cfg.dt_noise, cfg.turb_norm)
         # input gain giving the target stationary output variance
         self._gain_u = sigma_u * math.sqrt(2.0 * tau)
         self._gain_w = sigma_w * math.sqrt(2.0 * tau)
         self._held_u = self._held_w = self.u1 = self.w1 = 0.0
 
-    def sample(self, t: float, aircraft_x: float, ship_x: float) -> WindSample:
+    def sample(self, t: float, aircraft_x: float) -> WindSample:
         """Advance the turbulence filters by dt and sample the total wind."""
         if self.rng_u is None:
             return CALM
@@ -301,9 +296,9 @@ class WindField:
         phi = self._phi
         self.u1 = phi * self.u1 + (1.0 - phi) * self._gain_u * self._held_u
         self.w1 = phi * self.w1 + (1.0 - phi) * self._gain_w * self._held_w
-        x_dist = ship_x - aircraft_x
-        u2, w2 = wake_steady(x_dist, self.p.wake_extent)
-        u3, w3 = wake_periodic(t, x_dist, self.p)
+        x_dist = 0.0 - aircraft_x   # ahead of the ship; X = +0.0 at x = 0.0
+        u2, w2 = wake_steady(x_dist, self.cfg.wake_extent)
+        u3, w3 = wake_periodic(t, x_dist, self.cfg)
         # positional: keyword construction of the NamedTuple costs ~3x
         return WindSample(self.u1 + u2 + u3, self.w1 + w2 + w3,
                           self.u1, u2, u3, self.w1, w2, w3)
@@ -349,40 +344,28 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
     return {name: rng_stream(seed, name) for name in STREAM_NAMES}
 
 
-@dataclass
 class Environment:
-    """Bundles the stochastic sources for one simulation run."""
+    """The stochastic sources of one run, from its resolved config: the
+    deck filters, warmed up for warmup_s seconds when ship motion is on,
+    the wind field about the reference airspeed v_ref, and the pitch
+    noise.  Each source that is on gets its generator from the config's
+    seed (rng_stream); one that is off gets none.  With ship motion off
+    the held deck inputs stay 0: a level deck."""
 
-    ship_params: ShipParams
-    wind_params: WindParams
-    dt: float
-    seed: int
-    v_ref: float
-    ship_on: bool = True
-    wind_on: bool = True
-    noise_on: bool = True
-    warmup_s: float = 0.0
-    noise_dt: float = DEFAULT_PITCH_NOISE_DT
-    ship: ShipState = field(init=False)
-    wind: WindField = field(init=False)
-    noise: PitchNoise = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, cfg: ScenarioConfig, v_ref: float, warmup_s: float):
         def stream(name, on):
-            # a source that is off gets no generator: it never draws
-            return rng_stream(self.seed, name) if on else None
+            return rng_stream(cfg.seed, name) if on else None
 
-        # with ship motion off the held deck inputs stay 0: a level deck
-        self.ship_rng = stream("ship", self.ship_on)
-        self.ship = ShipState()
-        self.wind = WindField(self.wind_params, stream("wind_u", self.wind_on),
-                              stream("wind_w", self.wind_on), self.dt,
-                              self.v_ref)
-        self.noise = PitchNoise(stream("noise", self.noise_on), self.dt,
-                                dt_noise=self.noise_dt)
-        if self.ship_rng is not None and self.warmup_s > 0.0:
-            step, st, dt = ship_step, self.ship, self.dt
-            rng, p = self.ship_rng, self.ship_params
-            for _ in range(int(round(self.warmup_s / dt))):
+        dt = cfg.dt
+        self.ship_params = p = ShipParams(cfg.dt_noise, cfg.ship_noise_gain)
+        self.ship_rng = rng = stream("ship", cfg.ship_on)
+        self.wind = WindField(cfg, stream("wind_u", cfg.wind_on),
+                              stream("wind_w", cfg.wind_on), v_ref)
+        self.noise = PitchNoise(stream("noise", cfg.noise_on), dt,
+                                cfg.noise_dt)
+        st = ShipState()
+        if rng is not None and warmup_s > 0.0:
+            step = ship_step
+            for _ in range(int(round(warmup_s / dt))):
                 st = step(st, dt, rng, p)
-            self.ship = st
+        self.ship = st

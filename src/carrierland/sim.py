@@ -74,7 +74,7 @@ from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
                       known_input, notch_coefficients)
 from .environment import (DEFAULT_DT_NOISE, DEFAULT_PITCH_NOISE_DT,
                           DEFAULT_SHIP_NOISE_GAIN, DEFAULT_WAKE_EXTENT,
-                          Environment, ShipParams, WindParams, deck_motion,
+                          Environment, deck_motion,
                           _ship_filter_derivative, held_noise_scales,
                           held_ship_inputs, hold_steps, wake_phase)
 from .integrate import rk4_step
@@ -641,24 +641,11 @@ class Simulation:
         approach = cfg.scenario == "approach"
         sink_scenario = cfg.scenario == "sink_step"
 
-        env = Environment(
-            ship_params=ShipParams(dt_noise=cfg.dt_noise,
-                                   noise_gain=cfg.ship_noise_gain),
-            wind_params=WindParams(v_wd=cfg.v_wd, dt_noise=cfg.dt_noise,
-                                   turb_norm=cfg.turb_norm,
-                                   wake_extent=cfg.wake_extent),
-            dt=dt, seed=cfg.seed, v_ref=trim.v_t_star,
-            ship_on=cfg.ship_on, wind_on=cfg.wind_on,
-            noise_on=cfg.noise_on,
-            warmup_s=cfg.ship_warmup_s if approach else 0.0,
-            noise_dt=cfg.noise_dt,
-        )
-
-        ship_params = env.ship_params
-        x_g = ship_params.x_g
+        env = Environment(cfg, trim.v_t_star,
+                          cfg.ship_warmup_s if approach else 0.0)
         # the first landing point, on the warmed-up deck filters
         _, _, x_l0, z_l0, _, _ = deck_motion(
-            *env.ship.heave_filter[:2], *env.ship.pitch_filter[2:], x_g)
+            *env.ship.heave_filter[:2], *env.ship.pitch_filter[2:])
         glide_slope = math.radians(cfg.glide_slope_deg)
         tan_gs = math.tan(glide_slope)
         x0 = x_l0 - cfg.initial_range
@@ -708,7 +695,8 @@ class Simulation:
             + env.ship.heave_filter + env.ship.pitch_filter
 
         ship_rng = env.ship_rng
-        hold = hold_steps(ship_params.dt_noise, dt)
+        ship_params = env.ship_params
+        hold = hold_steps(cfg.dt_noise, dt)
         ship_since_draw = env.ship.steps_since_draw
         wind_sample = env.wind.sample
         noise_sample = env.noise.sample
@@ -773,8 +761,8 @@ class Simulation:
                 ship_since_draw, u_h, u_p = held_ship_inputs(
                     ship_since_draw, u_h, u_p, hold, ship_rng, ship_params)
                 z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate = deck_motion(
-                    h0, h1, p2, p3, x_g)
-                wind = wind_sample(t, x, x_g)
+                    h0, h1, p2, p3)
+                wind = wind_sample(t, x)
                 noise = noise_sample(t)
                 u_g = wind.u_g
                 w_g = wind.w_g

@@ -31,9 +31,12 @@ aborts (exit 3, both partial traces), a compare given --set
 controller=pid (its resolved_config.json is the base config), a sweep
 whose runs abort (exit 3) and a one-seed sweep from seed 4; then a pitch
 step to a target of exactly 0 rad on the default airframe (null
-steady-state error) and a finite wake_extent / v_wd whose wake phase
-overflows (exit 2).  The whole matrix takes about 40 s on a 2-core x86
-machine.  pytest does not collect this file.
+steady-state error), a finite wake_extent / v_wd whose wake phase
+overflows (exit 2) and an approach that gives every environment key
+(v_wd, turb_norm, wake_extent, dt_noise, noise_dt, ship_noise_gain,
+ship_warmup_s) a value other than its default (seed 2).  The whole
+matrix takes about 40 s on a 2-core x86 machine.  pytest does not
+collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -147,6 +150,13 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                 ("run", "--scenario", "pitch_step", "--wind", "on",
                  "--set", "v_wd=1.3e-305", "--set", "wake_extent=2200",
                  "--duration", "0.01")))
+    out.append(("approach_env_keys",
+                ("run", "--scenario", "approach", "--controller", "opd",
+                 "--wind", "on", "--noise", "on", "--ship", "on",
+                 "--seed", "2", "--set", "v_wd=12", "--set", "turb_norm=0.8",
+                 "--set", "wake_extent=700", "--set", "dt_noise=0.05",
+                 "--set", "noise_dt=0.005", "--set", "ship_noise_gain=0.2",
+                 "--set", "ship_warmup_s=5")))
     return out
 
 

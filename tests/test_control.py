@@ -204,7 +204,7 @@ def test_flight_path_rate_matches_finite_difference():
 
     def path(state, x):
         landing = deck_motion(*state.heave_filter[:2],
-                              *state.pitch_filter[2:], p.x_g)[2:]
+                              *state.pitch_filter[2:])[2:]
         return flight_path_generator(*landing, x, xdot, _TAN_GS)
 
     z0, rate = path(st, -1500.0)

@@ -7,11 +7,11 @@ import pytest
 from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
                                      STREAM_NAMES, Environment, PitchNoise,
                                      ShipParams, ShipState, WindField,
-                                     WindParams, deck_motion,
-                                     held_ship_inputs, hold_steps,
-                                     rng_stream, rng_streams, ship_step,
-                                     wake_periodic, wake_phase,
+                                     deck_motion, held_ship_inputs,
+                                     hold_steps, rng_stream, rng_streams,
+                                     ship_step, wake_periodic, wake_phase,
                                      wake_steady)
+from carrierland.sim import ScenarioConfig
 
 
 class _ConstRng:
@@ -54,13 +54,13 @@ def test_ship_amplitudes_sane_short_run():
     assert math.radians(0.05) < tmax < math.radians(10.0)
 
 
-def _landing_point(st: ShipState, x_g: float):
+def _landing_point(st: ShipState):
     """(x_l, z_l, x_l', z_l') of the deck filters in st."""
-    return deck_motion(*st.heave_filter[:2], *st.pitch_filter[2:], x_g)[2:]
+    return deck_motion(*st.heave_filter[:2], *st.pitch_filter[2:])[2:]
 
 
 def test_landing_point_flat_deck():
-    x_l, z_l, _, _ = _landing_point(ShipState(), 0.0)
+    x_l, z_l, _, _ = _landing_point(ShipState())
     assert x_l == -81.0
     assert z_l == 0.0
 
@@ -68,12 +68,12 @@ def test_landing_point_flat_deck():
 def test_landing_point_pitched_deck():
     st = ShipState(heave_filter=(1.0 / 1.21, 0, 0, 0),
                    pitch_filter=(0, 0, 0.05 / 0.773, 0))
-    _, z_l, _, _ = _landing_point(st, 0.0)
+    _, z_l, _, _ = _landing_point(st)
     assert z_l == pytest.approx(1.0 - 81.0 * math.sin(0.05), rel=1e-9)
     assert z_l == pytest.approx(-3.048, abs=1e-3)
     st2 = ShipState(heave_filter=(1.0 / 1.21, 0, 0, 0),
                     pitch_filter=(0, 0, -0.05 / 0.773, 0))
-    _, z_l2, _, _ = _landing_point(st2, 0.0)
+    _, z_l2, _, _ = _landing_point(st2)
     assert z_l2 == pytest.approx(1.0 + 81.0 * math.sin(0.05), rel=1e-9)
 
 
@@ -81,9 +81,8 @@ def test_landing_point_pitched_deck():
 def test_landing_point_offset_is_81_m(theta_s):
     st = ShipState(heave_filter=(0.4, 0, 0, 0),
                    pitch_filter=(0, 0, theta_s / 0.773, 0))
-    x_g = 12.0
-    x_l, z_l, _, _ = _landing_point(st, x_g)
-    dist = math.hypot(x_g - x_l, st.z_g - z_l)
+    x_l, z_l, _, _ = _landing_point(st)
+    dist = math.hypot(x_l, st.z_g - z_l)      # the ship is at the origin
     assert dist == pytest.approx(LANDING_POINT_OFFSET, rel=1e-12)
 
 
@@ -93,8 +92,8 @@ def test_landing_point_rates_match_finite_difference():
     rng = rng_streams(3)["ship"]
     for _ in range(5000):
         st = ship_step(st, 1e-3, rng, p)
-    x0, z0, xr, zr = _landing_point(st, p.x_g)
-    x1, z1, _, _ = _landing_point(ship_step(st, 1e-3, rng, p), p.x_g)
+    x0, z0, xr, zr = _landing_point(st)
+    x1, z1, _, _ = _landing_point(ship_step(st, 1e-3, rng, p))
     assert (x1 - x0) / 1e-3 == pytest.approx(xr, abs=1e-3)
     assert (z1 - z0) / 1e-3 == pytest.approx(zr, abs=1e-3)
 
@@ -102,17 +101,16 @@ def test_landing_point_rates_match_finite_difference():
 def test_deck_motion_matches_ship_state():
     st = ShipState(heave_filter=(0.3, -0.2, 0.0, 0.0),
                    pitch_filter=(0.0, 0.0, 0.04, -0.01))
-    z_g, theta_s, _, _, _, _ = deck_motion(0.3, -0.2, 0.04, -0.01, 7.0)
+    z_g, theta_s, _, _, _, _ = deck_motion(0.3, -0.2, 0.04, -0.01)
     assert (z_g, theta_s) == (st.z_g, st.theta_s)
     assert (z_g, theta_s) == (1.21 * 0.3, 0.773 * 0.04)
 
 
 def test_ship_off_keeps_a_level_deck():
-    env = Environment(ShipParams(x_g=5.0), WindParams(), dt=1e-3, seed=1,
-                      v_ref=69.1, ship_on=False, warmup_s=60.0)
+    env = Environment(ScenarioConfig(seed=1, ship_on=False), 69.1, 60.0)
     assert env.ship_rng is None
     assert env.ship == ShipState()
-    assert _landing_point(env.ship, 5.0) == (5.0 - 81.0, 0.0, 0.0, 0.0)
+    assert _landing_point(env.ship) == (-81.0, 0.0, 0.0, 0.0)
 
 
 def test_wake_steady_profile_values():
@@ -133,7 +131,7 @@ def test_wake_steady_u2_continuous_at_ship():
 
 
 def test_wake_periodic_example_value():
-    p = WindParams()
+    p = ScenarioConfig()
     u3, w3 = wake_periodic(0.0, 0.0, p)
     assert u3 == pytest.approx(0.05 * 10.0 * 2.22 * math.cos(0.1), rel=1e-9)
     assert u3 == pytest.approx(1.1045, abs=1e-3)
@@ -145,7 +143,7 @@ def test_wake_periodic_is_the_cosine_of_wake_phase():
     """One phase expression: wake_periodic takes its cosine, and it rises
     in t and X, so its value at the run's end and the wake's far edge
     bounds the phases a run computes."""
-    p = WindParams(v_wd=7.0)
+    p = ScenarioConfig(v_wd=7.0)
     for t, x in ((0.0, 0.0), (2.5, 400.0), (30.0, 913.0)):
         c, scale = math.cos(wake_phase(t, x, p.v_wd)), 0.05 * p.v_wd
         assert wake_periodic(t, x, p) == (scale * (2.22 + 0.000091 * x) * c,
@@ -156,7 +154,7 @@ def test_wake_periodic_is_the_cosine_of_wake_phase():
 
 
 def test_wake_periodic_continuous_in_time():
-    p = WindParams()
+    p = ScenarioConfig()
     prev = wake_periodic(0.0, 400.0, p)
     for k in range(1, 400):
         cur = wake_periodic(k * 1e-3, 400.0, p)
@@ -187,12 +185,11 @@ def test_pitch_noise_disabled_is_zero_everywhere():
 
 
 def test_wind_turbulence_stationary_moments():
-    p = WindParams()
-    wf = WindField(p, np.random.default_rng(8), np.random.default_rng(9),
-                   dt=1e-3, v_ref=69.1)
+    wf = WindField(ScenarioConfig(), np.random.default_rng(8),
+                   np.random.default_rng(9), v_ref=69.1)
     u1s, w1s = [], []
     for k in range(400000):
-        s = wf.sample(k * 1e-3, -2000.0, 0.0)
+        s = wf.sample(k * 1e-3, -2000.0)
         u1s.append(s.u1)
         w1s.append(s.w1)
     u1s = np.array(u1s[40000:])
@@ -204,10 +201,10 @@ def test_wind_turbulence_stationary_moments():
 
 
 def test_wind_sample_components_sum():
-    p = WindParams()
+    p = ScenarioConfig()
     wf = WindField(p, np.random.default_rng(2), np.random.default_rng(3),
-                   dt=1e-3, v_ref=69.1)
-    s = wf.sample(1.0, -400.0, 0.0)
+                   v_ref=69.1)
+    s = wf.sample(1.0, -400.0)
     assert s.u_g == pytest.approx(s.u1 + s.u2 + s.u3, rel=1e-12)
     assert s.w_g == pytest.approx(s.w1 + s.w2 + s.w3, rel=1e-12)
     assert (s.u1, s.w1) == (wf.u1, wf.w1)
@@ -216,9 +213,8 @@ def test_wind_sample_components_sum():
 
 
 def test_disabled_wind_returns_calm():
-    p = WindParams()
-    wf = WindField(p, None, None, dt=1e-3, v_ref=69.1)
-    s = wf.sample(0.5, -400.0, 0.0)
+    wf = WindField(ScenarioConfig(), None, None, v_ref=69.1)
+    s = wf.sample(0.5, -400.0)
     assert s.u_g == 0.0 and s.w_g == 0.0
 
 
@@ -240,13 +236,13 @@ def test_streams_independent_of_other_sources():
     """Consuming the wind streams does not perturb the ship stream."""
     def ship_only(seed, also_wind):
         streams = rng_streams(seed)
-        wf = WindField(WindParams(), streams["wind_u"], streams["wind_w"],
-                       dt=1e-3, v_ref=69.1)
+        wf = WindField(ScenarioConfig(), streams["wind_u"],
+                       streams["wind_w"], v_ref=69.1)
         st = ShipState()
         out = []
         for k in range(2000):
             if also_wind:
-                wf.sample(k * 1e-3, -500.0, 0.0)
+                wf.sample(k * 1e-3, -500.0)
             st = ship_step(st, 1e-3, streams["ship"], ShipParams())
             out.append(st.z_g)
         return out
@@ -257,10 +253,10 @@ def test_streams_independent_of_other_sources():
 def test_disabled_sources_draw_nothing():
     """A source is off exactly when it has no generator: it then returns
     calm or zero on every step, and its filters stay at rest."""
-    wf = WindField(WindParams(), None, None, dt=1e-3, v_ref=69.1)
+    wf = WindField(ScenarioConfig(), None, None, v_ref=69.1)
     noise = PitchNoise(None, dt=1e-3, dt_noise=1e-3)
     for k in range(1000):
-        assert wf.sample(k * 1e-3, -400.0, 0.0) is CALM
+        assert wf.sample(k * 1e-3, -400.0) is CALM
         assert noise.sample(k * 1e-3) == 0.0
     assert (wf.u1, wf.w1) == (0.0, 0.0)
 
@@ -288,7 +284,7 @@ def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
     n = 4 * hold + 3
     ship, wind_u, wind_w, noise_rng = (_CountingRng() for _ in range(4))
     p = ShipParams(dt_noise=dt_noise)
-    wf = WindField(WindParams(dt_noise=dt_noise), wind_u, wind_w, dt=dt,
+    wf = WindField(ScenarioConfig(dt=dt, dt_noise=dt_noise), wind_u, wind_w,
                    v_ref=69.1)
     noise = PitchNoise(noise_rng, dt=dt, dt_noise=dt_noise)
     k, u_h, u_p = -1, 0.0, 0.0
@@ -296,7 +292,7 @@ def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
         for rng in (ship, wind_u, wind_w, noise_rng):
             rng.step = step
         k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, ship, p)
-        wf.sample(step * dt, -400.0, 0.0)
+        wf.sample(step * dt, -400.0)
         noise.sample(step * dt)
     expected = list(range(0, n, hold))
     assert ship.draws == [s for s in expected for _ in (0, 1)]  # heave, pitch
@@ -317,9 +313,9 @@ def test_rng_stream_is_the_spawned_child(seed):
                          list(itertools.product((False, True), repeat=3)))
 def test_environment_builds_a_generator_only_for_a_source_that_is_on(
         ship_on, wind_on, noise_on):
-    env = Environment(ShipParams(), WindParams(), dt=1e-3, seed=9,
-                      v_ref=69.1, ship_on=ship_on, wind_on=wind_on,
-                      noise_on=noise_on)
+    env = Environment(ScenarioConfig(seed=9, ship_on=ship_on,
+                                     wind_on=wind_on, noise_on=noise_on),
+                      69.1, 0.0)
     fresh = rng_streams(9)
     for rng, name, on in ((env.ship_rng, "ship", ship_on),
                           (env.wind.rng_u, "wind_u", wind_on),
@@ -329,3 +325,37 @@ def test_environment_builds_a_generator_only_for_a_source_that_is_on(
             assert rng.bit_generator.state == fresh[name].bit_generator.state
         else:
             assert rng is None
+
+
+def _environment_yield(cfg: ScenarioConfig, steps: int = 40) -> dict:
+    """Each part of what Environment yields: the warmed-up deck state,
+    then over the first steps the wind's turbulence, steady and periodic
+    wake terms and the pitch noise, for an aircraft 800 m ahead of the
+    ship."""
+    env = Environment(cfg, 69.1, 0.5)
+    winds = [env.wind.sample(k * cfg.dt, -800.0) for k in range(steps)]
+    return {"deck": env.ship,
+            "turbulence": [(s.u1, s.w1) for s in winds],
+            "wake_steady": [(s.u2, s.w2) for s in winds],
+            "wake_periodic": [(s.u3, s.w3) for s in winds],
+            "noise": [env.noise.sample(k * cfg.dt) for k in range(steps)]}
+
+
+@pytest.mark.parametrize("key, value, moved", [
+    ("seed", 2, {"deck", "turbulence", "noise"}),
+    ("dt_noise", 0.05, {"deck", "turbulence"}),
+    ("noise_dt", 0.005, {"noise"}),
+    ("ship_noise_gain", 0.2, {"deck"}),
+    ("v_wd", 12.0, {"wake_periodic"}),
+    ("turb_norm", 0.8, {"turbulence"}),
+    ("wake_extent", 700.0, {"wake_steady", "wake_periodic"}),
+])
+def test_each_environment_key_reaches_the_environment(key, value, moved):
+    """Changing one config key alone changes exactly the parts of what
+    Environment yields that the key sets."""
+    on = dict(ship_on=True, wind_on=True, noise_on=True)
+    base, changed = ScenarioConfig(**on), ScenarioConfig(**on, **{key: value})
+    changed.validate()
+    want, got = _environment_yield(base), _environment_yield(changed)
+    assert want == _environment_yield(base)
+    assert {part for part in want if got[part] != want[part]} == moved

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import json
@@ -167,6 +168,24 @@ def test_config_round_trip():
     d = config_to_dict(cfg)
     again = config_from_dict(d)
     assert config_to_dict(again) == d
+
+
+def test_config_keys_name_every_config_field_once():
+    """The attribute paths of ScenarioConfig(), with its gain records
+    flattened, are exactly the paths CONFIG_KEYS maps to: no field
+    without a key, no key without a field."""
+    def paths(obj, prefix=""):
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from paths(value, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+    fields = list(paths(ScenarioConfig()))
+    keyed = [".".join(attrs) for attrs, _ in CONFIG_KEYS.values()]
+    assert sorted(fields) == sorted(keyed)
+    assert len(set(keyed)) == len(keyed) == 53
 
 
 def test_config_unknown_key_lists_valid_keys():
@@ -750,8 +769,8 @@ def test_default_pitch_noise_holds_as_a_default_run(monkeypatch):
     the sensor noise of a run with the default config."""
     build, envs = sim.Environment, []
 
-    def recorded(**kwargs):
-        envs.append(build(**kwargs))
+    def recorded(*args):
+        envs.append(build(*args))
         return envs[-1]
 
     monkeypatch.setattr(sim, "Environment", recorded)
