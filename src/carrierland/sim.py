@@ -28,9 +28,9 @@ rate and disturbance to the PD law as arguments, and x1..x3 in the
 trace are the observer's estimates under every law.  Record keeps
 only what the scenario's metrics read, in memory that does not grow
 with the run: a trace row every trace_decimation steps, packed as
-len(TRACE_HEADER) C doubles onto a Trace, which spills past
-TRACE_SPOOL_BYTES to a temporary file (the saturation flags are stored,
-and read back, as 0.0 and 1.0); theta on pitch_step and zdot on
+len(TRACE_HEADER) C doubles onto a Trace, an unlinked temporary file
+from the first row (the saturation flags are stored, and read back, as
+0.0 and 1.0); theta on pitch_step and zdot on
 sink_step folded into a StepResponse; and on approach a running maximum
 of |z - z_r| and a running sum of squared pitch-reference errors from
 metric_skip_s on.  The loop has one abort exit: an OutOfTableRange or
@@ -61,7 +61,7 @@ import tempfile
 import weakref
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, index
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
@@ -427,9 +427,6 @@ class RunMetrics:
     observer_rms_error: float | None = None
 
 
-# bytes of rows a Trace keeps in memory, 4 096 rows; past it the rows
-# live in an unlinked temporary file
-TRACE_SPOOL_BYTES = 1 << 20
 # rows unpacked at a time by Trace iteration, and so by write_trace_csv
 TRACE_BLOCK_ROWS = 64
 _TRACE_WIDTH = len(TRACE_HEADER)
@@ -440,24 +437,21 @@ _CSV_ROW = ",".join(["%.10g"] * _TRACE_WIDTH) + "\n"
 class Trace:
     """Trace rows packed row-major, len(TRACE_HEADER) C doubles a row, 8
     bytes a cell where a tuple of boxed floats takes about 22.  The rows
-    go to a SpooledTemporaryFile: the first TRACE_SPOOL_BYTES stay in
-    memory, and past that they spill to an unlinked temporary file, so a
-    run's memory does not grow with its length.  The file is closed when
-    the Trace is dropped.
+    go to an unlinked temporary file from the first row, so a run's
+    memory does not grow with its length.  Each live Trace holds one file
+    descriptor, closed when the Trace is dropped.
 
-    Reads like a list of row tuples: len, bool, int indexing (negative
-    too) and iteration, which unpacks TRACE_BLOCK_ROWS rows at a time so
-    that reading never boxes the whole trace at once.  A cell reads back
-    as the float it was given, bit for bit; an int or bool reads back as
-    a float, so the saturation flags read 0.0 and 1.0.  == compares the
-    cells as floats, as on lists of tuples of floats: 0.0 == -0.0, and a
-    row holding nan equals no row.
+    Read in order: len, bool and iteration, which unpacks
+    TRACE_BLOCK_ROWS rows at a time so that reading never boxes the whole
+    trace at once; rows appended after a read follow the earlier ones.  A
+    cell reads back as the float it was given, bit for bit; an int or
+    bool reads back as a float, so the saturation flags read 0.0 and 1.0.
     """
 
     __slots__ = ("file", "__weakref__")
 
     def __init__(self):
-        self.file = tempfile.SpooledTemporaryFile(TRACE_SPOOL_BYTES)
+        self.file = tempfile.TemporaryFile()
         weakref.finalize(self, self.file.close)
 
     def append(self, row) -> None:
@@ -478,30 +472,17 @@ class Trace:
         f.seek(0, os.SEEK_END)
         return data
 
-    def __getitem__(self, i) -> tuple:
-        n = len(self)
-        i = index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace row index out of range")
-        return _ROW.unpack(self._read(i, 1))
-
     def __iter__(self):
         for start in range(0, len(self), TRACE_BLOCK_ROWS):
             yield from _ROW.iter_unpack(self._read(start, TRACE_BLOCK_ROWS))
-
-    def __eq__(self, other):
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return len(self) == len(other) and all(map(tuple.__eq__, self, other))
 
 
 @dataclass
 class RunResult:
     config: ScenarioConfig
     # a row of len(TRACE_HEADER) floats per record; sat_elev and sat_thr
-    # read 0.0 or 1.0
+    # read 0.0 or 1.0.  Trace has no ==, so == on RunResults compares
+    # their traces by identity
     trace: Trace
     metrics: RunMetrics
     aborted: bool = False

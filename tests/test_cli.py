@@ -6,6 +6,7 @@ import struct
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -204,6 +205,25 @@ def test_sweep_outputs(tmp_path, capsys):
                                                else format(st, ".10g"))
             assert row["aborted"] == str(int(metrics["aborted"]))
             assert metrics["aborted"] is (code == EXIT_ABORT)
+
+
+def test_sweep_and_compare_release_their_trace_files(tmp_path, capsys):
+    """Each run holds its trace in an open file; once a command returns,
+    every one of them is closed."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("no /proc/self/fd to count open files")
+
+    def open_fds():
+        return len(list(fd_dir.iterdir()))
+
+    before = open_fds()
+    assert run_cli("sweep", "--scenario", "pitch_step", "--duration", "0.5",
+                   "--runs", "4", "--out", str(tmp_path / "sweep")) == EXIT_OK
+    assert open_fds() == before
+    assert run_cli("compare", "--duration", "0.5",
+                   "--out", str(tmp_path / "compare")) == EXIT_OK
+    assert open_fds() == before
 
 
 def test_out_dir_from_environment(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import io
 import json
 import math
 import os
@@ -19,8 +18,8 @@ from carrierland.control import known_input
 from carrierland.environment import PitchNoise, rng_stream
 from carrierland.integrate import rk4_step
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
-                             TRACE_SPOOL_BYTES, ConfigError, RunMetrics,
-                             ScenarioConfig, Simulation, TRACE_HEADER, Trace,
+                             ConfigError, RunMetrics, ScenarioConfig,
+                             Simulation, TRACE_HEADER, Trace,
                              _step_response, compare_controllers,
                              config_from_dict, config_to_dict, run_scenario,
                              set_config_key, settle_time, write_trace_csv)
@@ -251,7 +250,7 @@ def test_bit_reproducibility(tmp_path):
                          wind_on=True, noise_on=True, seed=5, duration=2.0)
     r1 = run_scenario(cfg)
     r2 = run_scenario(config_from_dict(config_to_dict(cfg)))
-    assert r1.trace == r2.trace
+    assert list(r1.trace) == list(r2.trace)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_trace_csv(p1, r1.trace)
     write_trace_csv(p2, r2.trace)
@@ -283,8 +282,6 @@ def test_trace_round_trips_floats_bit_for_bit():
         trace.append(row)
     assert len(trace) == len(rows)
     assert [_bits(row) for row in trace] == [_bits(row) for row in rows]
-    for i in (TRACE_BLOCK_ROWS - 1, TRACE_BLOCK_ROWS, -1):
-        assert _bits(trace[i]) == _bits(rows[i])
 
 
 def _row(*head):
@@ -304,62 +301,19 @@ def test_trace_reads_like_a_list_of_rows():
     trace = _trace_of(rows)
     assert len(trace) == len(rows) and bool(trace) and list(trace) == rows
     assert not Trace() and len(Trace()) == 0 and list(Trace()) == []
-    for i in range(-len(rows), len(rows)):
-        assert trace[i] == rows[i]
-    for i in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            rows[i]
-        with pytest.raises(IndexError):
-            trace[i]
-    with pytest.raises(TypeError):
-        trace[0.0]
     with pytest.raises(struct.error):
         trace.append(rows[0] + (1.0,))
     with pytest.raises(struct.error):
         trace.append(rows[0][1:])
     assert len(trace) == len(rows)
-    # == of two traces is == of their lists of rows
-    pairs = [
-        (rows, list(rows)),
-        (rows, rows[:2]),
-        (rows, rows[:2] + [_row(4.0, -5.0)]),
-        ([_row(0.0, -0.0)], [_row(-0.0, 0.0)]),
-        ([_row(math.nan, 1.0)], [_row(float("nan"), 1.0)]),
-        ([], []),
-    ]
-    for a, b in pairs:
-        assert (_trace_of(a) == _trace_of(b)) is (a == b), (a, b)
-        assert (_trace_of(a) != _trace_of(b)) is (a != b), (a, b)
-    assert trace != rows                                # not a list
-
-
-_SPOOL_ROWS = TRACE_SPOOL_BYTES // (8 * len(TRACE_HEADER))
-
-
-def _spilled(trace):
-    """Whether the rows have left memory: a SpooledTemporaryFile keeps
-    them in an io.BytesIO, its _file, until it rolls over to a file."""
-    return not isinstance(trace.file._file, io.BytesIO)
-
-
-def test_trace_spills_past_its_spool_size_and_still_reads_like_a_list():
-    rows = [_row(float(i), -i / 7.0)
-            for i in range(_SPOOL_ROWS + 2 * TRACE_BLOCK_ROWS + 5)]
-    trace = _trace_of(rows[:_SPOOL_ROWS])
-    assert not _spilled(trace)
-    # reads in between leave the appends at the end
-    assert trace[-1] == rows[_SPOOL_ROWS - 1]
-    assert next(iter(trace)) == rows[0]
-    for row in rows[_SPOOL_ROWS:]:
+    # reads in between, a partial iteration too, leave the appends at the
+    # end, in order, across block boundaries
+    more = [_row(float(i), -i / 7.0) for i in range(2 * TRACE_BLOCK_ROWS + 5)]
+    for n, row in enumerate(more, len(rows) + 1):
+        assert next(iter(trace)) == rows[0]
         trace.append(row)
-        assert trace[-1] == row
-    assert _spilled(trace)
-    assert len(trace) == len(rows) and list(trace) == rows
-    assert trace[_SPOOL_ROWS] == rows[_SPOOL_ROWS] and trace[0] == rows[0]
-    again = _trace_of(rows)
-    assert trace == again
-    again.append(rows[0])
-    assert trace != again and again != trace
+        assert len(trace) == n
+    assert list(trace) == rows + more
 
 
 def _child_env():
@@ -367,16 +321,15 @@ def _child_env():
     return dict(os.environ, PYTHONPATH=str(Path(sim.__file__).parents[1]))
 
 
-def test_dropping_a_spilled_trace_closes_its_file():
+def test_dropping_a_trace_closes_its_file():
     code = "\n".join((
-        "import gc, io",
-        "from carrierland.sim import TRACE_HEADER, TRACE_SPOOL_BYTES, Trace",
+        "import gc",
+        "from carrierland.sim import TRACE_HEADER, Trace",
         "trace = Trace()",
         "row = (0.5,) * len(TRACE_HEADER)",
-        "for _ in range(TRACE_SPOOL_BYTES // (8 * len(row)) + 1):",
+        "for _ in range(3):",
         "    trace.append(row)",
-        "assert not isinstance(trace.file._file, io.BytesIO)",
-        "assert trace[-1] == row and sum(1 for _ in trace) == len(trace)",
+        "assert list(trace) == [row] * 3",
         "del trace",
         "gc.collect()"))
     proc = subprocess.run(
@@ -449,12 +402,12 @@ def _dense_sink_peak(duration: float) -> tuple[int, int]:
 
 def test_dense_trace_memory_per_row():
     _dense_sink_peak(0.1)                 # first-run caches
-    peak3, rows3 = _dense_sink_peak(3.0)
-    peak6, rows6 = _dense_sink_peak(6.0)
-    assert rows6 - rows3 == 3000
-    per_row = (peak6 - peak3) / (rows6 - rows3)
-    # 32 cells of 8 bytes and the in-memory spool's growth margin up to
-    # TRACE_SPOOL_BYTES, past which (about 4 100 rows) rows spill to a file
+    peak1, rows1 = _dense_sink_peak(1.0)
+    peak2, rows2 = _dense_sink_peak(2.0)
+    assert rows2 - rows1 == 1000
+    per_row = (peak2 - peak1) / (rows2 - rows1)
+    # the rows go to a file; rows kept in memory would cost 32 cells of
+    # 8 bytes at least
     assert per_row <= 400, per_row
 
 
@@ -481,7 +434,7 @@ def test_touchdown_fires_once_and_ends_run():
     assert not r.aborted
     m = r.metrics
     assert m.touchdown_time is not None
-    assert r.trace[-1][0] <= m.touchdown_time
+    assert list(r.trace)[-1][0] <= m.touchdown_time
     assert m.touchdown_vertical_error == pytest.approx(0.0, abs=0.2)
     assert m.max_glidepath_deviation < 1.0
 
@@ -947,6 +900,6 @@ def test_every_abort_source_is_reported(controller, settings, reason,
     assert r.abort_reason == reason
     assert r.abort_time == pytest.approx(abort_time, abs=1e-9)
     assert len(r.trace) == rows
-    assert r.abort_time >= r.trace[-1][0]
+    assert r.abort_time >= list(r.trace)[-1][0]
     assert r.metrics.elevator_saturation_count == sat_e
     assert r.metrics.thrust_saturation_count == sat_t
