@@ -37,6 +37,7 @@ z' = V_T sin(gamma) + w_wind).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -147,20 +148,6 @@ class AeroModel:
         cm = cm_a + self.cm_q * q_hat + self.cm_de * delta_e
         return cl, cd, cm
 
-    def to_dict(self) -> dict:
-        return {
-            "cl_base": list(self.cl_base),
-            "cd_base": list(self.cd_base),
-            "cm_base": list(self.cm_base),
-            "cl_q": self.cl_q,
-            "cm_q": self.cm_q,
-            "cl_de": self.cl_de,
-            "cd_de": self.cd_de,
-            "cm_de": self.cm_de,
-            "alpha_min_deg": math.degrees(self.alpha_min),
-            "alpha_max_deg": math.degrees(self.alpha_max),
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "AeroModel":
         required = {"cl_base", "cd_base", "cm_base", "cl_q", "cm_q",
@@ -186,22 +173,12 @@ class AeroModel:
         with open(path) as f:
             return cls.from_dict(json.load(f))
 
-    def to_file(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
 
-
-_DEFAULT_MODEL = None
-
-
+@functools.cache
 def default_aero_model() -> AeroModel:
     """The calibrated default model shipped with the package."""
-    global _DEFAULT_MODEL
-    if _DEFAULT_MODEL is None:
-        text = resources.files("carrierland.data").joinpath("fa18_aero.json").read_text()
-        _DEFAULT_MODEL = AeroModel.from_dict(json.loads(text))
-    return _DEFAULT_MODEL
+    text = resources.files("carrierland.data").joinpath("fa18_aero.json").read_text()
+    return AeroModel.from_dict(json.loads(text))
 
 
 def _polyval(coeffs, x: float) -> float:

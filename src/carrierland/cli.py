@@ -126,7 +126,8 @@ def resolve_config(args) -> ScenarioConfig:
         with open(args.config) as f:
             try:
                 data = json.load(f)
-            except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, UnicodeDecodeError, or nesting too deep
                 raise ConfigError(f"--config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"--config {args.config}: expected a JSON "

@@ -84,18 +84,6 @@ class OuterGains:
     integrator_limit: float = 10.0   # clamp on each integrator state
 
 
-def derive_pitch_gains(t_settle: float, damping: float, dqdot_dq: float):
-    """(kp, kd) placing the pitch error poles for a 2% settling target.
-
-    omega_n = 4/(t_settle * damping); kp = omega_n^2;
-    kd = 2 * damping * omega_n - dqdot_dq.
-    """
-    if t_settle <= 0.0 or damping <= 0.0:
-        raise ValueError("t_settle and damping must be positive")
-    omega_n = 4.0 / (t_settle * damping)
-    return omega_n * omega_n, 2.0 * damping * omega_n - dqdot_dq
-
-
 class PitchOPD:
     """Observer-compensated PD pitch law."""
 
@@ -179,7 +167,7 @@ class PitchPID(_PIDElement):
     """
 
     def __init__(self, gains: PitchGains, trim: TrimPoint,
-                 integrator_limit: float = 10.0):
+                 integrator_limit: float):
         super().__init__(integrator_limit)
         self.g = gains
         self.delta_e_trim = trim.delta_e_star
@@ -225,7 +213,7 @@ class SinkPI(_PIDElement):
     ripple out of the pitch command (the loop cannot reject it anyway).
     """
 
-    def __init__(self, gains: OuterGains, trim: TrimPoint, dt: float = 0.001):
+    def __init__(self, gains: OuterGains, trim: TrimPoint, dt: float):
         super().__init__(gains.integrator_limit)
         self.g = gains
         self.theta_trim = trim.theta_star

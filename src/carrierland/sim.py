@@ -131,11 +131,11 @@ class ScenarioConfig:
     use_local_partials: bool = False   # pitch laws use the recomputed Jacobian
     theta_r_low_deg: float = -12.0    # pitch-command clamp about trim
     theta_r_high_deg: float = 8.0
-    obs_k1: float = 0.75
-    obs_k2: float = 2.75
-    obs_k3: float = 3.0
-    obs_alpha1: float = 0.9
-    obs_epsilon: float = 0.3
+    obs_k1: float = ObserverParams.k1
+    obs_k2: float = ObserverParams.k2
+    obs_k3: float = ObserverParams.k3
+    obs_alpha1: float = ObserverParams.alpha1
+    obs_epsilon: float = ObserverParams.epsilon
     pitch: PitchGains = field(default_factory=PitchGains)
     outer: OuterGains = field(default_factory=OuterGains)
 
@@ -233,7 +233,9 @@ def load_aero_model(path: str | None) -> AeroModel:
         return default_aero_model()
     try:
         return AeroModel.from_file(path)
-    except (ValueError, TypeError) as exc:   # bad JSON or bad model
+    except (ValueError, TypeError, RecursionError, OverflowError) as exc:
+        # bad JSON, JSON nested too deep to decode, a bad model, or an
+        # integer too large for a float
         raise ConfigError(f"aero model {path}: {exc}") from exc
 
 
@@ -269,18 +271,15 @@ _POSITIVE_OR_NULL = Domain("> 0 and finite, or null", math.ulp(0.0),
                            nullable=True)
 
 
-class ConfigKey(tuple):
-    """(attribute path split at its dots, type), as CONFIG_KEYS entries
-    have always unpacked, with the key's domain as `.domain`."""
-
-    def __new__(cls, path: str, typ: type, domain: Domain):
-        entry = super().__new__(cls, (tuple(path.split(".")), typ))
-        entry.domain = domain
-        return entry
+class ConfigKey(NamedTuple):
+    """A config key's dotted attribute path, type and domain."""
+    path: str
+    typ: type
+    domain: Domain
 
 
 # Dotted override keys accepted by config files and the CLI, mapped to
-# (attribute path, type) and a domain.  This registry is the single
+# (attribute path, type, domain).  This registry is the single
 # source of truth for serialization and validation.
 CONFIG_KEYS: dict[str, ConfigKey] = {key: ConfigKey(*entry) for key, entry in {
     "scenario": ("scenario", str, Domain(f"one of {SCENARIOS}",
@@ -346,7 +345,7 @@ CONFIG_KEYS: dict[str, ConfigKey] = {key: ConfigKey(*entry) for key, entry in {
     "integrator_limit": ("outer.integrator_limit", float, _AT_LEAST_ZERO),
 }.items()}
 
-_VALUES = attrgetter(*(".".join(attrs) for attrs, _ in CONFIG_KEYS.values()))
+_VALUES = attrgetter(*(entry.path for entry in CONFIG_KEYS.values()))
 
 
 def _check_domains(c) -> None:
@@ -385,9 +384,10 @@ def set_config_key(cfg: ScenarioConfig, key: str, value) -> None:
     """Set a known key to value as the key's type: a bool key takes a
     bool or an on/off string, an int key no fraction, a number key no
     bool, and only a nullable key null; the domain is validate()'s."""
-    (*heads, leaf), typ = entry = CONFIG_KEYS[key]
+    path, typ, domain = CONFIG_KEYS[key]
+    *heads, leaf = path.split(".")
     if value is None:
-        if not entry.domain.nullable:
+        if not domain.nullable:
             raise ConfigError(f"{key} may not be null")
     elif typ is bool:
         low = value.strip().lower() if isinstance(value, str) else None
@@ -550,22 +550,6 @@ class StepResponse:
                 sum(tail) / len(tail) - target) / abs(target)
         if self.step_size != 0.0:
             metrics.overshoot = max(0.0, self.peak)
-
-
-def _step_response(metrics: RunMetrics, t, y, start: float, target: float,
-                   dt: float) -> None:
-    """StepResponse's metrics of the samples y at times t."""
-    fold = StepResponse(start, target, dt, len(y))
-    for sample in zip(t, y):
-        fold.add(*sample)
-    fold.into(metrics)
-
-
-def settle_time(t, y, target: float):
-    """StepResponse's settle time of the samples y at times t."""
-    metrics = RunMetrics()
-    _step_response(metrics, t, y, target, target, 1.0)
-    return metrics.settle_time_2pct
 
 
 def _square(x: float) -> float:

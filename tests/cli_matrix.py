@@ -35,7 +35,7 @@ steady-state error), a finite wake_extent / v_wd whose wake phase
 overflows (exit 2) and an approach that gives every environment key
 (v_wd, turb_norm, wake_extent, dt_noise, noise_dt, ship_noise_gain,
 ship_warmup_s) a value other than its default (seed 2).  The whole
-matrix takes about 40 s on a 2-core x86 machine.  pytest does not
+matrix takes about 25 s on a 2-core x86 machine.  pytest does not
 collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as

@@ -6,6 +6,7 @@ import struct
 import sys
 import tempfile
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -283,6 +284,10 @@ def test_zero_wind_over_deck_with_wind_is_a_usage_error(tmp_path, capsys):
     assert "v_wd" in err
 
 
+# a JSON file nested deeper than the decoder recurses
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"seed": 1,\n')
@@ -294,6 +299,11 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     err = _usage_error(capsys, "run", "--config", str(not_an_object),
                        "--out", str(tmp_path / "out"))
     assert "JSON object" in err
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text(_DEEP_JSON)
+    err = _usage_error(capsys, "run", "--config", str(too_deep),
+                       "--out", str(tmp_path / "out"))
+    assert "recursion depth" in err
 
 
 @pytest.mark.parametrize("argv, fragment", [
@@ -467,6 +477,11 @@ def test_hold_intervals_accept_exact_multiples(tmp_path, capsys):
     ({"cl_base": [0.1]}, "missing keys"),
     ("not json", "aero model"),
     ([1, 2], "aero model"),
+    pytest.param(_DEEP_JSON, "recursion depth", id="nested-recursion depth"),
+    # the shipped model with an integer no float can hold
+    ({**json.loads(resources.files("carrierland.data").joinpath(
+        "fa18_aero.json").read_text()), "cl_q": 10 ** 400},
+     "int too large to convert to float"),
 ])
 def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
                                               fragment):
@@ -485,6 +500,9 @@ def test_trim_commands_reject_bad_model_or_airspeed(tmp_path, capsys,
     bad.write_text('{"cl_base": [0.1]}\n')
     err = _usage_error(capsys, command, "--aero-model", str(bad))
     assert "missing keys" in err
+    bad.write_text(_DEEP_JSON)
+    err = _usage_error(capsys, command, "--aero-model", str(bad))
+    assert "recursion depth" in err
     err = _usage_error(capsys, command, "--airspeed", "1000")
     assert "no trim point" in err
 
@@ -509,7 +527,7 @@ def test_invalid_gain_in_config_file_is_a_usage_error(tmp_path, capsys):
 
 
 # every numeric config key, drawn with its degenerate values too
-_NUMERIC_KEYS = sorted(k for k, (_, typ) in CONFIG_KEYS.items()
+_NUMERIC_KEYS = sorted(k for k, (_, typ, _) in CONFIG_KEYS.items()
                        if typ in (int, float))
 # keys whose finite values set the run's cost, drawn short
 _SHORT_KEYS = {"duration": (0.001, 0.2), "ship_warmup_s": (0.0, 0.3)}
@@ -518,7 +536,7 @@ _SHORT_KEYS = {"duration": (0.001, 0.2), "ship_warmup_s": (0.0, 0.3)}
 def _domain_draws(st, key):
     """A numeric key's values from its CONFIG_KEYS domain: the finite
     edges, the nearest value past each, values inside, and nan."""
-    (_, typ), domain = CONFIG_KEYS[key], CONFIG_KEYS[key].domain
+    _, typ, domain = CONFIG_KEYS[key]
     lo, hi = domain.lo, domain.hi
     if typ is int:
         beyond = (lo - 1, hi + 1)
@@ -638,7 +656,7 @@ _NULL_DEFAULT_INSIDE = {"duration": 0.01, "t_max": AircraftParams().t_max}
 def test_numeric_key_domain_boundaries(tmp_path, capsys, key):
     """A value inside each numeric key's domain runs; nan and the nearest
     value outside each finite edge of the domain exit 2 naming the key."""
-    (_, typ), domain = CONFIG_KEYS[key], CONFIG_KEYS[key].domain
+    _, typ, domain = CONFIG_KEYS[key]
     inside = _NULL_DEFAULT_INSIDE.get(key,
                                       config_to_dict(ScenarioConfig())[key])
     argv = ("run", "--set", "duration=0.01", "--out", str(tmp_path))

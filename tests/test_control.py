@@ -5,37 +5,19 @@ import pytest
 from carrierland.actuation import saturate_inputs
 from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
                                  OuterGains, PitchGains, PitchOPD, PitchPID,
-                                 SinkPI, VelocityPID, derive_pitch_gains,
-                                 flight_path_generator, known_input)
+                                 SinkPI, VelocityPID, flight_path_generator,
+                                 known_input)
 from carrierland.environment import (ShipParams, ShipState, deck_motion,
                                      rng_streams, ship_step)
 
 
 def test_derive_pitch_gains_design_point():
-    kp, kd = derive_pitch_gains(0.3, math.sqrt(2.0), -0.15)
-    assert kp == pytest.approx(88.89, abs=0.01)
-    assert kd == pytest.approx(26.8167, abs=1e-3)
+    # the shipped kp_theta places the pitch error poles for a 2 %
+    # settling time of 0.3 s at damping sqrt(2): kp = omega_n^2
+    omega_n = 4.0 / (0.3 * math.sqrt(2.0))
+    assert PitchGains().kp_theta == pytest.approx(omega_n ** 2, abs=0.01)
     # note: the shipped default kd_theta keeps the published 26.5186,
-    # which differs slightly from this derivation
-
-
-def test_derive_pitch_gains_unit_case():
-    kp, kd = derive_pitch_gains(4.0, 1.0, -0.5)
-    assert kp == 1.0
-    assert kd == 2.0 + 0.5
-
-
-@pytest.mark.parametrize("t,g", [(0.2, 1.0), (0.5, 0.7), (1.0, math.sqrt(2))])
-def test_gain_formula_identity(t, g):
-    kp, _ = derive_pitch_gains(t, g, -0.1)
-    assert kp == (4.0 / (t * g)) ** 2
-
-
-def test_derive_pitch_gains_validates():
-    with pytest.raises(ValueError):
-        derive_pitch_gains(0.0, 1.0, -0.1)
-    with pytest.raises(ValueError):
-        derive_pitch_gains(1.0, -0.5, -0.1)
+    # which differs slightly from 2 * damping * omega_n - dqdot_dq
 
 
 def test_pitch_gains_reject_zero_channel():
@@ -78,7 +60,7 @@ def test_known_input_uses_applied_deflection(trim, params):
 
 
 def test_pitch_pid_zero_history(trim):
-    pid = PitchPID(PitchGains(), trim)
+    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit)
     for _ in range(5):
         cmd = pid.step(trim.theta_star, trim.theta_star, 1e-3)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
@@ -108,14 +90,14 @@ def test_velocity_integral_accumulates(trim, params):
 
 
 def test_sink_trim_feedforward(trim):
-    sink = SinkPI(OuterGains(), trim)
+    sink = SinkPI(OuterGains(), trim, 1e-3)
     theta_r = sink.step(0.0, 0.0, 1e-3)
     assert theta_r == pytest.approx(trim.theta_star, abs=1e-12)
 
 
 def test_sink_preload_gives_bumpless_start(trim):
     g = OuterGains()
-    sink = SinkPI(g, trim)
+    sink = SinkPI(g, trim, 1e-3)
     target = trim.theta_star - math.radians(3.5)
     sink.preload((target - trim.theta_star) / g.ki_s)
     assert sink.step(0.0, 0.0, 1e-3) == pytest.approx(target, abs=1e-9)
@@ -148,7 +130,7 @@ def test_guidance_derivative_is_filtered():
 
 
 def test_zero_dt_changes_nothing(trim):
-    pid = PitchPID(PitchGains(), trim)
+    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit)
     guid = GuidancePID(OuterGains())
     pid.step(0.13, 0.12, 1e-3)
     guid.step(1.0, 0.0, 1e-3)
@@ -163,7 +145,7 @@ def test_zero_dt_changes_nothing(trim):
 def test_integrator_outputs_bounded(trim, params):
     g = OuterGains(integrator_limit=0.5)
     vel = VelocityPID(g, trim, params)
-    sink = SinkPI(g, trim)
+    sink = SinkPI(g, trim, 1e-3)
     for _ in range(100000):
         vel.step(200.0, 0.0, 0.0, 1e-2)
         sink.step(50.0, -50.0, 1e-2)

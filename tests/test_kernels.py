@@ -865,7 +865,7 @@ def test_sink_lag_holds_at_nonpositive_dt(trim):
     # the sink lag runs the shared filter, which holds its state at
     # dt <= 0 (dt = -tau would otherwise divide by zero)
     outer = replace(_PID_OUTER, sink_filter_tau=0.03, sink_notch_omega=0.0)
-    sink = control.SinkPI(outer, trim)
+    sink = control.SinkPI(outer, trim, 1e-3)
     sink.step(1.0, 0.0, 0.01)
     sink.step(3.0, 0.0, 0.01)
     held = sink._e_filt

@@ -19,10 +19,10 @@ from carrierland.environment import PitchNoise, rng_stream
 from carrierland.integrate import rk4_step
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
                              ConfigError, RunMetrics, ScenarioConfig,
-                             Simulation, TRACE_HEADER, Trace,
-                             _step_response, compare_controllers,
-                             config_from_dict, config_to_dict, run_scenario,
-                             set_config_key, settle_time, write_trace_csv)
+                             Simulation, StepResponse, TRACE_HEADER, Trace,
+                             compare_controllers, config_from_dict,
+                             config_to_dict, run_scenario, set_config_key,
+                             write_trace_csv)
 from carrierland.trimlin import linearize, solve_trim
 
 
@@ -60,18 +60,33 @@ def test_rk4_observed_order_at_least_3_8():
 
 
 # ------------------------------------------------------------ metrics
+def _step_response(metrics, t, y, start, target, dt):
+    """StepResponse's metrics of the samples y at times t."""
+    fold = StepResponse(start, target, dt, len(y))
+    for sample in zip(t, y):
+        fold.add(*sample)
+    fold.into(metrics)
+
+
+def _settle_time(t, y, target):
+    """StepResponse's settle time of the samples y at times t."""
+    metrics = RunMetrics()
+    _step_response(metrics, t, y, target, target, 1.0)
+    return metrics.settle_time_2pct
+
+
 def test_settle_time_basic():
     t = [0.0, 1.0, 2.0, 3.0, 4.0]
     y = [0.0, 0.5, 0.99, 1.0, 1.0]
-    assert settle_time(t, y, 1.0) == 2.0
+    assert _settle_time(t, y, 1.0) == 2.0
 
 
 def test_settle_time_requires_staying_in_band():
     t = [0.0, 1.0, 2.0, 3.0]
     y = [1.0, 1.0, 5.0, 1.0]
-    assert settle_time(t, y, 1.0) == 3.0
+    assert _settle_time(t, y, 1.0) == 3.0
     y = [0.0, 0.5, 0.6, 0.7]
-    assert settle_time(t, y, 1.0) is None
+    assert _settle_time(t, y, 1.0) is None
 
 
 # The step-response scans over whole histories before StepResponse folded
@@ -154,7 +169,7 @@ def test_step_response_fold_matches_the_list_scans():
         _step_response(got, t, y, start, target, dt)
         assert _metric_bits(got) == _metric_bits(ref)
         # the same sample's time, or None
-        assert settle_time(t, y, target) is ref_settle_time(t, y, target)
+        assert _settle_time(t, y, target) is ref_settle_time(t, y, target)
 
     check()
 
@@ -182,7 +197,7 @@ def test_config_keys_name_every_config_field_once():
                 yield prefix + f.name
 
     fields = list(paths(ScenarioConfig()))
-    keyed = [".".join(attrs) for attrs, _ in CONFIG_KEYS.values()]
+    keyed = [path for path, _, _ in CONFIG_KEYS.values()]
     assert sorted(fields) == sorted(keyed)
     assert len(set(keyed)) == len(keyed) == 53
 
