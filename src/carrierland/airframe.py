@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 _sin, _cos, _atan2, _hypot = math.sin, math.cos, math.atan2, math.hypot
@@ -101,7 +101,12 @@ class AeroModel:
     alpha_max: float  # rad
 
     def __post_init__(self):
-        if self.alpha_min >= self.alpha_max:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple)
+                           else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not self.alpha_min < self.alpha_max:
             raise ValueError("alpha_min must be below alpha_max")
         if self.cm_de >= 0.0:
             raise ValueError("cm_de must be negative (nose-down elevator authority)")

@@ -192,7 +192,7 @@ def cmd_linearize(args) -> int:
     print("B (ddelta_e [rad], ddelta_t):")
     for row in lm.b:
         print("  " + " ".join(f"{v:12.6f}" for v in row))
-    modes = eigenmodes(lm)
+    modes = eigenmodes(lm.a)
     for ev, label in zip(modes.eigenvalues, modes.labels):
         name = label or "unlabeled"
         print(f"  {ev.real:+.6f} {ev.imag:+.6f}j  {name}")

@@ -235,9 +235,10 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
         u_h, u_p, k)
 
 
-def wake_steady(x_dist: float, wake_extent: float = DEFAULT_WAKE_EXTENT):
-    """Steady wake components (u2, w2) at distance X ahead of the pitch centre."""
-    if not 0.0 <= x_dist < wake_extent:
+def wake_steady(x_dist: float, cfg: ScenarioConfig):
+    """Steady wake components (u2, w2) at distance X ahead of the pitch
+    centre, zero outside the config's wake extent."""
+    if not 0.0 <= x_dist < cfg.wake_extent:
         return 0.0, 0.0
     return (0.002 * x_dist if x_dist > 0.0 else 0.0), -1.0 + 0.0013 * x_dist
 
@@ -297,7 +298,7 @@ class WindField:
         self.u1 = phi * self.u1 + (1.0 - phi) * self._gain_u * self._held_u
         self.w1 = phi * self.w1 + (1.0 - phi) * self._gain_w * self._held_w
         x_dist = 0.0 - aircraft_x   # ahead of the ship; X = +0.0 at x = 0.0
-        u2, w2 = wake_steady(x_dist, self.cfg.wake_extent)
+        u2, w2 = wake_steady(x_dist, self.cfg)
         u3, w3 = wake_periodic(t, x_dist, self.cfg)
         # positional: keyword construction of the NamedTuple costs ~3x
         return WindSample(self.u1 + u2 + u3, self.w1 + w2 + w3,
@@ -309,15 +310,15 @@ class PitchNoise:
 
     The stated noise power is taken as the sample variance of the held
     random component (sigma = 1 mrad at -60 dB, matching the amplitude
-    of the 1 mrad periodic term), not as a spectral density.  Off, with
-    no generator (rng None), the noise is zero and draws nothing.
+    of the 1 mrad periodic term), not as a spectral density.  The config
+    gives dt and the hold noise_dt.  Off, with no generator (rng None),
+    the noise is zero and draws nothing.
     """
 
-    def __init__(self, rng: np.random.Generator | None, dt: float,
-                 dt_noise: float = DEFAULT_PITCH_NOISE_DT):
+    def __init__(self, cfg: ScenarioConfig, rng: np.random.Generator | None):
         self.rng = rng
         self._sigma = math.sqrt(10.0 ** (PITCH_NOISE_POWER_DB / 10.0))
-        self._hold = hold_steps(dt_noise, dt)
+        self._hold = hold_steps(cfg.noise_dt, cfg.dt)
         self._since_draw = -1
         self._held = 0.0
 
@@ -361,8 +362,7 @@ class Environment:
         self.ship_rng = rng = stream("ship", cfg.ship_on)
         self.wind = WindField(cfg, stream("wind_u", cfg.wind_on),
                               stream("wind_w", cfg.wind_on), v_ref)
-        self.noise = PitchNoise(stream("noise", cfg.noise_on), dt,
-                                cfg.noise_dt)
+        self.noise = PitchNoise(cfg, stream("noise", cfg.noise_on))
         st = ShipState()
         if rng is not None and warmup_s > 0.0:
             step = ship_step

@@ -144,14 +144,7 @@ class ScenarioConfig:
             return self.duration
         return _DEFAULT_DURATION[self.scenario]
 
-    def observer_params(self) -> ObserverParams:
-        try:
-            return ObserverParams(self.obs_k1, self.obs_k2, self.obs_k3,
-                                  self.obs_alpha1, self.obs_epsilon)
-        except ValueError as exc:
-            raise ConfigError(f"obs.*: {exc}") from exc
-
-    def validate(self) -> None:
+    def validate(self) -> tuple[AeroModel, ObserverParams]:
         """Raise a one-line ConfigError naming the key unless every value
         lies in its CONFIG_KEYS domain and the rules across keys hold: dt
         divides the noise holds; the run and the ship warm-up take at most
@@ -162,7 +155,9 @@ class ScenarioConfig:
         wake phases, is finite; the held noise sigmas of the ship and the
         wind, each while on, are finite; an enabled sink notch has finite
         coefficients at dt; and the observer parameters, their injection
-        gains included, and the aero model file are valid."""
+        gains included, and the aero model file are valid.  Returns the
+        run's aero model and observer parameters, built by those last two
+        checks."""
         _check_domains(self)
         dt = self.dt
         for key in ("dt_noise", "noise_dt"):
@@ -218,8 +213,12 @@ class ScenarioConfig:
                    else "sink.notch_omega")
             raise ConfigError(f"{key} is too large: the sink notch's "
                               f"coefficients at dt = {dt!r} are not finite")
-        self.observer_params()
-        load_aero_model(self.aero_model_path)
+        try:
+            obs_params = ObserverParams(self.obs_k1, self.obs_k2, self.obs_k3,
+                                        self.obs_alpha1, self.obs_epsilon)
+        except ValueError as exc:
+            raise ConfigError(f"obs.*: {exc}") from exc
+        return load_aero_model(self.aero_model_path), obs_params
 
 
 def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
@@ -488,7 +487,6 @@ class RunResult:
     aborted: bool = False
     abort_time: float | None = None
     abort_reason: str | None = None
-    trim: TrimPoint | None = None
 
 
 class StepResponse:
@@ -576,23 +574,19 @@ class Simulation:
     """One configured closed-loop run."""
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
+        self.model, self.obs_params = config.validate()
         self.cfg = config
         self.params = params = (AircraftParams(t_max=config.t_max)
                                 if config.t_max else AircraftParams())
-        self.model = model = load_aero_model(config.aero_model_path)
         try:
-            self.trim = _trim(params, model)
+            self.trim = _trim(params, self.model)
         except TrimNotConverged as exc:
             raise ConfigError(f"no trim point: {exc}") from exc
-        self.obs_params = config.observer_params()
-        gains = replace(config.pitch)
+        self.gains = config.pitch
         if config.use_local_partials:
-            linear = linearize(self.trim, params, model)
-            gains.dqdot_dq = linear.dqdot_dq
-            gains.dqdot_dde = linear.dqdot_dde_deg
-        self.gains = gains
-        self.outer = replace(config.outer)
+            linear = linearize(self.trim, params, self.model)
+            self.gains = replace(config.pitch, dqdot_dq=linear.dqdot_dq,
+                                 dqdot_dde=linear.dqdot_dde_deg)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -630,12 +624,12 @@ class Simulation:
         theta_r_lo = theta_star + math.radians(cfg.theta_r_low_deg)
         theta_r_hi = theta_star + math.radians(cfg.theta_r_high_deg)
 
+        outer = cfg.outer
         opd = PitchOPD(gains, trim)
-        pid = PitchPID(gains, trim,
-                       integrator_limit=self.outer.integrator_limit)
-        vel = VelocityPID(self.outer, trim, params)
-        sink = SinkPI(self.outer, trim, dt=dt)
-        guid = GuidancePID(self.outer)
+        pid = PitchPID(gains, trim, integrator_limit=outer.integrator_limit)
+        vel = VelocityPID(outer, trim, params)
+        sink = SinkPI(outer, trim, dt=dt)
+        guid = GuidancePID(outer)
         use_pid = cfg.controller == "pid"
         use_truth = cfg.controller == "opd_truth"
 
@@ -647,9 +641,9 @@ class Simulation:
             drag_star = trim.thrust_star * math.cos(trim.alpha_star)
             thrust0 = max(0.0, (drag_star + params.m * params.g
                                 * math.sin(gamma0)) / math.cos(trim.alpha_star))
-            sink.preload((theta0 - theta_star) / self.outer.ki_s)
+            sink.preload((theta0 - theta_star) / outer.ki_s)
             vel.preload((thrust0 - trim.thrust_star)
-                        / (params.m * self.outer.ki_v))
+                        / (params.m * outer.ki_v))
 
         obs_p = self.obs_params
         # concatenated state: aircraft 6, engine 1, elevator 2, observer 3,
@@ -845,7 +839,7 @@ class Simulation:
 
         return RunResult(config=self.cfg, trace=trace, metrics=metrics,
                          aborted=aborted, abort_time=t if aborted else None,
-                         abort_reason=abort_reason, trim=self.trim)
+                         abort_reason=abort_reason)
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -196,19 +196,18 @@ class EigenModes:
     degenerate: bool
 
 
-def eigenmodes(linear) -> EigenModes:
-    """Label the spectrum's conjugate pairs as short-period and phugoid.
+def eigenmodes(a) -> EigenModes:
+    """Label the conjugate pairs of the 4x4 state matrix a's spectrum as
+    short-period and phugoid.
 
-    Accepts a LinearModel or a raw 4x4 matrix.  numpy returns the complex
-    eigenvalues of a real matrix as exact conjugate pairs, so sorted by
-    descending magnitude, then imaginary part, two pairs of different
-    magnitude read (sp, conj sp, ph, conj ph): the faster pair (larger
-    natural frequency) is the short-period mode.  Any other spectrum (a
-    real eigenvalue, or two pairs of exactly one magnitude, such as a
-    repeated pair) is degenerate, and the raw eigenvalues are returned
-    unlabeled.
+    numpy returns the complex eigenvalues of a real matrix as exact
+    conjugate pairs, so sorted by descending magnitude, then imaginary
+    part, two pairs of different magnitude read (sp, conj sp, ph, conj
+    ph): the faster pair (larger natural frequency) is the short-period
+    mode.  Any other spectrum (a real eigenvalue, or two pairs of exactly
+    one magnitude, such as a repeated pair) is degenerate, and the raw
+    eigenvalues are returned unlabeled.
     """
-    a = linear.a if isinstance(linear, LinearModel) else np.asarray(linear, float)
     ev = tuple(sorted(eigenvalues_4x4(a), key=lambda z: (-abs(z), -z.imag)))
     upper = [abs(z) for z in ev if z.imag > 0.0]
     if len(upper) != 2 or upper[0] == upper[1]:

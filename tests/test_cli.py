@@ -473,15 +473,26 @@ def test_hold_intervals_accept_exact_multiples(tmp_path, capsys):
                    "--duration", "0.05", "--out", str(tmp_path)) == EXIT_OK
 
 
+_SHIPPED_MODEL = json.loads(resources.files("carrierland.data").joinpath(
+    "fa18_aero.json").read_text())
+
+
 @pytest.mark.parametrize("model_json, fragment", [
     ({"cl_base": [0.1]}, "missing keys"),
     ("not json", "aero model"),
     ([1, 2], "aero model"),
     pytest.param(_DEEP_JSON, "recursion depth", id="nested-recursion depth"),
     # the shipped model with an integer no float can hold
-    ({**json.loads(resources.files("carrierland.data").joinpath(
-        "fa18_aero.json").read_text()), "cl_q": 10 ** 400},
+    ({**_SHIPPED_MODEL, "cl_q": 10 ** 400},
      "int too large to convert to float"),
+    # the shipped model with a number that is not finite
+    ({**_SHIPPED_MODEL, "alpha_min_deg": math.nan},
+     "alpha_min must be finite"),
+    ({**_SHIPPED_MODEL, "cm_de": math.nan}, "cm_de must be finite"),
+    ({**_SHIPPED_MODEL, "cl_base": [math.nan, *_SHIPPED_MODEL["cl_base"][1:]]},
+     "cl_base must be finite"),
+    ({**_SHIPPED_MODEL, "alpha_max_deg": math.inf},
+     "alpha_max must be finite"),
 ])
 def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
                                               fragment):
@@ -503,6 +514,9 @@ def test_trim_commands_reject_bad_model_or_airspeed(tmp_path, capsys,
     bad.write_text(_DEEP_JSON)
     err = _usage_error(capsys, command, "--aero-model", str(bad))
     assert "recursion depth" in err
+    bad.write_text(json.dumps({**_SHIPPED_MODEL, "cd_de": math.nan}))
+    err = _usage_error(capsys, command, "--aero-model", str(bad))
+    assert "cd_de must be finite" in err
     err = _usage_error(capsys, command, "--airspeed", "1000")
     assert "no trim point" in err
 

@@ -114,19 +114,20 @@ def test_ship_off_keeps_a_level_deck():
 
 
 def test_wake_steady_profile_values():
-    u2, w2 = wake_steady(500.0)
+    p = ScenarioConfig()
+    u2, w2 = wake_steady(500.0, p)
     assert u2 == pytest.approx(1.0)        # 0.002 * 500
     assert w2 == pytest.approx(-0.35)      # -1 + 0.0013 * 500
-    u2, w2 = wake_steady(0.0)
+    u2, w2 = wake_steady(0.0, p)
     assert u2 == 0.0
     assert w2 == -1.0
-    assert wake_steady(-10.0) == (0.0, 0.0)
-    assert wake_steady(950.0) == (0.0, 0.0)
+    assert wake_steady(-10.0, p) == (0.0, 0.0)
+    assert wake_steady(950.0, p) == (0.0, 0.0)
 
 
 def test_wake_steady_u2_continuous_at_ship():
     eps = 1e-9
-    u2_plus, _ = wake_steady(eps)
+    u2_plus, _ = wake_steady(eps, ScenarioConfig())
     assert u2_plus == pytest.approx(0.0, abs=1e-8)
 
 
@@ -164,23 +165,24 @@ def test_wake_periodic_continuous_in_time():
 
 
 def test_pitch_noise_periodic_component():
-    noise = PitchNoise(_ConstRng(), dt=1e-3, dt_noise=0.01)
+    noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=0.01), _ConstRng())
     assert noise.sample(0.0) == 0.0
     # rebuild so the hold counter does not matter
-    noise = PitchNoise(_ConstRng(), dt=1e-3, dt_noise=0.01)
+    noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=0.01), _ConstRng())
     assert noise.sample(math.pi / 14.0) == pytest.approx(0.001, rel=1e-12)
 
 
 def test_pitch_noise_variance_convention():
     """The stated power is the variance of the held random component
     (sigma = 1 mrad at -60 dB)."""
-    noise = PitchNoise(np.random.default_rng(11), dt=1e-3, dt_noise=1e-3)
+    noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=1e-3),
+                       np.random.default_rng(11))
     draws = [noise.sample(0.0) for _ in range(100000)]
     assert np.var(draws) == pytest.approx(1e-6, rel=0.05)
 
 
 def test_pitch_noise_disabled_is_zero_everywhere():
-    noise = PitchNoise(None, dt=1e-3)
+    noise = PitchNoise(ScenarioConfig(dt=1e-3), None)
     assert all(noise.sample(t) == 0.0 for t in (0.0, 0.3, 1.7))
 
 
@@ -208,7 +210,7 @@ def test_wind_sample_components_sum():
     assert s.u_g == pytest.approx(s.u1 + s.u2 + s.u3, rel=1e-12)
     assert s.w_g == pytest.approx(s.w1 + s.w2 + s.w3, rel=1e-12)
     assert (s.u1, s.w1) == (wf.u1, wf.w1)
-    assert (s.u2, s.w2) == wake_steady(400.0, p.wake_extent)
+    assert (s.u2, s.w2) == wake_steady(400.0, p)
     assert (s.u3, s.w3) == wake_periodic(1.0, 400.0, p)
 
 
@@ -254,7 +256,7 @@ def test_disabled_sources_draw_nothing():
     """A source is off exactly when it has no generator: it then returns
     calm or zero on every step, and its filters stay at rest."""
     wf = WindField(ScenarioConfig(), None, None, v_ref=69.1)
-    noise = PitchNoise(None, dt=1e-3, dt_noise=1e-3)
+    noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=1e-3), None)
     for k in range(1000):
         assert wf.sample(k * 1e-3, -400.0) is CALM
         assert noise.sample(k * 1e-3) == 0.0
@@ -286,7 +288,7 @@ def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
     p = ShipParams(dt_noise=dt_noise)
     wf = WindField(ScenarioConfig(dt=dt, dt_noise=dt_noise), wind_u, wind_w,
                    v_ref=69.1)
-    noise = PitchNoise(noise_rng, dt=dt, dt_noise=dt_noise)
+    noise = PitchNoise(ScenarioConfig(dt=dt, noise_dt=dt_noise), noise_rng)
     k, u_h, u_p = -1, 0.0, 0.0
     for step in range(n):
         for rng in (ship, wind_u, wind_w, noise_rng):

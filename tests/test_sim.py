@@ -7,12 +7,13 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from carrierland import sim
-from carrierland.airframe import state_derivative
+from carrierland.airframe import AeroModel, state_derivative
 from carrierland.cli import EXIT_USAGE, main as cli_main
 from carrierland.control import known_input
 from carrierland.environment import PitchNoise, rng_stream
@@ -426,7 +427,7 @@ def test_dense_trace_memory_per_row():
     assert per_row <= 400, per_row
 
 
-def test_trim_hold_without_disturbances():
+def test_trim_hold_without_disturbances(trim):
     """Commanding trim references with everything off parks the states."""
     cfg = ScenarioConfig(scenario="pitch_step", pitch_step_deg=0.0,
                          wind_on=False, noise_on=False, ship_on=False,
@@ -434,7 +435,6 @@ def test_trim_hold_without_disturbances():
     r = run_scenario(cfg)
     assert not r.aborted
     i = {h: j for j, h in enumerate(TRACE_HEADER)}
-    trim = r.trim
     for row in r.trace:
         assert abs(row[i["v_t"]] - trim.v_t_star) < 1e-3
         assert abs(row[i["theta"]] - trim.theta_star) < 1e-3
@@ -642,7 +642,7 @@ def _column(rows, name):
 
 @pytest.mark.parametrize("controller", ["opd", "pid"])
 def test_observer_known_input_uses_applied_elevator(controller, params,
-                                                    model):
+                                                    model, trim):
     cfg = config_from_dict({"controller": controller, "pitch_step_deg": 5.0,
                             "duration": 2.0, "trace_decimation": 1})
     r = run_scenario(cfg)
@@ -659,15 +659,15 @@ def test_observer_known_input_uses_applied_elevator(controller, params,
                                 params)[3]
         h = qdot - d_true
         assert any(h == pytest.approx(
-            known_input(x2, stop, r.trim.delta_e_star, cfg.pitch),
+            known_input(x2, stop, trim.delta_e_star, cfg.pitch),
             rel=1e-9, abs=1e-12) for stop in stops), row[0]
 
 
-def test_truth_law_trace_holds_observer_estimates():
+def test_truth_law_trace_holds_observer_estimates(trim):
     cfg = ScenarioConfig(scenario="pitch_step", controller="opd_truth",
                          duration=1.0)
     r = run_scenario(cfg)
-    theta_star = r.trim.theta_star
+    theta_star = trim.theta_star
     assert any(x1 != th - theta_star for x1, th in zip(
         _column(r.trace, "x1"), _column(r.trace, "theta")))
 
@@ -716,6 +716,23 @@ def test_runs_of_one_airframe_share_one_trim_solve(monkeypatch, trim):
     assert [args[0].t_max for args in calls] == [71172.5]
 
 
+def test_a_run_reads_its_aero_model_file_once(monkeypatch, tmp_path, model):
+    """The model validate() loads is the one the run keeps."""
+    path = tmp_path / "aero.json"
+    path.write_bytes(
+        resources.files("carrierland.data").joinpath("fa18_aero.json")
+        .read_bytes())
+    read, calls = AeroModel.from_file, []
+
+    def counted(p):
+        calls.append(p)
+        return read(p)
+
+    monkeypatch.setattr(AeroModel, "from_file", counted)
+    assert Simulation(ScenarioConfig(aero_model_path=str(path))).model == model
+    assert calls == [str(path)]
+
+
 def test_failing_trim_is_solved_again_on_each_run(monkeypatch, capsys,
                                                   tmp_path):
     calls = []
@@ -732,9 +749,9 @@ def test_failing_trim_is_solved_again_on_each_run(monkeypatch, capsys,
         assert len(calls) == n
 
 
-def test_default_pitch_noise_holds_as_a_default_run(monkeypatch):
-    """A PitchNoise built with its defaults draws on the same steps as
-    the sensor noise of a run with the default config."""
+def test_pitch_noise_of_a_config_holds_as_its_run(monkeypatch):
+    """A PitchNoise built from a config draws on the same steps as the
+    sensor noise of a run of that config."""
     build, envs = sim.Environment, []
 
     def recorded(*args):
@@ -745,7 +762,7 @@ def test_default_pitch_noise_holds_as_a_default_run(monkeypatch):
     cfg = ScenarioConfig(noise_on=True, duration=0.2)
     run_scenario(cfg)
     (env,) = envs
-    ref = PitchNoise(rng_stream(cfg.seed, "noise"), cfg.dt)
+    ref = PitchNoise(cfg, rng_stream(cfg.seed, "noise"))
     t = 0.0
     for _ in range(200):
         ref.sample(t)
@@ -820,13 +837,13 @@ def _assert_step_metrics(metrics, t, y, start, target, dt):
 @pytest.mark.parametrize("controller", ["opd", "pid", "opd_truth"])
 @pytest.mark.parametrize("disturbed", [False, True])
 def test_pitch_step_metrics_rebuilt_from_full_rate_trace(controller,
-                                                         disturbed):
+                                                         disturbed, trim):
     cfg = ScenarioConfig(scenario="pitch_step", controller=controller,
                          wind_on=disturbed, noise_on=disturbed, seed=4,
                          duration=3.0, trace_decimation=1)
     r = run_scenario(cfg)
     assert len(r.trace) == 3000
-    theta_star = r.trim.theta_star
+    theta_star = trim.theta_star
     _assert_step_metrics(r.metrics, _column(r.trace, "t"),
                          _column(r.trace, "theta"), theta_star,
                          theta_star + math.radians(cfg.pitch_step_deg),
