@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .airframe import AircraftParams
 from .sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS, ConfigError,
@@ -115,13 +116,13 @@ def _add_run_args(p, controller_choice=True):
     p.add_argument("--seed", type=int)
     p.add_argument("--duration", type=float)
     p.add_argument("--dt", type=float)
-    p.add_argument("--wind", choices=("on", "off"))
-    p.add_argument("--noise", choices=("on", "off"))
-    p.add_argument("--ship", choices=("on", "off"))
+    p.add_argument("--wind", choices=("on", "off"), dest="wind_on")
+    p.add_argument("--noise", choices=("on", "off"), dest="noise_on")
+    p.add_argument("--ship", choices=("on", "off"), dest="ship_on")
 
 
 def resolve_config(args) -> ScenarioConfig:
-    cfg = ScenarioConfig()
+    data: dict = {}
     if args.config:
         with open(args.config) as f:
             try:
@@ -132,7 +133,6 @@ def resolve_config(args) -> ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"--config {args.config}: expected a JSON "
                               "object of config keys")
-        cfg = config_from_dict(data, base=cfg)
     overrides: dict = {}
     for item in args.set:
         if "=" not in item:
@@ -140,14 +140,12 @@ def resolve_config(args) -> ScenarioConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     # compare has no --controller, hence getattr
-    for name, key in (("scenario", "scenario"), ("controller", "controller"),
-                      ("seed", "seed"), ("duration", "duration"),
-                      ("dt", "dt"), ("wind", "wind_on"),
-                      ("noise", "noise_on"), ("ship", "ship_on")):
-        v = getattr(args, name, None)
+    for key in ("scenario", "controller", "seed", "duration", "dt",
+                "wind_on", "noise_on", "ship_on"):
+        v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
-    cfg = config_from_dict(overrides, base=cfg)
+    cfg = config_from_dict(data, overrides)
     cfg.validate()
     return cfg
 
@@ -297,10 +295,9 @@ def cmd_sweep(args) -> int:
     if args.runs < 1:
         raise ConfigError("--runs must be >= 1")
     out_dir = out_dir_for(args, f"sweep_{cfg.scenario}_{cfg.controller}")
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for seed in range(cfg.seed, cfg.seed + args.runs):
-        result = run_scenario(config_from_dict({"seed": seed}, base=cfg))
+        result = run_scenario(replace(cfg, seed=seed))
         _emit_run(result, os.path.join(out_dir, f"seed_{seed}"))
         m = result.metrics
         rows.append((seed, m.settle_time_2pct, m.steady_state_error,

@@ -52,7 +52,6 @@ every sample drawn and every float written to the trace.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import os
@@ -144,7 +143,7 @@ class ScenarioConfig:
             return self.duration
         return _DEFAULT_DURATION[self.scenario]
 
-    def validate(self) -> tuple[AeroModel, ObserverParams]:
+    def validate(self) -> ObserverParams:
         """Raise a one-line ConfigError naming the key unless every value
         lies in its CONFIG_KEYS domain and the rules across keys hold: dt
         divides the noise holds; the run and the ship warm-up take at most
@@ -155,9 +154,10 @@ class ScenarioConfig:
         wake phases, is finite; the held noise sigmas of the ship and the
         wind, each while on, are finite; an enabled sink notch has finite
         coefficients at dt; and the observer parameters, their injection
-        gains included, and the aero model file are valid.  Returns the
-        run's aero model and observer parameters, built by those last two
-        checks."""
+        gains included, are valid.  Returns the run's observer
+        parameters, built by that last check.  Reads no file: the aero
+        model file is load_aero_model's to check, where the run is
+        built."""
         _check_domains(self)
         dt = self.dt
         for key in ("dt_noise", "noise_dt"):
@@ -218,7 +218,7 @@ class ScenarioConfig:
                                         self.obs_alpha1, self.obs_epsilon)
         except ValueError as exc:
             raise ConfigError(f"obs.*: {exc}") from exc
-        return load_aero_model(self.aero_model_path), obs_params
+        return obs_params
 
 
 def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
@@ -364,18 +364,19 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return dict(zip(CONFIG_KEYS, _VALUES(cfg)))
 
 
-def config_from_dict(d: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Build a configuration from canonical keys, rejecting unknown ones."""
-    cfg = copy.copy(base) if base is not None else ScenarioConfig()
-    # copies, not replace(): an invalid gain is validate()'s to report
-    cfg.pitch = copy.copy(cfg.pitch)
-    cfg.outer = copy.copy(cfg.outer)
-    unknown = [k for k in d if k not in CONFIG_KEYS]
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys {unknown}; valid keys: {sorted(CONFIG_KEYS)}")
-    for key, value in d.items():
-        set_config_key(cfg, key, value)
+def config_from_dict(*layers: dict) -> ScenarioConfig:
+    """Build a configuration from the defaults and layers of canonical
+    keys applied in turn, a later layer overriding an earlier one; a
+    layer with an unknown key is rejected before any of its keys is
+    set."""
+    cfg = ScenarioConfig()
+    for d in layers:
+        unknown = [k for k in d if k not in CONFIG_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown config keys {unknown}; valid keys: "
+                              f"{sorted(CONFIG_KEYS)}")
+        for key, value in d.items():
+            set_config_key(cfg, key, value)
     return cfg
 
 
@@ -574,7 +575,8 @@ class Simulation:
     """One configured closed-loop run."""
 
     def __init__(self, config: ScenarioConfig):
-        self.model, self.obs_params = config.validate()
+        self.obs_params = config.validate()
+        self.model = load_aero_model(config.aero_model_path)
         self.cfg = config
         self.params = params = (AircraftParams(t_max=config.t_max)
                                 if config.t_max else AircraftParams())
@@ -853,10 +855,11 @@ class ComparisonResult(NamedTuple):
 
 
 def compare_controllers(config: ScenarioConfig) -> ComparisonResult:
-    """Run the observer-PD and PID laws against identical environments."""
-    return ComparisonResult(*(
-        run_scenario(config_from_dict({"controller": law}, base=config))
-        for law in ComparisonResult._fields))
+    """Run the observer-PD and PID laws against identical environments.
+    Each run's config is config with only its controller replaced, so
+    the runs share config's gain records, which no run changes."""
+    return ComparisonResult(*(run_scenario(replace(config, controller=law))
+                              for law in ComparisonResult._fields))
 
 
 def write_trace_csv(path, trace: Trace) -> None:

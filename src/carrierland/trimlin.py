@@ -193,7 +193,6 @@ def eigenvalues_4x4(a: np.ndarray) -> list[complex]:
 class EigenModes:
     eigenvalues: tuple[complex, ...]
     labels: tuple[str | None, ...]
-    degenerate: bool
 
 
 def eigenmodes(a) -> EigenModes:
@@ -206,10 +205,10 @@ def eigenmodes(a) -> EigenModes:
     ph): the faster pair (larger natural frequency) is the short-period
     mode.  Any other spectrum (a real eigenvalue, or two pairs of exactly
     one magnitude, such as a repeated pair) is degenerate, and the raw
-    eigenvalues are returned unlabeled.
+    eigenvalues are returned with the labels (None,) * 4.
     """
     ev = tuple(sorted(eigenvalues_4x4(a), key=lambda z: (-abs(z), -z.imag)))
     upper = [abs(z) for z in ev if z.imag > 0.0]
     if len(upper) != 2 or upper[0] == upper[1]:
-        return EigenModes(ev, (None, None, None, None), True)
-    return EigenModes(ev, ("short-period",) * 2 + ("phugoid",) * 2, False)
+        return EigenModes(ev, (None,) * 4)
+    return EigenModes(ev, ("short-period",) * 2 + ("phugoid",) * 2)

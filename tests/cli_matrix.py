@@ -5,15 +5,20 @@ Byte-identity matrix of the carrierland command-line program.
 
 Runs a fixed set of CLI calls against the source tree next to this
 script (its ../src), each in a fresh process with OUT/<case> as the
-working directory, and writes OUT/manifest.txt: one line per case with
-its exit code and the sha256 of its stdout and stderr, then one line
-per output file with its sha256.  Two checkouts give the same manifest
-exactly when every output byte and exit code is the same, so a change
-meant to leave outputs alone is checked with
+working directory, and writes OUT/manifest.txt: a first line
+"# python X.Y numpy V" naming the versions that wrote it, then one line
+per case with its exit code and the sha256 of its stdout and stderr,
+then one line per output file with its sha256.  Two checkouts give the
+same manifest exactly when every output byte and exit code is the same,
+so a change meant to leave outputs alone is checked with
 
     python tests/cli_matrix.py /tmp/a        # in the parent checkout
     python tests/cli_matrix.py /tmp/b        # in the changed checkout
     diff /tmp/a/manifest.txt /tmp/b/manifest.txt
+
+tests/cli_matrix_manifest.txt is the manifest of the checked-in tree
+under the versions its first line names; CI diffs a fresh one against
+it under those versions.
 
 The cases cover trim and linearize, the approach under each control law
 with two seeds, pitch and sink steps clean, disturbed and with a trace
@@ -68,6 +73,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -280,7 +287,7 @@ def _text_diff(label: str, a: bytes, b: bytes) -> list[str]:
 def _exit_codes(root: Path) -> dict[str, str]:
     codes = {}
     for line in (root / "manifest.txt").read_text().splitlines():
-        if not line.startswith(" "):
+        if not line.startswith((" ", "#")):
             name, exit_field = line.split()[:2]
             codes[name] = exit_field.split("=", 1)[1]
     return codes
@@ -347,7 +354,9 @@ def main(argv: list[str]) -> int:
         print(f"error: {root} is not empty", file=sys.stderr)
         return 2
     root.mkdir(parents=True, exist_ok=True)
-    manifest = []
+    # the Python and numpy that wrote the manifest
+    manifest = ["# python {}.{} numpy {}".format(*sys.version_info[:2],
+                                                 numpy.__version__)]
     for name, args in cases():
         lines = run_case(root, name, args)
         print(lines[0], flush=True)

@@ -13,7 +13,7 @@ import pytest
 
 from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
                              build_parser, main)
-from carrierland.airframe import AircraftParams
+from carrierland.airframe import AeroModel, AircraftParams
 from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
                              ConfigError, ScenarioConfig, config_from_dict,
                              config_to_dict)
@@ -502,6 +502,47 @@ def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
     err = _usage_error(capsys, "run", "--set", f"aero_model_path={path}",
                        "--duration", "0.1", "--out", str(tmp_path / "out"))
     assert fragment in err
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (("run",), 1),
+    (("compare",), 2),
+    (("sweep", "--runs", "3"), 3),
+])
+def test_each_run_reads_its_aero_model_file_once(tmp_path, capsys,
+                                                 monkeypatch, argv, reads):
+    """The config is checked without reading the model file; each run
+    reads it once, where the run is built."""
+    path = tmp_path / "aero.json"
+    path.write_bytes(resources.files("carrierland.data")
+                     .joinpath("fa18_aero.json").read_bytes())
+    read, calls = AeroModel.from_file, []
+
+    def counted(p):
+        calls.append(p)
+        return read(p)
+
+    monkeypatch.setattr(AeroModel, "from_file", counted)
+    assert run_cli(*argv, "--set", f"aero_model_path={path}",
+                   "--duration", "0.1", "--out", str(tmp_path / "out")) \
+        == EXIT_OK
+    assert calls == [str(path)] * reads
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("--runs", "0"), "--runs"),
+    (("--set", "aero_model_path={bad}"), "missing keys"),
+    (("--set", "dt=-1"), "dt must be"),
+])
+def test_rejected_sweep_writes_nothing(tmp_path, capsys, argv, fragment):
+    bad = tmp_path / "aero.json"
+    bad.write_text('{"cl_base": [0.1]}\n')
+    out = tmp_path / "out"
+    # a later --runs overrides this one
+    err = _usage_error(capsys, "sweep", "--runs", "2", "--duration", "0.1",
+                       "--out", str(out), *(a.format(bad=bad) for a in argv))
+    assert fragment in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["trim", "linearize"])

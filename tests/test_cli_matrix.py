@@ -60,3 +60,14 @@ def test_exit_code_and_row_count_mismatches_are_reported(tmp_path):
         _matrix(tmp_path / "b", {"run": (3, METRICS, short)}))
     assert report[:3] == ["run: exit 0", "  exit: 0 -> 3",
                           "  out/trace.csv rows: 4 -> 3"]
+
+
+def test_manifest_header_line_is_not_a_case(tmp_path):
+    cases = {"run_a": (0, METRICS, TRACE)}
+    plain = _matrix(tmp_path / "a", cases)
+    headed = _matrix(tmp_path / "b", cases)
+    manifest = headed / "manifest.txt"
+    manifest.write_text("# python 3.11 numpy 2.4.6\n" + manifest.read_text())
+    assert cli_matrix.compare(plain, headed)[0] == "run_a: exit 0, identical"
+    assert cli_matrix.compare(headed, headed) == cli_matrix.compare(plain,
+                                                                    plain)

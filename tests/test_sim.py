@@ -516,7 +516,7 @@ def test_truth_fed_loop_not_slower_than_observer_fed():
     base = ScenarioConfig(scenario="pitch_step", seed=0, pitch_step_deg=0.2)
     obs_fed = run_scenario(base).metrics.settle_time_2pct
     truth = run_scenario(
-        config_from_dict({"controller": "opd_truth"}, base=base)
+        dataclasses.replace(base, controller="opd_truth")
     ).metrics.settle_time_2pct
     assert truth is not None and obs_fed is not None
     assert truth <= 1.1 * obs_fed
@@ -527,7 +527,7 @@ def test_truth_fed_loop_rejects_disturbances_at_least_as_well():
                           noise_on=True)
     obs_fed = run_scenario(base).metrics.steady_state_error
     truth = run_scenario(
-        config_from_dict({"controller": "opd_truth"}, base=base)
+        dataclasses.replace(base, controller="opd_truth")
     ).metrics.steady_state_error
     assert truth <= 1.1 * obs_fed
 
@@ -717,7 +717,8 @@ def test_runs_of_one_airframe_share_one_trim_solve(monkeypatch, trim):
 
 
 def test_a_run_reads_its_aero_model_file_once(monkeypatch, tmp_path, model):
-    """The model validate() loads is the one the run keeps."""
+    """validate() reads no file: the run reads its model file once, where
+    it is built, and keeps that model."""
     path = tmp_path / "aero.json"
     path.write_bytes(
         resources.files("carrierland.data").joinpath("fa18_aero.json")

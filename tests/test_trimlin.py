@@ -193,7 +193,7 @@ def test_default_model_matches_reference_linearization(linear):
 
 def test_eigenmodes_labels_reference_matrix():
     modes = eigenmodes(REFERENCE_A)
-    assert not modes.degenerate
+    assert modes.labels == ("short-period",) * 2 + ("phugoid",) * 2
     by_label = {}
     for ev, label in zip(modes.eigenvalues, modes.labels):
         by_label.setdefault(label, []).append(ev)
@@ -207,8 +207,7 @@ def test_eigenmodes_labels_reference_matrix():
 
 def test_eigenmodes_degenerate_spectrum():
     modes = eigenmodes(np.diag([-1.0, -2.0, -3.0, -4.0]))
-    assert modes.degenerate
-    assert all(label is None for label in modes.labels)
+    assert modes.labels == (None,) * 4
     vals = sorted(z.real for z in modes.eigenvalues)
     assert vals == pytest.approx([-4.0, -3.0, -2.0, -1.0], abs=1e-9)
 
@@ -220,8 +219,7 @@ def test_eigenmodes_repeated_pair_is_degenerate():
     a = np.zeros((4, 4))
     a[:2, :2] = a[2:, 2:] = block
     modes = eigenmodes(a)
-    assert modes.degenerate
-    assert modes.labels == (None, None, None, None)
+    assert modes.labels == (None,) * 4
     assert modes.eigenvalues == pytest.approx(
         (p, p, p.conjugate(), p.conjugate()), abs=1e-12)
 
@@ -235,7 +233,7 @@ def test_eigenmodes_second_order_blocks():
     a[2, 3] = 1.0
     a[3, 2], a[3, 3] = -w2 ** 2, -2 * z2 * w2
     modes = eigenmodes(a)
-    assert not modes.degenerate
+    assert modes.labels == ("short-period",) * 2 + ("phugoid",) * 2
     expect_fast = complex(-z1 * w1, w1 * math.sqrt(1 - z1 ** 2))
     got = {label: ev for ev, label in zip(modes.eigenvalues, modes.labels)
            if ev.imag > 0}
