@@ -145,9 +145,7 @@ def resolve_config(args) -> ScenarioConfig:
         v = getattr(args, key, None)
         if v is not None:
             overrides[key] = v
-    cfg = config_from_dict(data, overrides)
-    cfg.validate()
-    return cfg
+    return config_from_dict(data, overrides)
 
 
 def out_dir_for(args, name: str) -> str:

@@ -48,7 +48,7 @@ RAD2DEG = 180.0 / math.pi
 DEG2RAD = math.pi / 180.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PitchGains:
     kp_theta: float = 88.89          # observer-PD proportional
     kd_theta: float = 26.5186        # observer-PD derivative
@@ -59,12 +59,8 @@ class PitchGains:
     dqdot_dde: float = -0.015        # plant elevator partial, rad s^-2 per deg
     rate_filter_tau: float = 0.01    # s, derivative filter for the PID baseline
 
-    def __post_init__(self):
-        if self.dqdot_dde == 0.0:
-            raise ValueError("dqdot_dde must be nonzero")
 
-
-@dataclass
+@dataclass(frozen=True)
 class OuterGains:
     kp_v: float = 1.2
     ki_v: float = 0.4

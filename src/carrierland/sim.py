@@ -46,6 +46,10 @@ Scenarios:
     approach    full cascade from a point on the glide path, ending at
                 touchdown (z <= z_l once x >= x_l) or at the duration cap.
 
+A ScenarioConfig is frozen and checked as it is built: by
+config_from_dict, by its constructor, or by dataclasses.replace, which
+derives compare's run of each law and sweep's run of each seed.
+
 Runs are bit-reproducible: a resolved configuration and seed determine
 every sample drawn and every float written to the trace.
 """
@@ -59,7 +63,7 @@ import struct
 import tempfile
 import weakref
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -101,7 +105,7 @@ class ConfigError(ValueError):
     """A scenario configuration field violates its constraint."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = "pitch_step"
     controller: str = "opd"
@@ -135,15 +139,15 @@ class ScenarioConfig:
     obs_k3: float = ObserverParams.k3
     obs_alpha1: float = ObserverParams.alpha1
     obs_epsilon: float = ObserverParams.epsilon
-    pitch: PitchGains = field(default_factory=PitchGains)
-    outer: OuterGains = field(default_factory=OuterGains)
+    pitch: PitchGains = PitchGains()
+    outer: OuterGains = OuterGains()
 
     def resolved_duration(self) -> float:
         if self.duration is not None:
             return self.duration
         return _DEFAULT_DURATION[self.scenario]
 
-    def validate(self) -> ObserverParams:
+    def __post_init__(self):
         """Raise a one-line ConfigError naming the key unless every value
         lies in its CONFIG_KEYS domain and the rules across keys hold: dt
         divides the noise holds; the run and the ship warm-up take at most
@@ -154,10 +158,10 @@ class ScenarioConfig:
         wake phases, is finite; the held noise sigmas of the ship and the
         wind, each while on, are finite; an enabled sink notch has finite
         coefficients at dt; and the observer parameters, their injection
-        gains included, are valid.  Returns the run's observer
-        parameters, built by that last check.  Reads no file: the aero
-        model file is load_aero_model's to check, where the run is
-        built."""
+        gains included, are valid.  Keeps the run's observer
+        parameters, built by that last check, as _obs_params.  Reads no
+        file: the aero model file is load_aero_model's to check, where
+        the run is built."""
         _check_domains(self)
         dt = self.dt
         for key in ("dt_noise", "noise_dt"):
@@ -218,7 +222,7 @@ class ScenarioConfig:
                                         self.obs_alpha1, self.obs_epsilon)
         except ValueError as exc:
             raise ConfigError(f"obs.*: {exc}") from exc
-        return obs_params
+        object.__setattr__(self, "_obs_params", obs_params)
 
 
 def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
@@ -365,27 +369,29 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(*layers: dict) -> ScenarioConfig:
-    """Build a configuration from the defaults and layers of canonical
-    keys applied in turn, a later layer overriding an earlier one; a
-    layer with an unknown key is rejected before any of its keys is
-    set."""
-    cfg = ScenarioConfig()
+    """Build a configuration once from the defaults and layers of
+    canonical keys, a later layer overriding an earlier one.  A layer
+    with an unknown key is rejected before any of its values is parsed;
+    every value is parsed by parse_config_value in turn, and then the
+    config is built a single time, which checks it."""
+    groups: dict = {"": {}, "pitch": {}, "outer": {}}   # by path head
     for d in layers:
         unknown = [k for k in d if k not in CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; valid keys: "
                               f"{sorted(CONFIG_KEYS)}")
         for key, value in d.items():
-            set_config_key(cfg, key, value)
-    return cfg
+            head, _, leaf = CONFIG_KEYS[key].path.rpartition(".")
+            groups[head][leaf] = parse_config_value(key, value)
+    return ScenarioConfig(**groups[""], pitch=PitchGains(**groups["pitch"]),
+                          outer=OuterGains(**groups["outer"]))
 
 
-def set_config_key(cfg: ScenarioConfig, key: str, value) -> None:
-    """Set a known key to value as the key's type: a bool key takes a
-    bool or an on/off string, an int key no fraction, a number key no
-    bool, and only a nullable key null; the domain is validate()'s."""
-    path, typ, domain = CONFIG_KEYS[key]
-    *heads, leaf = path.split(".")
+def parse_config_value(key: str, value):
+    """value as a known key's type: a bool key takes a bool or an on/off
+    string, an int key no fraction, a number key no bool, and only a
+    nullable key null; building the config checks the domain."""
+    _, typ, domain = CONFIG_KEYS[key]
     if value is None:
         if not domain.nullable:
             raise ConfigError(f"{key} may not be null")
@@ -406,10 +412,7 @@ def set_config_key(cfg: ScenarioConfig, key: str, value) -> None:
             value = typ(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    obj = cfg
-    for h in heads:
-        obj = getattr(obj, h)
-    setattr(obj, leaf, value)
+    return value
 
 
 @dataclass
@@ -575,7 +578,6 @@ class Simulation:
     """One configured closed-loop run."""
 
     def __init__(self, config: ScenarioConfig):
-        self.obs_params = config.validate()
         self.model = load_aero_model(config.aero_model_path)
         self.cfg = config
         self.params = params = (AircraftParams(t_max=config.t_max)
@@ -587,6 +589,9 @@ class Simulation:
         self.gains = config.pitch
         if config.use_local_partials:
             linear = linearize(self.trim, params, self.model)
+            if linear.dqdot_dde_deg == 0.0:   # the pitch laws divide by it
+                raise ConfigError("use_local_partials: the linearized "
+                                  "pitch.dqdot_dde at trim is 0")
             self.gains = replace(config.pitch, dqdot_dq=linear.dqdot_dq,
                                  dqdot_dde=linear.dqdot_dde_deg)
 
@@ -647,7 +652,7 @@ class Simulation:
             vel.preload((thrust0 - trim.thrust_star)
                         / (params.m * outer.ki_v))
 
-        obs_p = self.obs_params
+        obs_p = cfg._obs_params
         # concatenated state: aircraft 6, engine 1, elevator 2, observer 3,
         # heave filter 4, pitch filter 4
         y = (v_star, theta0, trim.alpha_star, 0.0, x0, z0,
@@ -856,8 +861,8 @@ class ComparisonResult(NamedTuple):
 
 def compare_controllers(config: ScenarioConfig) -> ComparisonResult:
     """Run the observer-PD and PID laws against identical environments.
-    Each run's config is config with only its controller replaced, so
-    the runs share config's gain records, which no run changes."""
+    Each run's config is config with only its controller replaced by
+    dataclasses.replace, which builds, and so checks, a new config."""
     return ComparisonResult(*(run_scenario(replace(config, controller=law))
                               for law in ComparisonResult._fields))
 

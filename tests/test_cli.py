@@ -422,7 +422,7 @@ def test_gain_overflow_edges(tmp_path, capsys, key, inside, outside, extra,
     (0, 3 or 4) and the float past it exits 2 naming the key."""
     def accepted(value):
         try:
-            config_from_dict({**extra, key: value}).validate()
+            config_from_dict({**extra, key: value})
         except ConfigError:
             return False
         return True
@@ -533,14 +533,22 @@ def test_each_run_reads_its_aero_model_file_once(tmp_path, capsys,
     (("--runs", "0"), "--runs"),
     (("--set", "aero_model_path={bad}"), "missing keys"),
     (("--set", "dt=-1"), "dt must be"),
+    # the shipped model with a pitch-control derivative that vanishes in
+    # the linearization at trim, which the pitch laws divide by
+    (("--set", "aero_model_path={flat}", "--set", "use_local_partials=on"),
+     "use_local_partials: the linearized pitch.dqdot_dde at trim is 0"),
 ])
 def test_rejected_sweep_writes_nothing(tmp_path, capsys, argv, fragment):
     bad = tmp_path / "aero.json"
     bad.write_text('{"cl_base": [0.1]}\n')
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({**_SHIPPED_MODEL, "cm_base": [0, 0, 0, 0],
+                                "cm_de": -5e-324}))
     out = tmp_path / "out"
     # a later --runs overrides this one
     err = _usage_error(capsys, "sweep", "--runs", "2", "--duration", "0.1",
-                       "--out", str(out), *(a.format(bad=bad) for a in argv))
+                       "--out", str(out),
+                       *(a.format(bad=bad, flat=flat) for a in argv))
     assert fragment in err
     assert not out.exists()
 

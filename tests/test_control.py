@@ -9,6 +9,7 @@ from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
                                  known_input)
 from carrierland.environment import (ShipParams, ShipState, deck_motion,
                                      rng_streams, ship_step)
+from carrierland.sim import ConfigError, ScenarioConfig
 
 
 def test_derive_pitch_gains_design_point():
@@ -21,8 +22,11 @@ def test_derive_pitch_gains_design_point():
 
 
 def test_pitch_gains_reject_zero_channel():
-    with pytest.raises(ValueError):
-        PitchGains(dqdot_dde=0.0)
+    """The pitch laws divide by dqdot_dde; a config whose gains zero it
+    is rejected with its key's domain."""
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(pitch=PitchGains(dqdot_dde=0.0))
+    assert str(err.value).startswith("pitch.dqdot_dde must be ")
 
 
 def test_pitch_opd_at_reference(trim):

@@ -357,7 +357,6 @@ def test_each_environment_key_reaches_the_environment(key, value, moved):
     Environment yields that the key sets."""
     on = dict(ship_on=True, wind_on=True, noise_on=True)
     base, changed = ScenarioConfig(**on), ScenarioConfig(**on, **{key: value})
-    changed.validate()
     want, got = _environment_yield(base), _environment_yield(changed)
     assert want == _environment_yield(base)
     assert {part for part in want if got[part] != want[part]} == moved

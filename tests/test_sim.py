@@ -22,8 +22,8 @@ from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
                              ConfigError, RunMetrics, ScenarioConfig,
                              Simulation, StepResponse, TRACE_HEADER, Trace,
                              compare_controllers, config_from_dict,
-                             config_to_dict, run_scenario, set_config_key,
-                             write_trace_csv)
+                             config_to_dict, parse_config_value,
+                             run_scenario, write_trace_csv)
 from carrierland.trimlin import linearize, solve_trim
 
 
@@ -177,9 +177,10 @@ def test_step_response_fold_matches_the_list_scans():
 
 # ------------------------------------------------------------- config
 def test_config_round_trip():
-    cfg = ScenarioConfig(scenario="sink_step", seed=9)
-    cfg.pitch.kp_theta = 80.0
-    cfg.outer.kp_z = 0.7
+    base = ScenarioConfig(scenario="sink_step", seed=9)
+    cfg = dataclasses.replace(
+        base, pitch=dataclasses.replace(base.pitch, kp_theta=80.0),
+        outer=dataclasses.replace(base.outer, kp_z=0.7))
     d = config_to_dict(cfg)
     again = config_from_dict(d)
     assert config_to_dict(again) == d
@@ -211,13 +212,11 @@ def test_config_unknown_key_lists_valid_keys():
 
 
 def test_config_bool_parsing():
-    cfg = ScenarioConfig()
-    set_config_key(cfg, "wind_on", "on")
-    assert cfg.wind_on is True
-    set_config_key(cfg, "wind_on", "off")
-    assert cfg.wind_on is False
+    assert parse_config_value("wind_on", "on") is True
+    assert config_from_dict({"wind_on": "on"}).wind_on is True
+    assert parse_config_value("wind_on", "off") is False
     with pytest.raises(ConfigError):
-        set_config_key(cfg, "wind_on", "maybe")
+        parse_config_value("wind_on", "maybe")
 
 
 @pytest.mark.parametrize("key,value,msg", [
@@ -229,10 +228,8 @@ def test_config_bool_parsing():
     ("scenario", "warp", "scenario"),
 ])
 def test_config_validation_messages(key, value, msg):
-    cfg = ScenarioConfig()
     with pytest.raises(ConfigError, match=msg):
-        set_config_key(cfg, key, value)
-        cfg.validate()
+        config_from_dict({key: value})
 
 
 def test_first_key_outside_its_domain_in_table_order_is_named():
@@ -243,11 +240,39 @@ def test_first_key_outside_its_domain_in_table_order_is_named():
     for i, first in enumerate(bad):
         for later in list(bad)[i + 1:]:
             # set the later key first: the table's order decides
-            cfg = config_from_dict({later: bad[later], first: bad[first]})
             with pytest.raises(ConfigError) as err:
-                cfg.validate()
+                config_from_dict({later: bad[later], first: bad[first]})
             assert str(err.value).startswith(f"{first} must be "), (
                 first, later, str(err.value))
+
+
+def test_a_derived_config_shares_no_writable_record():
+    """A run derived by dataclasses.replace, as compare and sweep derive
+    theirs, cannot write through to its base config."""
+    base = ScenarioConfig()
+    derived = dataclasses.replace(base, seed=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        derived.pitch.kp_theta = 99.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        derived.outer.kp_z = 0.7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        derived.seed = 2
+    assert base == ScenarioConfig()
+
+
+@pytest.mark.parametrize("key, value", [("dt", -1.0), ("seed", -1)])
+def test_a_derived_config_is_checked(key, value):
+    """dataclasses.replace, the path of compare's laws and sweep's seeds,
+    raises the one-line ConfigError config_from_dict gives for the same
+    value."""
+    with pytest.raises(ConfigError) as want:
+        config_from_dict({key: value})
+    cfg = config_from_dict({"scenario": "approach", "wind_on": "on"})
+    for base in (ScenarioConfig(), cfg):
+        with pytest.raises(ConfigError) as got:
+            dataclasses.replace(base, **{key: value})
+        assert str(got.value) == str(want.value)
+        assert "\n" not in str(got.value)
 
 
 def test_gain_override_paths():
@@ -717,8 +742,8 @@ def test_runs_of_one_airframe_share_one_trim_solve(monkeypatch, trim):
 
 
 def test_a_run_reads_its_aero_model_file_once(monkeypatch, tmp_path, model):
-    """validate() reads no file: the run reads its model file once, where
-    it is built, and keeps that model."""
+    """Building the config reads no file: the run reads its model file
+    once, where it is built, and keeps that model."""
     path = tmp_path / "aero.json"
     path.write_bytes(
         resources.files("carrierland.data").joinpath("fa18_aero.json")
