@@ -181,7 +181,10 @@ def cmd_trim(args) -> int:
 
 def cmd_linearize(args) -> int:
     params, model, tp = _trim_from_args(args)
-    lm = linearize(tp, params, model)
+    try:
+        lm = linearize(tp, params, model)
+    except OverflowError as exc:
+        raise ConfigError(str(exc)) from exc
     print("A (dV_T, dtheta, dalpha, dq):")
     for row in lm.a:
         print("  " + " ".join(f"{v:12.6f}" for v in row))

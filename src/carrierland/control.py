@@ -28,12 +28,13 @@ saturated command, so the observer sees the input actually applied
 (anti-windup at the authority limit); the truth law subtracts h, at
 the true rate and deflection, from the true pitch acceleration.
 
-The PID-family laws (PitchPID, VelocityPID, SinkPI, GuidancePID) share
-one element, _PIDElement: a trapezoidal integrator clamped at +-limit
-(anti-windup), preload, and a first-order error filter.  Derivative
-terms act on the filtered error, never on raw differences of noisy
-measurements; the sink law runs the same filter as an optional lag.
-Each law keeps only its error, prefilters and output map.
+The PID-family laws (PitchPID, VelocityPID, SinkPI, GuidancePID) are
+built for the run's fixed step and stepped with signals only.  They
+share one element, _PIDElement, with one dt: a trapezoidal integrator
+clamped at +-limit (anti-windup), preload, and a first-order error
+filter primed on its first sample.  Pitch and guidance differentiate the
+filtered error, the sink law runs the filter as an optional lag, and the
+velocity law differentiates its own measurement, 0 on its first step.
 """
 
 from __future__ import annotations
@@ -114,26 +115,28 @@ def known_input(x2: float, delta_e: float, delta_e_trim: float,
 
 
 class _PIDElement:
-    """State shared by the PID-family laws.
+    """State shared by the PID-family laws, stepped at the run's dt.
 
     One trapezoidal integrator of the error, clamped at +-limit, and one
-    first-order error filter.  The filter is primed on its first sample
-    and holds whenever dt <= 0; its rate is zero on both.
+    first-order error filter of time constant tau, primed on its first
+    sample, where its rate is zero.
     """
 
-    def __init__(self, integrator_limit: float):
+    def __init__(self, integrator_limit: float, dt: float, tau: float = 0.0):
         self._int = 0.0
         self._int_limit = integrator_limit
         self._e_prev = 0.0
         self._e_filt = None
+        self._dt = dt
+        self._lag = dt / (tau + dt)
 
     def preload(self, integral: float) -> None:
         """Seed the integrator (bumpless start away from the trim point)."""
         self._int = integral
 
-    def _integrate(self, e: float, dt: float) -> float:
+    def _integrate(self, e: float) -> float:
         """Advance the integral of e by one trapezoid and return it."""
-        i = self._int + 0.5 * (e + self._e_prev) * dt
+        i = self._int + 0.5 * (e + self._e_prev) * self._dt
         lim = self._int_limit
         if i > lim:
             i = lim
@@ -143,16 +146,14 @@ class _PIDElement:
         self._e_prev = e
         return i
 
-    def _filter(self, e: float, tau: float, dt: float) -> float:
-        """Advance the lag tau of e by dt and return the lagged error's rate."""
+    def _filter(self, e: float) -> float:
+        """Advance the lag of e one step; return the lagged error's rate."""
         prev = self._e_filt
         if prev is None:
             self._e_filt = e
             return 0.0
-        if dt <= 0.0:
-            return 0.0
-        self._e_filt = new = prev + dt / (tau + dt) * (e - prev)
-        return (new - prev) / dt
+        self._e_filt = new = prev + self._lag * (e - prev)
+        return (new - prev) / self._dt
 
 
 class PitchPID(_PIDElement):
@@ -163,16 +164,16 @@ class PitchPID(_PIDElement):
     """
 
     def __init__(self, gains: PitchGains, trim: TrimPoint,
-                 integrator_limit: float):
-        super().__init__(integrator_limit)
+                 integrator_limit: float, dt: float):
+        super().__init__(integrator_limit, dt, gains.rate_filter_tau)
         self.g = gains
         self.delta_e_trim = trim.delta_e_star
 
-    def step(self, theta_r: float, theta_meas: float, dt: float) -> float:
+    def step(self, theta_r: float, theta_meas: float) -> float:
         g = self.g
         e = theta_r - theta_meas
-        e_rate = self._filter(e, g.rate_filter_tau, dt)
-        u = (g.kp_theta2 * e + g.ki_theta * self._integrate(e, dt)
+        e_rate = self._filter(e)
+        u = (g.kp_theta2 * e + g.ki_theta * self._integrate(e)
              + g.kd_theta2 * e_rate)
         dde_deg = u / g.dqdot_dde
         return self.delta_e_trim + dde_deg * DEG2RAD
@@ -186,18 +187,19 @@ class VelocityPID(_PIDElement):
     """
 
     def __init__(self, gains: OuterGains, trim: TrimPoint,
-                 params: AircraftParams):
-        super().__init__(gains.integrator_limit)
+                 params: AircraftParams, dt: float):
+        super().__init__(gains.integrator_limit, dt)
         self.g = gains
         self.thrust_trim = trim.thrust_star
         self.m = params.m
+        self._v_prev = None
 
-    def step(self, v_r: float, v_meas: float, vdot_meas: float,
-             dt: float) -> float:
+    def step(self, v_r: float, v_meas: float) -> float:
         g = self.g
         e = v_r - v_meas
-        e_rate = -vdot_meas
-        u = g.kp_v * e + g.ki_v * self._integrate(e, dt) + g.kd_v * e_rate
+        v_prev, self._v_prev = self._v_prev, v_meas
+        vdot = 0.0 if v_prev is None else (v_meas - v_prev) / self._dt
+        u = g.kp_v * e + g.ki_v * self._integrate(e) + g.kd_v * -vdot
         return self.thrust_trim + self.m * u
 
 
@@ -210,14 +212,14 @@ class SinkPI(_PIDElement):
     """
 
     def __init__(self, gains: OuterGains, trim: TrimPoint, dt: float):
-        super().__init__(gains.integrator_limit)
+        super().__init__(gains.integrator_limit, dt, gains.sink_filter_tau)
         self.g = gains
         self.theta_trim = trim.theta_star
         self._notch = (NotchFilter(gains.sink_notch_omega,
                                    gains.sink_notch_zeta, dt)
                        if gains.sink_notch_omega > 0.0 else None)
 
-    def step(self, zdot_r: float, zdot_meas: float, dt: float) -> float:
+    def step(self, zdot_r: float, zdot_meas: float) -> float:
         g = self.g
         e = zdot_r - zdot_meas
         if self._notch is not None:
@@ -225,29 +227,28 @@ class SinkPI(_PIDElement):
         if g.sink_filter_tau > 0.0:
             # short smoothing keeps residual ripple out of the pitch
             # command; kept well below the loop time constant
-            self._filter(e, g.sink_filter_tau, dt)
+            self._filter(e)
             e = self._e_filt
-        return self.theta_trim + g.kp_s * e + g.ki_s * self._integrate(e, dt)
+        return self.theta_trim + g.kp_s * e + g.ki_s * self._integrate(e)
 
 
 class GuidancePID(_PIDElement):
     """Vertical-deviation to sink-rate-command PID.
 
-    The derivative acts on a first-order-filtered error; an optional
-    feedforward carries the reference path's own vertical rate so zero
-    deviation commands the path rate itself.
+    The derivative acts on a first-order-filtered error; the feedforward
+    carries the reference path's own vertical rate so zero deviation
+    commands the path rate itself.
     """
 
-    def __init__(self, gains: OuterGains):
-        super().__init__(gains.integrator_limit)
+    def __init__(self, gains: OuterGains, dt: float):
+        super().__init__(gains.integrator_limit, dt, gains.deriv_filter_tau)
         self.g = gains
 
-    def step(self, z_r: float, z_meas: float, dt: float,
-             feedforward: float = 0.0) -> float:
+    def step(self, z_r: float, z_meas: float, feedforward: float) -> float:
         g = self.g
         e = z_r - z_meas
-        e_rate = self._filter(e, g.deriv_filter_tau, dt)
-        return (feedforward + g.kp_z * e + g.ki_z * self._integrate(e, dt)
+        e_rate = self._filter(e)
+        return (feedforward + g.kp_z * e + g.ki_z * self._integrate(e)
                 + g.kd_z * e_rate)
 
 

@@ -588,7 +588,10 @@ class Simulation:
             raise ConfigError(f"no trim point: {exc}") from exc
         self.gains = config.pitch
         if config.use_local_partials:
-            linear = linearize(self.trim, params, self.model)
+            try:
+                linear = linearize(self.trim, params, self.model)
+            except OverflowError as exc:
+                raise ConfigError(f"use_local_partials: {exc}") from exc
             if linear.dqdot_dde_deg == 0.0:   # the pitch laws divide by it
                 raise ConfigError("use_local_partials: the linearized "
                                   "pitch.dqdot_dde at trim is 0")
@@ -633,10 +636,10 @@ class Simulation:
 
         outer = cfg.outer
         opd = PitchOPD(gains, trim)
-        pid = PitchPID(gains, trim, integrator_limit=outer.integrator_limit)
-        vel = VelocityPID(outer, trim, params)
-        sink = SinkPI(outer, trim, dt=dt)
-        guid = GuidancePID(outer)
+        pid = PitchPID(gains, trim, outer.integrator_limit, dt)
+        vel = VelocityPID(outer, trim, params, dt)
+        sink = SinkPI(outer, trim, dt)
+        guid = GuidancePID(outer, dt)
         use_pid = cfg.controller == "pid"
         use_truth = cfg.controller == "opd_truth"
 
@@ -710,8 +713,6 @@ class Simulation:
         obs_err_sq = 0.0
         sat_e_count = 0
         sat_t_count = 0
-        vdot_prev = 0.0
-        v_prev = v_star
         metrics = RunMetrics()
         abort_reason = None
         touchdown = False
@@ -745,11 +746,11 @@ class Simulation:
                 if approach:
                     z_r, ff = flight_path_generator(lp_x, lp_z, xl_rate,
                                                     zl_rate, x, xdot, tan_gs)
-                    zdot_r = guid_step(z_r, z, dt, feedforward=ff)
-                    theta_r = sink_step(zdot_r, zdot, dt)
+                    zdot_r = guid_step(z_r, z, ff)
+                    theta_r = sink_step(zdot_r, zdot)
                 elif sink_scenario:
                     zdot_r = zdot_cmd
-                    theta_r = sink_step(zdot_r, zdot, dt)
+                    theta_r = sink_step(zdot_r, zdot)
                 else:
                     theta_r = theta_cmd
                 if theta_r < theta_r_lo:
@@ -758,7 +759,7 @@ class Simulation:
                     theta_r = theta_r_hi
 
                 if use_pid:
-                    de_cmd = pid_step(theta_r, theta_meas, dt)
+                    de_cmd = pid_step(theta_r, theta_meas)
                 elif use_truth:
                     qdot_now = state_derivative(v, th, al, q, de, t_eng, u_g,
                                                 w_g, model, params)[3]
@@ -768,7 +769,7 @@ class Simulation:
                 else:
                     de_cmd = opd_step(theta_r, theta_meas, ox2, ox3)
 
-                thrust_cmd = vel_step(v_star, v, vdot_prev, dt)
+                thrust_cmd = vel_step(v_star, v)
                 de_cmd, thrust_cmd, sat_e, sat_t = saturate_inputs(
                     de_cmd, thrust_cmd, params)
                 h_theta = known_input(ox2, de_cmd, delta_e_trim, gains)
@@ -817,8 +818,6 @@ class Simulation:
                     abort_reason = "non-finite state after step"
                     break
 
-                vdot_prev = (y[0] - v_prev) / dt
-                v_prev = y[0]
                 t += dt
 
                 if approach and y[4] >= lp_x and y[5] <= lp_z:

@@ -154,34 +154,31 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     raise TrimNotConverged(str(last_err) if last_err else "no feasible trim")
 
 
+@np.errstate(all="ignore")   # an overflow is raised below, not warned
 def linearize(trim: TrimPoint, params: AircraftParams,
               model: AeroModel) -> LinearModel:
-    """Central-difference Jacobian of the dynamic states at the trim point."""
-    x0 = np.array([trim.v_t_star, trim.theta_star, trim.alpha_star, trim.q_star])
-    u0 = np.array([trim.delta_e_star, trim.thrust_star / params.t_max])
+    """Central-difference Jacobian [A | B] of the dynamic states at the trim
+    point, one column per state and input; OverflowError if an entry is
+    not finite."""
+    z0 = np.array([trim.v_t_star, trim.theta_star, trim.alpha_star,
+                   trim.q_star, trim.delta_e_star,
+                   trim.thrust_star / params.t_max])
 
-    def f(x, u):
-        return np.array(state_derivative(x[0], x[1], x[2], x[3], u[0],
-                                         u[1] * params.t_max, 0.0, 0.0,
+    def f(z):
+        return np.array(state_derivative(z[0], z[1], z[2], z[3], z[4],
+                                         z[5] * params.t_max, 0.0, 0.0,
                                          model, params)[:4])
 
-    a = np.empty((4, 4))
-    b = np.empty((4, 2))
-    x_scale = (max(abs(trim.v_t_star), 1.0), 1.0, 1.0, 1.0)
-    for j in range(4):
-        h = 1e-6 * x_scale[j]
-        dx = np.zeros(4)
-        dx[j] = h
-        a[:, j] = (f(x0 + dx, u0) - f(x0 - dx, u0)) / (2.0 * h)
-    for j in range(2):
-        h = 1e-6
-        du = np.zeros(2)
-        du[j] = h
-        b[:, j] = (f(x0, u0 + du) - f(x0, u0 - du)) / (2.0 * h)
-    # theta' = q is an identity; pin the row exactly
-    a[1, :] = (0.0, 0.0, 0.0, 1.0)
-    b[1, :] = 0.0
-    return LinearModel(a=a, b=b)
+    ab = np.empty((4, 6))
+    for j, scale in enumerate((max(abs(trim.v_t_star), 1.0), 1, 1, 1, 1, 1)):
+        h = 1e-6 * scale
+        dz = np.zeros(6)
+        dz[j] = h
+        ab[:, j] = (f(z0 + dz) - f(z0 - dz)) / (2.0 * h)
+    ab[1] = (0.0, 0.0, 0.0, 1.0, 0.0, 0.0)   # theta' = q, pinned exactly
+    if not np.isfinite(ab).all():
+        raise OverflowError("the linearized model at trim is not finite")
+    return LinearModel(a=ab[:, :4], b=ab[:, 4:])
 
 
 def eigenvalues_4x4(a: np.ndarray) -> list[complex]:

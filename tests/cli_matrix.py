@@ -39,9 +39,13 @@ step to a target of exactly 0 rad on the default airframe (null
 steady-state error), a finite wake_extent / v_wd whose wake phase
 overflows (exit 2) and an approach that gives every environment key
 (v_wd, turb_norm, wake_extent, dt_noise, noise_dt, ship_noise_gain,
-ship_warmup_s) a value other than its default (seed 2).  The whole
-matrix takes about 25 s on a 2-core x86 machine.  pytest does not
-collect this file.
+ship_warmup_s) a value other than its default (seed 2); last, three
+cases that read an aero model file, written into the case's working
+directory as model.json and named by that relative path: a verbatim
+copy of the shipped model under use_local_partials=on, and two finite
+models whose linearization at trim overflows (exit 2), one under
+linearize and one under use_local_partials=on.  The whole matrix takes
+about 25 s on a 2-core x86 machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -77,6 +81,16 @@ from pathlib import Path
 import numpy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SHIPPED_MODEL = SRC / "carrierland" / "data" / "fa18_aero.json"
+
+# the model.json of each case that reads one: the shipped model with
+# these fields replaced, or its verbatim bytes for no fields
+MODEL_FILES = {
+    "model_file_local_partials": {},
+    "linearize_model_overflows": {"cm_base": [0, 1e308, 0, 0],
+                                  "cm_de": -1e308},
+    "local_partials_model_overflows": {"cm_de": -1e308},
+}
 
 LAWS = ("opd", "pid", "opd_truth")
 
@@ -164,6 +178,16 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                  "--set", "wake_extent=700", "--set", "dt_noise=0.05",
                  "--set", "noise_dt=0.005", "--set", "ship_noise_gain=0.2",
                  "--set", "ship_warmup_s=5")))
+
+    def local_partials(duration):
+        return ("run", "--scenario", "pitch_step", "--duration", duration,
+                "--set", "aero_model_path=model.json",
+                "--set", "use_local_partials=on")
+
+    out.append(("model_file_local_partials", local_partials("2")))
+    out.append(("linearize_model_overflows",
+                ("linearize", "--aero-model", "model.json")))
+    out.append(("local_partials_model_overflows", local_partials("0.2")))
     return out
 
 
@@ -174,6 +198,12 @@ def _sha(data: bytes) -> str:
 def run_case(root: Path, name: str, args: tuple[str, ...]) -> list[str]:
     cwd = root / name
     cwd.mkdir(parents=True)
+    if name in MODEL_FILES:
+        model = SHIPPED_MODEL.read_bytes()
+        if MODEL_FILES[name]:
+            model = json.dumps({**json.loads(model),
+                                **MODEL_FILES[name]}).encode()
+        (cwd / "model.json").write_bytes(model)
     if args[0] in ("run", "sweep", "compare"):
         args = args + ("--out", "out")
     env = dict(os.environ, PYTHONPATH=str(SRC))

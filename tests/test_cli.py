@@ -537,6 +537,10 @@ def test_each_run_reads_its_aero_model_file_once(tmp_path, capsys,
     # the linearization at trim, which the pitch laws divide by
     (("--set", "aero_model_path={flat}", "--set", "use_local_partials=on"),
      "use_local_partials: the linearized pitch.dqdot_dde at trim is 0"),
+    # the shipped model with an elevator derivative so large that its
+    # difference quotient at trim overflows
+    (("--set", "aero_model_path={steep}", "--set", "use_local_partials=on"),
+     "use_local_partials: the linearized model at trim is not finite"),
 ])
 def test_rejected_sweep_writes_nothing(tmp_path, capsys, argv, fragment):
     bad = tmp_path / "aero.json"
@@ -544,11 +548,16 @@ def test_rejected_sweep_writes_nothing(tmp_path, capsys, argv, fragment):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({**_SHIPPED_MODEL, "cm_base": [0, 0, 0, 0],
                                 "cm_de": -5e-324}))
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({**_SHIPPED_MODEL, "cm_de": -1e308}))
     out = tmp_path / "out"
     # a later --runs overrides this one
-    err = _usage_error(capsys, "sweep", "--runs", "2", "--duration", "0.1",
-                       "--out", str(out),
-                       *(a.format(bad=bad, flat=flat) for a in argv))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _usage_error(capsys, "sweep", "--runs", "2", "--duration",
+                           "0.1", "--out", str(out),
+                           *(a.format(bad=bad, flat=flat, steep=steep)
+                             for a in argv))
     assert fragment in err
     assert not out.exists()
 
@@ -568,6 +577,21 @@ def test_trim_commands_reject_bad_model_or_airspeed(tmp_path, capsys,
     assert "cd_de must be finite" in err
     err = _usage_error(capsys, command, "--airspeed", "1000")
     assert "no trim point" in err
+
+
+def test_linearize_rejects_a_model_whose_differences_overflow(tmp_path,
+                                                              capsys):
+    """A finite model that trims, but whose central differences at trim
+    overflow: linearize exits 2 with one line, warning nothing."""
+    path = tmp_path / "aero.json"
+    path.write_text(json.dumps({**_SHIPPED_MODEL, "cm_base": [0, 1e308, 0, 0],
+                                "cm_de": -1e308}))
+    assert run_cli("trim", "--aero-model", str(path)) == EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _usage_error(capsys, "linearize", "--aero-model", str(path))
+    assert err == "error: the linearized model at trim is not finite"
 
 
 @pytest.mark.parametrize("command", ["trim", "linearize"])

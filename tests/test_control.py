@@ -64,38 +64,38 @@ def test_known_input_uses_applied_deflection(trim, params):
 
 
 def test_pitch_pid_zero_history(trim):
-    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit)
+    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit, 1e-3)
     for _ in range(5):
-        cmd = pid.step(trim.theta_star, trim.theta_star, 1e-3)
+        cmd = pid.step(trim.theta_star, trim.theta_star)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
 
 
 def test_pitch_pid_integral_clamp(trim):
-    pid = PitchPID(PitchGains(), trim, integrator_limit=0.01)
+    pid = PitchPID(PitchGains(), trim, 0.01, 1e-3)
     for _ in range(20000):
-        pid.step(trim.theta_star + 1.0, trim.theta_star, 1e-3)
+        pid.step(trim.theta_star + 1.0, trim.theta_star)
     assert pid._int == 0.01
 
 
 def test_velocity_trim_feedforward(trim, params):
-    vel = VelocityPID(OuterGains(), trim, params)
-    thrust = vel.step(69.1, 69.1, 0.0, 1e-3)
+    vel = VelocityPID(OuterGains(), trim, params, 1e-3)
+    thrust = vel.step(69.1, 69.1)
     assert thrust == pytest.approx(trim.thrust_star, rel=1e-12)
 
 
 def test_velocity_integral_accumulates(trim, params):
     g = OuterGains()
-    vel = VelocityPID(g, trim, params)
-    t1 = vel.step(70.0, 69.0, 0.0, 0.1)
+    vel = VelocityPID(g, trim, params, 0.1)
+    t1 = vel.step(70.0, 69.0)
     t5 = None
     for _ in range(50):
-        t5 = vel.step(70.0, 69.0, 0.0, 0.1)
+        t5 = vel.step(70.0, 69.0)
     assert t5 > t1  # integral keeps pushing against a constant error
 
 
 def test_sink_trim_feedforward(trim):
     sink = SinkPI(OuterGains(), trim, 1e-3)
-    theta_r = sink.step(0.0, 0.0, 1e-3)
+    theta_r = sink.step(0.0, 0.0)
     assert theta_r == pytest.approx(trim.theta_star, abs=1e-12)
 
 
@@ -104,55 +104,42 @@ def test_sink_preload_gives_bumpless_start(trim):
     sink = SinkPI(g, trim, 1e-3)
     target = trim.theta_star - math.radians(3.5)
     sink.preload((target - trim.theta_star) / g.ki_s)
-    assert sink.step(0.0, 0.0, 1e-3) == pytest.approx(target, abs=1e-9)
+    assert sink.step(0.0, 0.0) == pytest.approx(target, abs=1e-9)
 
 
 def test_guidance_zero_error_passes_feedforward():
-    guid = GuidancePID(OuterGains())
-    assert guid.step(10.0, 10.0, 1e-3, feedforward=-4.2) == \
+    guid = GuidancePID(OuterGains(), 1e-3)
+    assert guid.step(10.0, 10.0, feedforward=-4.2) == \
         pytest.approx(-4.2, abs=1e-9)
 
 
 def test_guidance_initial_proportional_response():
     g = OuterGains(kp_z=1.0, ki_z=0.5, kd_z=0.01)
-    guid = GuidancePID(g)
+    guid = GuidancePID(g, 1e-3)
     # 1 m static offset at the first step: P-term only, derivative
     # filter primes on the first sample instead of spiking
-    zr = guid.step(1.0, 0.0, 1e-3)
+    zr = guid.step(1.0, 0.0, 0.0)
     assert zr == pytest.approx(1.0, abs=1e-3)
 
 
 def test_guidance_derivative_is_filtered():
     g = OuterGains(kp_z=0.0, ki_z=0.0, kd_z=1.0, deriv_filter_tau=0.05)
-    guid = GuidancePID(g)
-    guid.step(0.0, 0.0, 1e-3)
+    guid = GuidancePID(g, 1e-3)
+    guid.step(0.0, 0.0, 0.0)
     # a 1 m jump differentiated raw would give 1000 m/s; the filter
     # caps the first-step response near dt/(tau+dt)*1/dt = 1/(tau+dt)
-    zr = guid.step(1.0, 0.0, 1e-3)
+    zr = guid.step(1.0, 0.0, 0.0)
     assert zr == pytest.approx(1.0 / (0.05 + 1e-3), rel=1e-6)
     assert zr < 25.0
 
 
-def test_zero_dt_changes_nothing(trim):
-    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit)
-    guid = GuidancePID(OuterGains())
-    pid.step(0.13, 0.12, 1e-3)
-    guid.step(1.0, 0.0, 1e-3)
-    c1 = pid.step(0.13, 0.12, 0.0)
-    c2 = pid.step(0.13, 0.12, 0.0)
-    z1 = guid.step(1.0, 0.0, 0.0)
-    z2 = guid.step(1.0, 0.0, 0.0)
-    assert c1 == c2
-    assert z1 == z2
-
-
 def test_integrator_outputs_bounded(trim, params):
     g = OuterGains(integrator_limit=0.5)
-    vel = VelocityPID(g, trim, params)
-    sink = SinkPI(g, trim, 1e-3)
+    vel = VelocityPID(g, trim, params, 1e-2)
+    sink = SinkPI(g, trim, 1e-2)
     for _ in range(100000):
-        vel.step(200.0, 0.0, 0.0, 1e-2)
-        sink.step(50.0, -50.0, 1e-2)
+        vel.step(200.0, 0.0)
+        sink.step(50.0, -50.0)
     assert abs(vel._int) <= 0.5
     assert abs(sink._int) <= 0.5
 

@@ -783,92 +783,83 @@ _PID_OUTER = OuterGains(kp_v=1.3, ki_v=0.47, kd_v=0.61, kp_s=0.0071,
                         deriv_filter_tau=0.04, integrator_limit=0.71)
 
 
-def _pid_inputs(seed, first_dt):
-    """(reference, measurement, extra, dt) per step.
+def _pid_inputs(seed):
+    """(reference, measurement, extra) per step.
 
     The error sits high, then low, then wanders, so the integrators clamp
-    at +limit and at -limit and come off both; one step in ten has
-    dt = 0, and the first step's dt is first_dt.
+    at +limit and at -limit and come off both.
     """
     rng = np.random.default_rng(seed)
     e = np.concatenate([rng.uniform(20.0, 80.0, 80),
                         rng.uniform(-80.0, -20.0, 160),
                         rng.normal(0.0, 3.0, 160)])
-    dt = rng.choice([0.01, 0.004, 0.0], size=e.size, p=[0.7, 0.2, 0.1])
-    dt[0] = first_dt
     ref = rng.normal(0.0, 5.0, e.size)
     extra = rng.normal(0.0, 2.0, e.size)
-    return [(float(r), float(r - x), float(a), float(d))
-            for r, x, a, d in zip(ref, e, extra, dt)]
+    return [(float(r), float(r - x), float(a))
+            for r, x, a in zip(ref, e, extra)]
 
 
-def _pid_laws(kind, trim, params, outer):
-    """(shipped law, reference law, step-argument builder) of one kind."""
+def _pid_laws(kind, trim, params, outer, dt):
+    """(shipped law built at dt, reference law, step-argument builder) of
+    one kind; the builder gives the law's and the reference's arguments,
+    the reference taking dt on every step."""
     if kind == "pitch":
-        return (control.PitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT),
+        return (control.PitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT, dt),
                 RefPitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT),
-                lambda r, m, _a, dt: ((r, m, dt), {}))
+                lambda r, m, _a: ((r, m), (r, m, dt), {}))
     if kind == "velocity":
-        return (control.VelocityPID(outer, trim, params),
-                RefVelocityPID(outer, trim, params),
-                lambda r, m, a, dt: ((r, m, a, dt), {}))
+        # the reference gets the measurement's rate from the harness: 0
+        # on the first step, then the difference of successive ones
+        prev = []
+
+        def args(r, m, _a):
+            vdot = (m - prev[-1]) / dt if prev else 0.0
+            prev.append(m)
+            return (r, m), (r, m, vdot, dt), {}
+        return (control.VelocityPID(outer, trim, params, dt),
+                RefVelocityPID(outer, trim, params), args)
     if kind == "sink":
-        return (control.SinkPI(outer, trim, dt=0.01),
-                RefSinkPI(outer, trim, dt=0.01),
-                lambda r, m, _a, dt: ((r, m, dt), {}))
+        return (control.SinkPI(outer, trim, dt), RefSinkPI(outer, trim, dt),
+                lambda r, m, _a: ((r, m), (r, m, dt), {}))
     if kind == "guidance_ff":
-        return (control.GuidancePID(outer), RefGuidancePID(outer),
-                lambda r, m, a, dt: ((r, m, dt), {"feedforward": a}))
-    return (control.GuidancePID(outer), RefGuidancePID(outer),
-            lambda r, m, _a, dt: ((r, m, dt), {}))
+        return (control.GuidancePID(outer, dt), RefGuidancePID(outer),
+                lambda r, m, a: ((r, m), (r, m, dt), {"feedforward": a}))
+    # the reference's default feedforward, passed to the law
+    return (control.GuidancePID(outer, dt), RefGuidancePID(outer),
+            lambda r, m, _a: ((r, m, 0.0), (r, m, dt), {}))
 
 
 _LAG = {"sink_filter_tau": 0.03}
 _NO_NOTCH = {"sink_notch_omega": 0.0}
 
 
-@pytest.mark.parametrize("kind, outer_overrides, preload, first_dt", [
+@pytest.mark.parametrize("kind, outer_overrides, preload, dt", [
     pytest.param("pitch", {}, None, 0.01, id="pitch"),
-    pytest.param("pitch", {}, None, 0.0, id="pitch_first_dt0"),
     pytest.param("velocity", {}, None, 0.01, id="velocity"),
-    pytest.param("velocity", {}, 0.5, 0.0, id="velocity_preload_first_dt0"),
+    pytest.param("velocity", {}, 0.5, 0.004, id="velocity_preload"),
     pytest.param("sink", {}, None, 0.01, id="sink_notch"),
     pytest.param("sink", {}, -0.4, 0.01, id="sink_notch_preload"),
     pytest.param("sink", _NO_NOTCH, None, 0.01, id="sink_plain"),
     pytest.param("sink", _LAG, None, 0.01, id="sink_notch_lag"),
-    pytest.param("sink", _LAG, 0.3, 0.0, id="sink_notch_lag_preload_first_dt0"),
+    pytest.param("sink", _LAG, 0.3, 0.004, id="sink_notch_lag_preload"),
     pytest.param("sink", {**_LAG, **_NO_NOTCH}, None, 0.01, id="sink_lag"),
     pytest.param("guidance", {}, None, 0.01, id="guidance"),
-    pytest.param("guidance", {}, None, 0.0, id="guidance_first_dt0"),
     pytest.param("guidance_ff", {}, None, 0.01, id="guidance_feedforward"),
 ])
 def test_pid_family_laws_match_reference(trim, params, kind, outer_overrides,
-                                         preload, first_dt):
+                                         preload, dt):
     outer = replace(_PID_OUTER, **outer_overrides)
-    law, ref, args = _pid_laws(kind, trim, params, outer)
+    law, ref, args = _pid_laws(kind, trim, params, outer, dt)
     limit = _PID_PITCH_LIMIT if kind == "pitch" else outer.integrator_limit
     if preload is not None:
         law.preload(preload)
         ref.preload(preload)
     got, want, clamped = [], [], set()
-    for step in _pid_inputs(2411, first_dt):
-        a, kw = args(*step)
-        got += [law.step(*a, **kw), law._int]
-        want += [ref.step(*a, **kw), ref._int]
+    for step in _pid_inputs(2411):
+        law_args, ref_args, kw = args(*step)
+        got += [law.step(*law_args, **kw), law._int]
+        want += [ref.step(*ref_args, **kw), ref._int]
         if abs(ref._int) == limit:
             clamped.add(ref._int)
     assert _bits(got) == _bits(want)
     assert clamped == {limit, -limit}
-
-
-def test_sink_lag_holds_at_nonpositive_dt(trim):
-    # the sink lag runs the shared filter, which holds its state at
-    # dt <= 0 (dt = -tau would otherwise divide by zero)
-    outer = replace(_PID_OUTER, sink_filter_tau=0.03, sink_notch_omega=0.0)
-    sink = control.SinkPI(outer, trim, 1e-3)
-    sink.step(1.0, 0.0, 0.01)
-    sink.step(3.0, 0.0, 0.01)
-    held = sink._e_filt
-    for dt in (0.0, -0.03, -1.0):
-        sink.step(-7.0, 0.0, dt)
-        assert sink._e_filt == held

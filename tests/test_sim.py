@@ -605,21 +605,20 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     from carrierland.observer import ObserverParams, observer_derivative
 
     gains = PitchGains()
-    vel = VelocityPID(OuterGains(), trim, params)
+    dt = 1e-3
+    vel = VelocityPID(OuterGains(), trim, params, dt)
     opd = PitchOPD(gains, trim)
     obs_p = ObserverParams()
     v_r = trim.v_t_star + v_r_offset
-    dt = 1e-3
     y = (trim.v_t_star, trim.theta_star, trim.alpha_star, 0.0, 0.0, 300.0,
          trim.thrust_star, 0.0, 0.0, 0.0)
-    vdot_prev = 0.0
     last_outside = 0.0
     sat_after_settle = 0
     for k in range(int(duration / dt)):
         t = k * dt
         v, th = y[0], y[1]
         de_cmd = opd.step(trim.theta_star, th, y[8], y[9])
-        thrust_cmd = vel.step(v_r, v, vdot_prev, dt)
+        thrust_cmd = vel.step(v_r, v)
         de_cmd, thrust_cmd, _, sat_thrust = saturate_inputs(de_cmd, thrust_cmd,
                                                             params)
         h = known_input(y[8], de_cmd, trim.delta_e_star, gains)
@@ -631,9 +630,7 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
             return d + ((thrust_cmd - s[6]) / 0.625,) \
                 + observer_derivative(s[7:], y_op, h, obs_p)
 
-        y_new = rk4_step(f, y, t, dt)
-        vdot_prev = (y_new[0] - y[0]) / dt
-        y = y_new
+        y = rk4_step(f, y, t, dt)
         if abs(y[0] - v_r) > 0.02 * abs(v_r):
             last_outside = t
             sat_after_settle = 0
