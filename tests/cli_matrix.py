@@ -44,8 +44,10 @@ cases that read an aero model file, written into the case's working
 directory as model.json and named by that relative path: a verbatim
 copy of the shipped model under use_local_partials=on, and two finite
 models whose linearization at trim overflows (exit 2), one under
-linearize and one under use_local_partials=on.  The whole matrix takes
-about 25 s on a 2-core x86 machine.  pytest does not collect this file.
+linearize and one under use_local_partials=on; and `run --help` at
+COLUMNS=80, which pins the help text's list of config keys and their
+domains.  The whole matrix takes about 25 s on a 2-core x86 machine.
+pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -91,6 +93,9 @@ MODEL_FILES = {
                                   "cm_de": -1e308},
     "local_partials_model_overflows": {"cm_de": -1e308},
 }
+
+# environment variables of a case, beyond PYTHONPATH
+CASE_ENV = {"run_help": {"COLUMNS": "80"}}
 
 LAWS = ("opd", "pid", "opd_truth")
 
@@ -188,6 +193,7 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("linearize_model_overflows",
                 ("linearize", "--aero-model", "model.json")))
     out.append(("local_partials_model_overflows", local_partials("0.2")))
+    out.append(("run_help", ("run", "--help")))
     return out
 
 
@@ -206,7 +212,7 @@ def run_case(root: Path, name: str, args: tuple[str, ...]) -> list[str]:
         (cwd / "model.json").write_bytes(model)
     if args[0] in ("run", "sweep", "compare"):
         args = args + ("--out", "out")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), **CASE_ENV.get(name, {}))
     proc = subprocess.run([sys.executable, "-m", "carrierland.cli", *args],
                           cwd=cwd, env=env, capture_output=True)
     (root / f"{name}.stdout").write_bytes(proc.stdout)

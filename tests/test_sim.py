@@ -204,6 +204,122 @@ def test_config_keys_name_every_config_field_once():
     assert len(set(keyed)) == len(keyed) == 53
 
 
+_MAX = sys.float_info.max
+_INF = math.inf
+_TINY = math.ulp(0.0)
+_BELOW_1 = math.nextafter(1.0, 0.0)
+
+# every config key written out, in its order in CONFIG_KEYS: key, path,
+# type, domain text, lo, hi, nullable
+_KEY_TABLE = [
+    ("scenario", "scenario", str,
+     "one of ('pitch_step', 'sink_step', 'approach')", -_MAX, _MAX, False),
+    ("controller", "controller", str, "one of ('opd', 'pid', 'opd_truth')",
+     -_MAX, _MAX, False),
+    ("wind_on", "wind_on", bool, "on or off", False, True, False),
+    ("noise_on", "noise_on", bool, "on or off", False, True, False),
+    ("ship_on", "ship_on", bool, "on or off", False, True, False),
+    ("seed", "seed", int, ">= 0", 0, _INF, False),
+    ("duration", "duration", float, "> 0 and finite, or null", _TINY, _MAX,
+     True),
+    ("dt", "dt", float, "> 0 and finite", _TINY, _MAX, False),
+    ("initial_range", "initial_range", float, "> 0 and finite", _TINY, _MAX,
+     False),
+    ("initial_altitude", "initial_altitude", float, "finite", -_MAX, _MAX,
+     False),
+    ("pitch_step_deg", "pitch_step_deg", float, "finite", -_MAX, _MAX, False),
+    ("sink_rate_cmd", "sink_rate_cmd", float, "finite", -_MAX, _MAX, False),
+    ("glide_slope_deg", "glide_slope_deg", float, "finite", -_MAX, _MAX,
+     False),
+    ("theta_r_low_deg", "theta_r_low_deg", float, "finite", -_MAX, _MAX,
+     False),
+    ("theta_r_high_deg", "theta_r_high_deg", float, "finite", -_MAX, _MAX,
+     False),
+    ("trace_decimation", "trace_decimation", int, ">= 1", 1, _INF, False),
+    ("ship_warmup_s", "ship_warmup_s", float, ">= 0 and finite", 0.0, _MAX,
+     False),
+    ("metric_skip_s", "metric_skip_s", float, "finite", -_MAX, _MAX, False),
+    ("dt_noise", "dt_noise", float, "finite", -_MAX, _MAX, False),
+    ("noise_dt", "noise_dt", float, "finite", -_MAX, _MAX, False),
+    ("ship_noise_gain", "ship_noise_gain", float, ">= +0.0 and finite", 0.0,
+     _MAX, False),
+    ("v_wd", "v_wd", float, "finite", -_MAX, _MAX, False),
+    ("turb_norm", "turb_norm", float, ">= 0 and finite", 0.0, _MAX, False),
+    ("wake_extent", "wake_extent", float, "finite", -_MAX, _MAX, False),
+    ("t_max", "t_max", float, "> 0 and finite, or null", _TINY, _MAX, True),
+    ("aero_model_path", "aero_model_path", str,
+     "a JSON aero model file, or null", -_MAX, _MAX, True),
+    ("use_local_partials", "use_local_partials", bool, "on or off", False,
+     True, False),
+    ("obs.k1", "obs_k1", float, "> 0 and finite", _TINY, _MAX, False),
+    ("obs.k2", "obs_k2", float, "finite", -_MAX, _MAX, False),
+    ("obs.k3", "obs_k3", float, "> 0 and finite", _TINY, _MAX, False),
+    ("obs.alpha1", "obs_alpha1", float, "> 0 and < 1", _TINY, _BELOW_1,
+     False),
+    ("obs.epsilon", "obs_epsilon", float, "> 0 and < 1", _TINY, _BELOW_1,
+     False),
+    ("pitch.kp", "pitch.kp_theta", float, "finite", -_MAX, _MAX, False),
+    ("pitch.kd", "pitch.kd_theta", float, "finite", -_MAX, _MAX, False),
+    ("pitch.dqdot_dq", "pitch.dqdot_dq", float, "finite", -_MAX, _MAX, False),
+    ("pitch.dqdot_dde", "pitch.dqdot_dde", float, "nonzero and finite",
+     -_MAX, _MAX, False),
+    ("pid.kp", "pitch.kp_theta2", float, "finite", -_MAX, _MAX, False),
+    ("pid.ki", "pitch.ki_theta", float, "finite", -_MAX, _MAX, False),
+    ("pid.kd", "pitch.kd_theta2", float, "finite", -_MAX, _MAX, False),
+    ("pid.tau", "pitch.rate_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("vel.kp", "outer.kp_v", float, "finite", -_MAX, _MAX, False),
+    ("vel.ki", "outer.ki_v", float, "finite", -_MAX, _MAX, False),
+    ("vel.kd", "outer.kd_v", float, "finite", -_MAX, _MAX, False),
+    ("sink.kp", "outer.kp_s", float, "finite", -_MAX, _MAX, False),
+    ("sink.ki", "outer.ki_s", float, "finite", -_MAX, _MAX, False),
+    ("sink.tau", "outer.sink_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("sink.notch_omega", "outer.sink_notch_omega", float, ">= 0 and finite",
+     0.0, _MAX, False),
+    ("sink.notch_zeta", "outer.sink_notch_zeta", float, ">= 0 and finite",
+     0.0, _MAX, False),
+    ("guid.kp", "outer.kp_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.ki", "outer.ki_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.kd", "outer.kd_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.tau", "outer.deriv_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("integrator_limit", "outer.integrator_limit", float, ">= 0", 0.0, _INF,
+     False),
+]
+
+# the keys whose domain is a test rather than lo..hi: sample values and
+# whether the test passes each
+_KEY_TESTS = {
+    "scenario": [("pitch_step", True), ("sink_step", True),
+                 ("approach", True), ("warp", False), ("", False)],
+    "controller": [("opd", True), ("pid", True), ("opd_truth", True),
+                   ("truth", False)],
+    "ship_noise_gain": [(0.0, True), (-0.0, False), (1.0, True),
+                        (_MAX, True), (_INF, False), (math.nan, False),
+                        (-1.0, False)],
+    "aero_model_path": [("model.json", True), ("", True), (1.0, False)],
+    "pitch.dqdot_dde": [(-0.015, True), (0.0, False), (-0.0, False),
+                        (_MAX, True), (-_MAX, True), (_INF, False),
+                        (-_INF, False), (math.nan, False)],
+}
+
+
+def test_config_keys_equal_the_written_out_table():
+    """CONFIG_KEYS, key by key and in order, is the table above: path,
+    type, domain text, bounds, nullable, and the domain's test on sample
+    values."""
+    assert list(CONFIG_KEYS) == [row[0] for row in _KEY_TABLE]
+    for key, path, typ, text, lo, hi, nullable in _KEY_TABLE:
+        entry = CONFIG_KEYS[key]
+        d = entry.domain
+        assert (entry.path, entry.typ, d.text, d.nullable) == (
+            path, typ, text, nullable), key
+        assert (type(d.lo), d.lo, type(d.hi), d.hi) == (
+            type(lo), lo, type(hi), hi), key
+        samples = _KEY_TESTS.get(key)
+        assert (d.test is None) == (samples is None), key
+        for value, passes in samples or ():
+            assert bool(d.test(value)) is passes, (key, value)
+
+
 def test_config_unknown_key_lists_valid_keys():
     with pytest.raises(ConfigError) as err:
         config_from_dict({"bogus_key": 1.0})
