@@ -209,8 +209,12 @@ def rigid_body_derivative(v, theta, alpha, q, delta_e, thrust, u_g, w_g,
     state_derivative adds a finite check for one-off callers.
     """
     gamma = theta - alpha
-    sin_g = _sin(gamma)
-    cos_g = _cos(gamma)
+    try:
+        sin_g = _sin(gamma)
+        cos_g = _cos(gamma)
+    except ValueError:   # infinite; an infinite alpha fails the table below
+        raise NonFiniteDerivative(
+            f"non-finite flight-path angle: {gamma!r}") from None
     if u_g != 0.0 or w_g != 0.0:
         vax = v * cos_g - u_g
         vaz = v * sin_g - w_g

@@ -44,10 +44,11 @@ cases that read an aero model file, written into the case's working
 directory as model.json and named by that relative path: a verbatim
 copy of the shipped model under use_local_partials=on, and two finite
 models whose linearization at trim overflows (exit 2), one under
-linearize and one under use_local_partials=on; and `run --help` at
+linearize and one under use_local_partials=on; then `run --help` at
 COLUMNS=80, which pins the help text's list of config keys and their
-domains.  The whole matrix takes about 25 s on a 2-core x86 machine.
-pytest does not collect this file.
+domains, and a model whose pitch angle overflows in an RK4 stage
+(cm_q and alpha_max_deg at 1e154, exit 3).  The whole matrix takes
+about 25 s on a 2-core x86 machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -92,6 +93,7 @@ MODEL_FILES = {
     "linearize_model_overflows": {"cm_base": [0, 1e308, 0, 0],
                                   "cm_de": -1e308},
     "local_partials_model_overflows": {"cm_de": -1e308},
+    "model_angles_overflow": {"cm_q": 1e154, "alpha_max_deg": 1e154},
 }
 
 # environment variables of a case, beyond PYTHONPATH
@@ -194,6 +196,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
                 ("linearize", "--aero-model", "model.json")))
     out.append(("local_partials_model_overflows", local_partials("0.2")))
     out.append(("run_help", ("run", "--help")))
+    out.append(("model_angles_overflow",
+                ("run", "--scenario", "pitch_step", "--duration", "0.2",
+                 "--set", "aero_model_path=model.json")))
     return out
 
 

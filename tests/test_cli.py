@@ -707,6 +707,89 @@ def test_config_fuzz_runs_or_rejects():
     check()
 
 
+# the shipped model with cm_q and alpha_max_deg at 1e154: a stage's pitch
+# angle overflows, and math.sin raised ValueError on its flight-path angle
+_OVERFLOWING_ANGLES = {"cm_q": 1e154, "alpha_max_deg": 1e154}
+
+
+def test_model_whose_angles_overflow_aborts_the_run(tmp_path, capsys):
+    path = tmp_path / "aero.json"
+    path.write_text(json.dumps({**_SHIPPED_MODEL, **_OVERFLOWING_ANGLES}))
+    assert run_cli("run", "--scenario", "pitch_step", "--duration", "0.2",
+                   "--set", f"aero_model_path={path}",
+                   "--out", str(tmp_path / "out")) == EXIT_ABORT
+    assert capsys.readouterr().err.startswith(
+        "model abort at t=0.001 s: NonFiniteDerivative: non-finite "
+        "flight-path angle: -inf\n")
+
+
+_MODEL_SCALARS = ("cl_q", "cm_q", "cl_de", "cd_de", "cm_de", "alpha_min_deg",
+                  "alpha_max_deg")
+_MODEL_TABLES = ("cl_base", "cd_base", "cm_base")
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-308, 1e-5, 1e154, -1e154, 1e300,
+             -1e300, sys.float_info.max, -sys.float_info.max, math.nan,
+             math.inf, -math.inf)
+
+
+def _model_draws(st):
+    """(fields, scenario, wind) draws: fields replaces one or two fields
+    of the shipped model, each scalar by an extreme or any float, each
+    table by a shorter or longer one, or by the shipped table with one
+    coefficient replaced."""
+    number = st.one_of(st.sampled_from(_EXTREMES), st.floats())
+    scalar = st.tuples(st.sampled_from(_MODEL_SCALARS), number)
+    table = st.tuples(st.sampled_from(_MODEL_TABLES),
+                      st.lists(number, max_size=7))
+    coefficient = st.tuples(st.sampled_from(_MODEL_TABLES),
+                            st.integers(0, 3), number).map(
+        lambda d: (d[0], [*_SHIPPED_MODEL[d[0]][:d[1]], d[2],
+                          *_SHIPPED_MODEL[d[0]][d[1] + 1:]]))
+    fields = st.lists(st.one_of(scalar, table, coefficient), min_size=1,
+                      max_size=2)
+    return st.tuples(fields, st.sampled_from(SCENARIOS), st.booleans())
+
+
+def test_model_file_fuzz_runs_or_rejects():
+    """Every model file either trims, linearizes and runs (exit 0 or 3)
+    or is rejected with exit 2 and a one-line message, under each pitch
+    partials source; none ends in a traceback or warns."""
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(_model_draws(hypothesis.strategies))
+    @hypothesis.example((list(_OVERFLOWING_ANGLES.items()), "pitch_step",
+                         False))
+    def check(draw):
+        fields, scenario, wind = draw
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "aero.json"
+            path.write_text(json.dumps({**_SHIPPED_MODEL, **dict(fields)}))
+            run = ("run", "--scenario", scenario, "--duration", "0.2",
+                   "--wind", "on" if wind else "off",
+                   "--set", "ship_warmup_s=0", "--set",
+                   f"aero_model_path={path}", "--out", str(Path(tmp) / "out"))
+            for argv in (("trim", "--aero-model", str(path)),
+                         ("linearize", "--aero-model", str(path)),
+                         run + ("--set", "use_local_partials=off"),
+                         run + ("--set", "use_local_partials=on")):
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("always")
+                    code = main(list(argv))
+                message = err.getvalue().strip()
+                assert not caught, (argv[0], [str(w.message) for w in caught])
+                if code == EXIT_USAGE:
+                    assert message.startswith("error: ") \
+                        and "\n" not in message, message
+                else:
+                    assert code in (EXIT_OK, EXIT_ABORT), message
+
+    check()
+
+
 @pytest.mark.parametrize("config, key", [
     ('{"seed": 1.7}', "seed"),
     ('{"trace_decimation": 2.9}', "trace_decimation"),
