@@ -34,9 +34,9 @@ import sys
 from dataclasses import replace
 
 from .airframe import AircraftParams
-from .sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS, ConfigError,
-                  RunResult, ScenarioConfig, compare_controllers,
-                  config_from_dict, config_to_dict, load_aero_model,
+from .config import (CONFIG_KEYS, CONTROLLERS, SCENARIOS, ConfigError,
+                     ScenarioConfig, config_from_dict, config_to_dict)
+from .sim import (RunResult, compare_controllers, load_aero_model,
                   run_scenario, write_trace_csv)
 from .trimlin import TrimNotConverged, eigenmodes, linearize, solve_trim
 

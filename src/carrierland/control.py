@@ -40,45 +40,16 @@ velocity law differentiates its own measurement, 0 on its first step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .airframe import AircraftParams
 from .trimlin import TrimPoint
 
+if TYPE_CHECKING:
+    from .config import OuterGains, PitchGains
+
 RAD2DEG = 180.0 / math.pi
 DEG2RAD = math.pi / 180.0
-
-
-@dataclass(frozen=True)
-class PitchGains:
-    kp_theta: float = 88.89          # observer-PD proportional
-    kd_theta: float = 26.5186        # observer-PD derivative
-    kp_theta2: float = 57.01         # PID baseline
-    ki_theta: float = 50.0
-    kd_theta2: float = 17.19
-    dqdot_dq: float = -0.15          # plant pitch-damping partial, 1/s
-    dqdot_dde: float = -0.015        # plant elevator partial, rad s^-2 per deg
-    rate_filter_tau: float = 0.01    # s, derivative filter for the PID baseline
-
-
-@dataclass(frozen=True)
-class OuterGains:
-    kp_v: float = 1.2
-    ki_v: float = 0.4
-    kd_v: float = 0.5
-    kp_s: float = 0.0061
-    ki_s: float = 0.018
-    kp_z: float = 0.3
-    ki_z: float = 0.02
-    kd_z: float = 0.3
-    deriv_filter_tau: float = 0.05   # s, guidance derivative filter
-    sink_filter_tau: float = 0.0     # s, sink-error smoothing (0 = off)
-    # notch on the sink error at the wake ripple frequency seen by the
-    # closing aircraft (pattern pumping Doppler-shifted by the closure
-    # rate); 0 disables
-    sink_notch_omega: float = 7.1    # rad/s
-    sink_notch_zeta: float = 0.25
-    integrator_limit: float = 10.0   # clamp on each integrator state
 
 
 class PitchOPD:

@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 if TYPE_CHECKING:
-    from .sim import ScenarioConfig
+    from .config import ScenarioConfig
 
 SHIP_DENOM = (2.08, 1.32, 0.4, 0.16)   # s^3, s^2, s^1, s^0 coefficients
 SHIP_HEAVE_NUM = 1.21

@@ -46,10 +46,6 @@ Scenarios:
     approach    full cascade from a point on the glide path, ending at
                 touchdown (z <= z_l once x >= x_l) or at the duration cap.
 
-A ScenarioConfig is frozen and checked as it is built: by
-config_from_dict, by its constructor, or by dataclasses.replace, which
-derives compare's run of each law and sweep's run of each seed.
-
 Runs are bit-reproducible: a resolved configuration and seed determine
 every sample drawn and every float written to the trace.
 """
@@ -64,24 +60,20 @@ import tempfile
 import weakref
 from collections import deque
 from dataclasses import dataclass, replace
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .airframe import (AeroModel, AircraftParams, NonFiniteDerivative,
                        OutOfTableRange, default_aero_model,
                        rigid_body_derivative, state_derivative)
 from .actuation import (actuator_derivative, project_actuator_states,
                         saturate_inputs)
-from .control import (GuidancePID, OuterGains, PitchGains, PitchOPD,
-                      PitchPID, SinkPI, VelocityPID, flight_path_generator,
-                      known_input, notch_coefficients)
-from .environment import (DEFAULT_DT_NOISE, DEFAULT_PITCH_NOISE_DT,
-                          DEFAULT_SHIP_NOISE_GAIN, DEFAULT_WAKE_EXTENT,
-                          Environment, deck_motion,
-                          _ship_filter_derivative, held_noise_scales,
-                          held_ship_inputs, hold_steps, wake_phase)
+from .config import ConfigError, ScenarioConfig
+from .control import (GuidancePID, PitchOPD, PitchPID, SinkPI, VelocityPID,
+                      flight_path_generator, known_input)
+from .environment import (Environment, deck_motion, _ship_filter_derivative,
+                          held_ship_inputs, hold_steps)
 from .integrate import rk4_step
-from .observer import ObserverParams, observer_derivative
+from .observer import observer_derivative
 from .trimlin import TrimNotConverged, TrimPoint, linearize, solve_trim
 
 TRACE_HEADER = (
@@ -90,144 +82,6 @@ TRACE_HEADER = (
     "u_g", "w_g", "u1", "u2", "u3", "w1", "w2", "w3", "z_g", "theta_s",
     "x_l", "z_l", "noise", "sat_elev", "sat_thr",
 )
-
-SCENARIOS = ("pitch_step", "sink_step", "approach")
-CONTROLLERS = ("opd", "pid", "opd_truth")
-
-_DEFAULT_DURATION = {"pitch_step": 10.0, "sink_step": 20.0, "approach": 90.0}
-
-# most integration steps a run or its ship warm-up may ask for; a tiny
-# positive dt would otherwise ask for a run that never ends
-MAX_STEPS = 1e8
-
-
-class ConfigError(ValueError):
-    """A scenario configuration field violates its constraint."""
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario: str = "pitch_step"
-    controller: str = "opd"
-    wind_on: bool = False
-    noise_on: bool = False
-    ship_on: bool = True
-    seed: int = 0
-    duration: float | None = None      # None: scenario default
-    dt: float = 0.001
-    initial_range: float = 2000.0      # m ahead of the landing point
-    initial_altitude: float = 300.0    # m, pitch/sink scenarios
-    pitch_step_deg: float = 1.0
-    sink_rate_cmd: float = 10.0        # m/s, descent positive
-    glide_slope_deg: float = 3.5
-    trace_decimation: int = 10
-    ship_warmup_s: float = 60.0
-    metric_skip_s: float = 5.0         # transient excluded from path metrics
-    dt_noise: float = DEFAULT_DT_NOISE
-    noise_dt: float = DEFAULT_PITCH_NOISE_DT  # hold of the pitch-noise sensor
-    ship_noise_gain: float = DEFAULT_SHIP_NOISE_GAIN
-    v_wd: float = 10.0
-    turb_norm: float = 0.5
-    wake_extent: float = DEFAULT_WAKE_EXTENT
-    t_max: float | None = None         # thrust-limit override, N
-    aero_model_path: str | None = None
-    use_local_partials: bool = False   # pitch laws use the recomputed Jacobian
-    theta_r_low_deg: float = -12.0    # pitch-command clamp about trim
-    theta_r_high_deg: float = 8.0
-    obs_k1: float = ObserverParams.k1
-    obs_k2: float = ObserverParams.k2
-    obs_k3: float = ObserverParams.k3
-    obs_alpha1: float = ObserverParams.alpha1
-    obs_epsilon: float = ObserverParams.epsilon
-    pitch: PitchGains = PitchGains()
-    outer: OuterGains = OuterGains()
-
-    def resolved_duration(self) -> float:
-        if self.duration is not None:
-            return self.duration
-        return _DEFAULT_DURATION[self.scenario]
-
-    def __post_init__(self):
-        """Raise a one-line ConfigError naming the key unless every value
-        lies in its CONFIG_KEYS domain and the rules across keys hold: dt
-        divides the noise holds; the run and the ship warm-up take at most
-        MAX_STEPS steps; theta_r_low_deg <= theta_r_high_deg; the approach,
-        which preloads integrators through 1 / ki, has vel.ki and sink.ki
-        nonzero; a sink step has a nonzero command; with wind on, v_wd > 0
-        and wake_phase(duration, wake_extent, v_wd), which bounds the run's
-        wake phases, is finite; the held noise sigmas of the ship and the
-        wind, each while on, are finite; an enabled sink notch has finite
-        coefficients at dt; and the observer parameters, their injection
-        gains included, are valid.  Keeps the run's observer
-        parameters, built by that last check, as _obs_params.  Reads no
-        file: the aero model file is load_aero_model's to check, where
-        the run is built."""
-        _check_domains(self)
-        dt = self.dt
-        for key in ("dt_noise", "noise_dt"):
-            # each noise sample is held for a whole number of steps
-            steps = getattr(self, key) / dt
-            if steps < 1.0:
-                raise ConfigError(f"{key} must be >= dt")
-            if not math.isfinite(steps):
-                raise ConfigError(f"{key} / dt must be finite")
-            if abs(steps - round(steps)) > 1e-9 * steps:
-                raise ConfigError(f"dt must divide {key}")
-        for key, span in (("duration", self.resolved_duration()),
-                          ("ship_warmup_s", self.ship_warmup_s)):
-            if span / dt > MAX_STEPS:
-                raise ConfigError(f"{key} / dt must be <= {MAX_STEPS:g} "
-                                  "steps")
-        if not self.theta_r_low_deg <= self.theta_r_high_deg:
-            raise ConfigError("theta_r_low_deg must be <= theta_r_high_deg")
-        if self.scenario == "approach" and (self.outer.ki_v == 0.0
-                                            or self.outer.ki_s == 0.0):
-            raise ConfigError("vel.ki and sink.ki must be nonzero for "
-                              "approach")
-        if self.scenario == "sink_step" and self.sink_rate_cmd == 0.0:
-            raise ConfigError("sink_rate_cmd must be nonzero for sink_step")
-        if self.wind_on and not self.v_wd > 0.0:
-            raise ConfigError("v_wd must be > 0 when wind is on")
-        if self.wind_on and not math.isfinite(wake_phase(
-                self.resolved_duration(), self.wake_extent, self.v_wd)):
-            raise ConfigError("wake_extent / v_wd or duration is too large: "
-                              "the wake phase is not finite with wind on")
-        for source, on, key in (("ship", self.ship_on, "ship_noise_gain"),
-                                ("wind", self.wind_on, "turb_norm")):
-            sigmas = held_noise_scales(source, self.dt_noise,
-                                       getattr(self, key))
-            if on and not all(map(math.isfinite, sigmas)):
-                unscaled = held_noise_scales(source, self.dt_noise, 1.0)
-                problem = (f"{key} is too large"
-                           if all(map(math.isfinite, unscaled))
-                           else "dt_noise is too small")
-                raise ConfigError(f"{problem}: the held {source} noise's "
-                                  f"sigmas at dt_noise = {self.dt_noise!r} "
-                                  "are not finite")
-        omega, zeta = self.outer.sink_notch_omega, self.outer.sink_notch_zeta
-        if omega > 0.0 and not _finite_notch(omega, zeta, dt):
-            # (2 / dt)^2 overflows exactly when the coefficients of the
-            # zero notch do; zeta only scales the damping terms, which
-            # vanish at zeta = 0
-            if not _finite_notch(0.0, 0.0, dt):
-                raise ConfigError(f"dt is too small: the sink notch's "
-                                  f"coefficients at dt = {dt!r} are not "
-                                  "finite")
-            key = ("sink.notch_zeta" if _finite_notch(omega, 0.0, dt)
-                   else "sink.notch_omega")
-            raise ConfigError(f"{key} is too large: the sink notch's "
-                              f"coefficients at dt = {dt!r} are not finite")
-        try:
-            obs_params = ObserverParams(self.obs_k1, self.obs_k2, self.obs_k3,
-                                        self.obs_alpha1, self.obs_epsilon)
-        except ValueError as exc:
-            raise ConfigError(f"obs.*: {exc}") from exc
-        object.__setattr__(self, "_obs_params", obs_params)
-
-
-def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
-    b, a = notch_coefficients(omega, zeta, dt)
-    return all(map(math.isfinite, b + a))
 
 
 def load_aero_model(path: str | None) -> AeroModel:
@@ -240,179 +94,6 @@ def load_aero_model(path: str | None) -> AeroModel:
         # bad JSON, JSON nested too deep to decode, a bad model, or an
         # integer too large for a float
         raise ConfigError(f"aero model {path}: {exc}") from exc
-
-
-_MAX = math.nextafter(math.inf, 0.0)   # the largest float
-
-
-class Domain(NamedTuple):
-    """The values of a config key: numbers lo <= v <= hi, so "> 0" is
-    lo = 5e-324, or, where `test` is set, what it passes; and None where
-    nullable.  `text` states the domain in errors and in `run --help`."""
-    text: str
-    lo: float = -_MAX
-    hi: float = _MAX
-    test: Callable[[object], bool] | None = None
-    nullable: bool = False
-
-    def error(self, key: str, value) -> str:
-        message = f"{key} must be {self.text}"
-        below, _, above = self.text.rpartition(" and ")
-        if below and isinstance(value, float) and value > self.hi:
-            return f"{key} must be {above} ({message})"  # the bound broken
-        return message
-
-
-_FINITE = Domain("finite")
-_POSITIVE = Domain("> 0 and finite", math.ulp(0.0))
-_NON_NEGATIVE = Domain(">= 0 and finite", 0.0)
-# a time constant or a clamp: inf freezes the filter or lifts the clamp
-_AT_LEAST_ZERO = Domain(">= 0", 0.0, math.inf)
-_UNIT = Domain("> 0 and < 1", math.ulp(0.0), math.nextafter(1.0, 0.0))
-_ON_OFF = Domain("on or off", False, True)
-_POSITIVE_OR_NULL = Domain("> 0 and finite, or null", math.ulp(0.0),
-                           nullable=True)
-
-
-class ConfigKey(NamedTuple):
-    """A config key's dotted attribute path, type and domain."""
-    path: str
-    typ: type
-    domain: Domain
-
-
-# Dotted override keys accepted by config files and the CLI, mapped to
-# (attribute path, type, domain).  This registry is the single
-# source of truth for serialization and validation.
-CONFIG_KEYS: dict[str, ConfigKey] = {key: ConfigKey(*entry) for key, entry in {
-    "scenario": ("scenario", str, Domain(f"one of {SCENARIOS}",
-                                         test=SCENARIOS.__contains__)),
-    "controller": ("controller", str, Domain(f"one of {CONTROLLERS}",
-                                             test=CONTROLLERS.__contains__)),
-    "wind_on": ("wind_on", bool, _ON_OFF),
-    "noise_on": ("noise_on", bool, _ON_OFF),
-    "ship_on": ("ship_on", bool, _ON_OFF),
-    "seed": ("seed", int, Domain(">= 0", 0, math.inf)),
-    "duration": ("duration", float, _POSITIVE_OR_NULL),
-    "dt": ("dt", float, _POSITIVE),
-    "initial_range": ("initial_range", float, _POSITIVE),
-    "initial_altitude": ("initial_altitude", float, _FINITE),
-    "pitch_step_deg": ("pitch_step_deg", float, _FINITE),
-    "sink_rate_cmd": ("sink_rate_cmd", float, _FINITE),
-    "glide_slope_deg": ("glide_slope_deg", float, _FINITE),
-    "theta_r_low_deg": ("theta_r_low_deg", float, _FINITE),
-    "theta_r_high_deg": ("theta_r_high_deg", float, _FINITE),
-    "trace_decimation": ("trace_decimation", int, Domain(">= 1", 1, math.inf)),
-    "ship_warmup_s": ("ship_warmup_s", float, _NON_NEGATIVE),
-    "metric_skip_s": ("metric_skip_s", float, _FINITE),
-    "dt_noise": ("dt_noise", float, _FINITE),
-    "noise_dt": ("noise_dt", float, _FINITE),
-    # numpy rejects a negative scale, -0.0 included
-    "ship_noise_gain": ("ship_noise_gain", float, Domain(
-        ">= +0.0 and finite", 0.0,
-        test=lambda v: math.copysign(1.0, v) > 0.0 and v <= _MAX)),
-    "v_wd": ("v_wd", float, _FINITE),
-    "turb_norm": ("turb_norm", float, _NON_NEGATIVE),
-    "wake_extent": ("wake_extent", float, _FINITE),
-    "t_max": ("t_max", float, _POSITIVE_OR_NULL),
-    "aero_model_path": ("aero_model_path", str, Domain(
-        "a JSON aero model file, or null", nullable=True,
-        test=lambda v: isinstance(v, str))),
-    "use_local_partials": ("use_local_partials", bool, _ON_OFF),
-    "obs.k1": ("obs_k1", float, _POSITIVE),
-    "obs.k2": ("obs_k2", float, _FINITE),
-    "obs.k3": ("obs_k3", float, _POSITIVE),
-    "obs.alpha1": ("obs_alpha1", float, _UNIT),
-    "obs.epsilon": ("obs_epsilon", float, _UNIT),
-    "pitch.kp": ("pitch.kp_theta", float, _FINITE),
-    "pitch.kd": ("pitch.kd_theta", float, _FINITE),
-    "pitch.dqdot_dq": ("pitch.dqdot_dq", float, _FINITE),
-    "pitch.dqdot_dde": ("pitch.dqdot_dde", float, Domain(
-        "nonzero and finite", test=lambda v: v != 0.0 and -_MAX <= v <= _MAX)),
-    "pid.kp": ("pitch.kp_theta2", float, _FINITE),
-    "pid.ki": ("pitch.ki_theta", float, _FINITE),
-    "pid.kd": ("pitch.kd_theta2", float, _FINITE),
-    "pid.tau": ("pitch.rate_filter_tau", float, _AT_LEAST_ZERO),
-    "vel.kp": ("outer.kp_v", float, _FINITE),
-    "vel.ki": ("outer.ki_v", float, _FINITE),
-    "vel.kd": ("outer.kd_v", float, _FINITE),
-    "sink.kp": ("outer.kp_s", float, _FINITE),
-    "sink.ki": ("outer.ki_s", float, _FINITE),
-    "sink.tau": ("outer.sink_filter_tau", float, _AT_LEAST_ZERO),
-    "sink.notch_omega": ("outer.sink_notch_omega", float, _NON_NEGATIVE),
-    "sink.notch_zeta": ("outer.sink_notch_zeta", float, _NON_NEGATIVE),
-    "guid.kp": ("outer.kp_z", float, _FINITE),
-    "guid.ki": ("outer.ki_z", float, _FINITE),
-    "guid.kd": ("outer.kd_z", float, _FINITE),
-    "guid.tau": ("outer.deriv_filter_tau", float, _AT_LEAST_ZERO),
-    "integrator_limit": ("outer.integrator_limit", float, _AT_LEAST_ZERO),
-}.items()}
-
-_VALUES = attrgetter(*(entry.path for entry in CONFIG_KEYS.values()))
-
-
-def _check_domains(c) -> None:
-    """Raise ConfigError(domain.error(key, v)) for the first key, in
-    CONFIG_KEYS order, whose value v lies outside its domain; None passes
-    a nullable key."""
-    for (key, entry), v in zip(CONFIG_KEYS.items(), _VALUES(c)):
-        d = entry.domain
-        if v is None and d.nullable:
-            continue
-        if not (d.test(v) if d.test else d.lo <= v <= d.hi):
-            raise ConfigError(d.error(key, v))
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Flat, canonical key-value form of a configuration."""
-    return dict(zip(CONFIG_KEYS, _VALUES(cfg)))
-
-
-def config_from_dict(*layers: dict) -> ScenarioConfig:
-    """Build a configuration once from the defaults and layers of
-    canonical keys, a later layer overriding an earlier one.  A layer
-    with an unknown key is rejected before any of its values is parsed;
-    every value is parsed by parse_config_value in turn, and then the
-    config is built a single time, which checks it."""
-    groups: dict = {"": {}, "pitch": {}, "outer": {}}   # by path head
-    for d in layers:
-        unknown = [k for k in d if k not in CONFIG_KEYS]
-        if unknown:
-            raise ConfigError(f"unknown config keys {unknown}; valid keys: "
-                              f"{sorted(CONFIG_KEYS)}")
-        for key, value in d.items():
-            head, _, leaf = CONFIG_KEYS[key].path.rpartition(".")
-            groups[head][leaf] = parse_config_value(key, value)
-    return ScenarioConfig(**groups[""], pitch=PitchGains(**groups["pitch"]),
-                          outer=OuterGains(**groups["outer"]))
-
-
-def parse_config_value(key: str, value):
-    """value as a known key's type: a bool key takes a bool or an on/off
-    string, an int key no fraction, a number key no bool, and only a
-    nullable key null; building the config checks the domain."""
-    _, typ, domain = CONFIG_KEYS[key]
-    if value is None:
-        if not domain.nullable:
-            raise ConfigError(f"{key} may not be null")
-    elif typ is bool:
-        low = value.strip().lower() if isinstance(value, str) else None
-        if low in ("1", "true", "on", "yes"):
-            value = True
-        elif low in ("0", "false", "off", "no"):
-            value = False
-        elif not isinstance(value, bool):
-            raise ConfigError(f"{key}: cannot parse {value!r} as on/off")
-    elif typ is not str and isinstance(value, bool) or (
-            typ is int and isinstance(value, float)
-            and not value.is_integer()):
-        raise ConfigError(f"{key}: expected {typ.__name__}, got {value!r}")
-    else:
-        try:
-            value = typ(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-    return value
 
 
 @dataclass

@@ -17,9 +17,9 @@ from carrierland.environment import ShipParams, ShipState, rng_streams, ship_ste
 from carrierland.integrate import rk4_step
 from carrierland.airframe import state_derivative
 from carrierland.observer import ObserverParams, observer_derivative, validate_params
-from carrierland.sim import (ScenarioConfig, compare_controllers,
-                             config_from_dict, config_to_dict, run_scenario,
-                             write_trace_csv)
+from carrierland.config import (ScenarioConfig, config_from_dict,
+                                config_to_dict)
+from carrierland.sim import compare_controllers, run_scenario, write_trace_csv
 from carrierland.trimlin import eigenvalues_4x4, solve_trim
 
 

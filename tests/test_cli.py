@@ -14,9 +14,9 @@ import pytest
 from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
                              build_parser, main)
 from carrierland.airframe import AeroModel, AircraftParams
-from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
-                             ConfigError, ScenarioConfig, config_from_dict,
-                             config_to_dict)
+from carrierland.config import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
+                                ConfigError, ScenarioConfig, config_from_dict,
+                                config_to_dict)
 
 
 def run_cli(*argv):

@@ -3,13 +3,13 @@ import math
 import pytest
 
 from carrierland.actuation import saturate_inputs
+from carrierland.config import (ConfigError, OuterGains, PitchGains,
+                                ScenarioConfig)
 from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
-                                 OuterGains, PitchGains, PitchOPD, PitchPID,
-                                 SinkPI, VelocityPID, flight_path_generator,
-                                 known_input)
+                                 PitchOPD, PitchPID, SinkPI, VelocityPID,
+                                 flight_path_generator, known_input)
 from carrierland.environment import (ShipParams, ShipState, deck_motion,
                                      rng_streams, ship_step)
-from carrierland.sim import ConfigError, ScenarioConfig
 
 
 def test_derive_pitch_gains_design_point():

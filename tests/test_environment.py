@@ -11,7 +11,7 @@ from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
                                      hold_steps, rng_stream, rng_streams,
                                      ship_step, wake_periodic, wake_phase,
                                      wake_steady)
-from carrierland.sim import ScenarioConfig
+from carrierland.config import ScenarioConfig
 
 
 class _ConstRng:

@@ -31,7 +31,7 @@ from carrierland.environment import (SHIP_DENOM, SHIP_HEAVE_POWER_DB,
                                      _held_sigma, _ship_filter_derivative,
                                      deck_motion, held_ship_inputs,
                                      rng_streams, ship_step)
-from carrierland.control import OuterGains, PitchGains
+from carrierland.config import OuterGains, PitchGains, ScenarioConfig
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
 from carrierland import sim
@@ -136,7 +136,7 @@ def _result_record(result):
 @pytest.mark.parametrize("case", _ENGINE_CASES,
                          ids=[c["scenario"] for c in _ENGINE_CASES])
 def test_engine_runs_match_reference_rk4(monkeypatch, case, controller):
-    cfg = sim.ScenarioConfig(controller=controller, **case)
+    cfg = ScenarioConfig(controller=controller, **case)
     shipped = sim.run_scenario(cfg)
     monkeypatch.setattr(sim, "rk4_step", ref_rk4_step)
     reference = sim.run_scenario(cfg)

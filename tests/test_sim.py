@@ -15,15 +15,16 @@ import pytest
 from carrierland import sim
 from carrierland.airframe import AeroModel, state_derivative
 from carrierland.cli import EXIT_USAGE, main as cli_main
+from carrierland.config import (CONFIG_KEYS, CONTROLLERS, ConfigError,
+                                ScenarioConfig, config_from_dict,
+                                config_to_dict, parse_config_value)
 from carrierland.control import known_input
 from carrierland.environment import PitchNoise, rng_stream
 from carrierland.integrate import rk4_step
-from carrierland.sim import (CONFIG_KEYS, CONTROLLERS, TRACE_BLOCK_ROWS,
-                             ConfigError, RunMetrics, ScenarioConfig,
-                             Simulation, StepResponse, TRACE_HEADER, Trace,
-                             compare_controllers, config_from_dict,
-                             config_to_dict, parse_config_value,
-                             run_scenario, write_trace_csv)
+from carrierland.sim import (TRACE_BLOCK_ROWS, RunMetrics, Simulation,
+                             StepResponse, TRACE_HEADER, Trace,
+                             compare_controllers, run_scenario,
+                             write_trace_csv)
 from carrierland.trimlin import linearize, solve_trim
 
 
@@ -189,18 +190,24 @@ def test_config_round_trip():
 def test_config_keys_name_every_config_field_once():
     """The attribute paths of ScenarioConfig(), with its gain records
     flattened, are exactly the paths CONFIG_KEYS maps to: no field
-    without a key, no key without a field."""
+    without a key, no key without a field.  Each field's metadata holds
+    its key's domain and name (None for the field's name), and that key
+    maps to the field."""
     def paths(obj, prefix=""):
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
             if dataclasses.is_dataclass(value):
                 yield from paths(value, f"{prefix}{f.name}.")
             else:
-                yield prefix + f.name
+                yield prefix + f.name, f
 
     fields = list(paths(ScenarioConfig()))
+    for path, f in fields:
+        assert set(f.metadata) == {"key", "domain"}, path
+        entry = CONFIG_KEYS[f.metadata["key"] or f.name]
+        assert (entry.path, entry.domain) == (path, f.metadata["domain"])
     keyed = [path for path, _, _ in CONFIG_KEYS.values()]
-    assert sorted(fields) == sorted(keyed)
+    assert sorted(path for path, _ in fields) == sorted(keyed)
     assert len(set(keyed)) == len(keyed) == 53
 
 
@@ -716,8 +723,8 @@ def test_pinned_elevator_keeps_observer_error_finite():
 def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     """Closed-loop airspeed-hold test rig: plant + engine lag + pitch hold."""
     from carrierland.actuation import saturate_inputs
-    from carrierland.control import OuterGains, PitchGains, PitchOPD, \
-        VelocityPID
+    from carrierland.config import OuterGains, PitchGains
+    from carrierland.control import PitchOPD, VelocityPID
     from carrierland.observer import ObserverParams, observer_derivative
 
     gains = PitchGains()
