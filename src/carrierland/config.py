@@ -7,17 +7,18 @@ derives compare's run of each law and sweep's run of each seed.
 
 Each config key is declared once, as a field made by key(): the field's
 annotation is the key's type, and its metadata holds the key's domain
-and, where it is not the field's name, the key's name.  CONFIG_KEYS
-walks the fields of ScenarioConfig, with the gain records PitchGains
-and OuterGains in their places, so field order is key order: the order
-in which values are checked and written, and so which bad key an error
-names first.  The rules across keys are code, in __post_init__.
+and, where it is not the field's name, the key's name.  The control
+laws' gains and pitch partials are fields like any other, and each law
+is built from the run's config.  CONFIG_KEYS walks the fields of
+ScenarioConfig, so field order is key order: the order in which values
+are checked and written, and so which bad key an error names first.
+The rules across keys are code, in __post_init__.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -80,40 +81,6 @@ def key(domain: Domain, default, name: str | None = None):
 
 
 @dataclass(frozen=True)
-class PitchGains:
-    kp_theta: float = key(_FINITE, 88.89, "pitch.kp")     # observer-PD
-    kd_theta: float = key(_FINITE, 26.5186, "pitch.kd")
-    dqdot_dq: float = key(_FINITE, -0.15, "pitch.dqdot_dq")  # plant, 1/s
-    dqdot_dde: float = key(Domain(   # plant, rad s^-2 per deg of elevator
-        "nonzero and finite", test=lambda v: v != 0.0 and -_MAX <= v <= _MAX),
-        -0.015, "pitch.dqdot_dde")
-    kp_theta2: float = key(_FINITE, 57.01, "pid.kp")      # PID baseline
-    ki_theta: float = key(_FINITE, 50.0, "pid.ki")
-    kd_theta2: float = key(_FINITE, 17.19, "pid.kd")
-    rate_filter_tau: float = key(_AT_LEAST_ZERO, 0.01, "pid.tau")   # s
-
-
-@dataclass(frozen=True)
-class OuterGains:
-    kp_v: float = key(_FINITE, 1.2, "vel.kp")
-    ki_v: float = key(_FINITE, 0.4, "vel.ki")
-    kd_v: float = key(_FINITE, 0.5, "vel.kd")
-    kp_s: float = key(_FINITE, 0.0061, "sink.kp")
-    ki_s: float = key(_FINITE, 0.018, "sink.ki")
-    sink_filter_tau: float = key(_AT_LEAST_ZERO, 0.0, "sink.tau")  # s, 0: off
-    # notch on the sink error at the wake ripple frequency seen by the
-    # closing aircraft (pattern pumping Doppler-shifted by the closure
-    # rate), rad/s; 0 disables
-    sink_notch_omega: float = key(_NON_NEGATIVE, 7.1, "sink.notch_omega")
-    sink_notch_zeta: float = key(_NON_NEGATIVE, 0.25, "sink.notch_zeta")
-    kp_z: float = key(_FINITE, 0.3, "guid.kp")
-    ki_z: float = key(_FINITE, 0.02, "guid.ki")
-    kd_z: float = key(_FINITE, 0.3, "guid.kd")
-    deriv_filter_tau: float = key(_AT_LEAST_ZERO, 0.05, "guid.tau")  # s
-    integrator_limit: float = key(_AT_LEAST_ZERO, 10.0)  # per-integrator clamp
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     scenario: str = key(Domain(f"one of {SCENARIOS}",
                                test=SCENARIOS.__contains__), "pitch_step")
@@ -156,8 +123,32 @@ class ScenarioConfig:
     obs_k3: float = key(_POSITIVE, ObserverParams.k3, "obs.k3")
     obs_alpha1: float = key(_UNIT, ObserverParams.alpha1, "obs.alpha1")
     obs_epsilon: float = key(_UNIT, ObserverParams.epsilon, "obs.epsilon")
-    pitch: PitchGains = PitchGains()
-    outer: OuterGains = OuterGains()
+    kp_theta: float = key(_FINITE, 88.89, "pitch.kp")     # observer-PD
+    kd_theta: float = key(_FINITE, 26.5186, "pitch.kd")
+    dqdot_dq: float = key(_FINITE, -0.15, "pitch.dqdot_dq")  # plant, 1/s
+    dqdot_dde: float = key(Domain(   # plant, rad s^-2 per deg of elevator
+        "nonzero and finite", test=lambda v: v != 0.0 and -_MAX <= v <= _MAX),
+        -0.015, "pitch.dqdot_dde")
+    kp_theta2: float = key(_FINITE, 57.01, "pid.kp")      # PID baseline
+    ki_theta: float = key(_FINITE, 50.0, "pid.ki")
+    kd_theta2: float = key(_FINITE, 17.19, "pid.kd")
+    rate_filter_tau: float = key(_AT_LEAST_ZERO, 0.01, "pid.tau")   # s
+    kp_v: float = key(_FINITE, 1.2, "vel.kp")
+    ki_v: float = key(_FINITE, 0.4, "vel.ki")
+    kd_v: float = key(_FINITE, 0.5, "vel.kd")
+    kp_s: float = key(_FINITE, 0.0061, "sink.kp")
+    ki_s: float = key(_FINITE, 0.018, "sink.ki")
+    sink_filter_tau: float = key(_AT_LEAST_ZERO, 0.0, "sink.tau")  # s, 0: off
+    # notch on the sink error at the wake ripple frequency seen by the
+    # closing aircraft (pattern pumping Doppler-shifted by the closure
+    # rate), rad/s; 0 disables
+    sink_notch_omega: float = key(_NON_NEGATIVE, 7.1, "sink.notch_omega")
+    sink_notch_zeta: float = key(_NON_NEGATIVE, 0.25, "sink.notch_zeta")
+    kp_z: float = key(_FINITE, 0.3, "guid.kp")
+    ki_z: float = key(_FINITE, 0.02, "guid.ki")
+    kd_z: float = key(_FINITE, 0.3, "guid.kd")
+    deriv_filter_tau: float = key(_AT_LEAST_ZERO, 0.05, "guid.tau")  # s
+    integrator_limit: float = key(_AT_LEAST_ZERO, 10.0)  # per-integrator clamp
 
     def resolved_duration(self) -> float:
         if self.duration is not None:
@@ -197,8 +188,8 @@ class ScenarioConfig:
                                   "steps")
         if not self.theta_r_low_deg <= self.theta_r_high_deg:
             raise ConfigError("theta_r_low_deg must be <= theta_r_high_deg")
-        if self.scenario == "approach" and (self.outer.ki_v == 0.0
-                                            or self.outer.ki_s == 0.0):
+        if self.scenario == "approach" and (self.ki_v == 0.0
+                                            or self.ki_s == 0.0):
             raise ConfigError("vel.ki and sink.ki must be nonzero for "
                               "approach")
         if self.scenario == "sink_step" and self.sink_rate_cmd == 0.0:
@@ -221,7 +212,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{problem}: the held {source} noise's "
                                   f"sigmas at dt_noise = {self.dt_noise!r} "
                                   "are not finite")
-        omega, zeta = self.outer.sink_notch_omega, self.outer.sink_notch_zeta
+        omega, zeta = self.sink_notch_omega, self.sink_notch_zeta
         if omega > 0.0 and not _finite_notch(omega, zeta, dt):
             # (2 / dt)^2 overflows exactly when the coefficients of the
             # zero notch do; zeta only scales the damping terms, which
@@ -248,7 +239,7 @@ def _finite_notch(omega: float, zeta: float, dt: float) -> bool:
 
 
 class ConfigKey(NamedTuple):
-    """A config key's dotted attribute path, type and domain."""
+    """A config key's ScenarioConfig attribute, type and domain."""
     path: str
     typ: type
     domain: Domain
@@ -257,22 +248,13 @@ class ConfigKey(NamedTuple):
 _TYPES = {"bool": bool, "int": int, "float": float, "str": str}
 
 
-def _config_keys(record, prefix: str = ""):
-    """(key, ConfigKey) of each field of a config record, in field order;
-    a gain record's fields in its place, under its attribute path."""
-    for f in fields(record):
-        if is_dataclass(f.default):
-            yield from _config_keys(f.default, f"{prefix}{f.name}.")
-        else:
-            yield f.metadata["key"] or f.name, ConfigKey(
-                prefix + f.name, _TYPES[f.type.removesuffix(" | None")],
-                f.metadata["domain"])
-
-
 # Dotted override keys accepted by config files and the CLI, mapped to
-# (attribute path, type, domain), derived from the fields' declarations;
-# read by serialization, parsing and validation.
-CONFIG_KEYS: dict[str, ConfigKey] = dict(_config_keys(ScenarioConfig))
+# (attribute name, type, domain), derived from the fields' declarations
+# in field order; read by serialization, parsing and validation.
+CONFIG_KEYS: dict[str, ConfigKey] = {
+    f.metadata["key"] or f.name: ConfigKey(
+        f.name, _TYPES[f.type.removesuffix(" | None")], f.metadata["domain"])
+    for f in fields(ScenarioConfig)}
 
 _VALUES = attrgetter(*(entry.path for entry in CONFIG_KEYS.values()))
 
@@ -300,17 +282,15 @@ def config_from_dict(*layers: dict) -> ScenarioConfig:
     with an unknown key is rejected before any of its values is parsed;
     every value is parsed by parse_config_value in turn, and then the
     config is built a single time, which checks it."""
-    groups: dict = {"": {}, "pitch": {}, "outer": {}}   # by path head
+    values = {}
     for d in layers:
         unknown = [k for k in d if k not in CONFIG_KEYS]
         if unknown:
             raise ConfigError(f"unknown config keys {unknown}; valid keys: "
                               f"{sorted(CONFIG_KEYS)}")
         for key, value in d.items():
-            head, _, leaf = CONFIG_KEYS[key].path.rpartition(".")
-            groups[head][leaf] = parse_config_value(key, value)
-    return ScenarioConfig(**groups[""], pitch=PitchGains(**groups["pitch"]),
-                          outer=OuterGains(**groups["outer"]))
+            values[CONFIG_KEYS[key].path] = parse_config_value(key, value)
+    return ScenarioConfig(**values)
 
 
 def parse_config_value(key: str, value):

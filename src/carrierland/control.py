@@ -28,10 +28,13 @@ saturated command, so the observer sees the input actually applied
 (anti-windup at the authority limit); the truth law subtracts h, at
 the true rate and deflection, from the true pitch acceleration.
 
-The PID-family laws (PitchPID, VelocityPID, SinkPI, GuidancePID) are
-built for the run's fixed step and stepped with signals only.  They
-share one element, _PIDElement, with one dt: a trapezoidal integrator
-clamped at +-limit (anti-windup), preload, and a first-order error
+Each law is built from a checked ScenarioConfig and reads its gains,
+and the pitch laws their partials, from it: the run's config, or under
+use_local_partials a copy with the linearized partials.  The PID-family
+laws (PitchPID, VelocityPID, SinkPI, GuidancePID) are built for the
+run's fixed step and stepped with signals only.  They share one
+element, _PIDElement, with one dt: a trapezoidal integrator clamped at
++-integrator_limit (anti-windup), preload, and a first-order error
 filter primed on its first sample.  Pitch and guidance differentiate the
 filtered error, the sink law runs the filter as an optional lag, and the
 velocity law differentiates its own measurement, 0 on its first step.
@@ -46,7 +49,7 @@ from .airframe import AircraftParams
 from .trimlin import TrimPoint
 
 if TYPE_CHECKING:
-    from .config import OuterGains, PitchGains
+    from .config import ScenarioConfig
 
 RAD2DEG = 180.0 / math.pi
 DEG2RAD = math.pi / 180.0
@@ -55,8 +58,8 @@ DEG2RAD = math.pi / 180.0
 class PitchOPD:
     """Observer-compensated PD pitch law."""
 
-    def __init__(self, gains: PitchGains, trim: TrimPoint):
-        self.g = gains
+    def __init__(self, config: ScenarioConfig, trim: TrimPoint):
+        self.g = config
         self.delta_e_trim = trim.delta_e_star
 
     def step(self, theta_r: float, theta_meas: float, x2: float,
@@ -75,14 +78,14 @@ class PitchOPD:
 
 
 def known_input(x2: float, delta_e: float, delta_e_trim: float,
-                gains: PitchGains) -> float:
+                config: ScenarioConfig) -> float:
     """Known part h of the pitch acceleration [rad/s^2].
 
     h = dqdot_dq x2 + dqdot_dde dde_deg, with dde_deg the elevator's
     offset from trim in degrees.
     """
-    return (gains.dqdot_dq * x2
-            + gains.dqdot_dde * ((delta_e - delta_e_trim) * RAD2DEG))
+    return (config.dqdot_dq * x2
+            + config.dqdot_dde * ((delta_e - delta_e_trim) * RAD2DEG))
 
 
 class _PIDElement:
@@ -134,10 +137,9 @@ class PitchPID(_PIDElement):
     error, so measurement noise is attenuated but not removed.
     """
 
-    def __init__(self, gains: PitchGains, trim: TrimPoint,
-                 integrator_limit: float, dt: float):
-        super().__init__(integrator_limit, dt, gains.rate_filter_tau)
-        self.g = gains
+    def __init__(self, config: ScenarioConfig, trim: TrimPoint, dt: float):
+        super().__init__(config.integrator_limit, dt, config.rate_filter_tau)
+        self.g = config
         self.delta_e_trim = trim.delta_e_star
 
     def step(self, theta_r: float, theta_meas: float) -> float:
@@ -157,10 +159,10 @@ class VelocityPID(_PIDElement):
     only works against disturbances.
     """
 
-    def __init__(self, gains: OuterGains, trim: TrimPoint,
+    def __init__(self, config: ScenarioConfig, trim: TrimPoint,
                  params: AircraftParams, dt: float):
-        super().__init__(gains.integrator_limit, dt)
-        self.g = gains
+        super().__init__(config.integrator_limit, dt)
+        self.g = config
         self.thrust_trim = trim.thrust_star
         self.m = params.m
         self._v_prev = None
@@ -182,13 +184,13 @@ class SinkPI(_PIDElement):
     ripple out of the pitch command (the loop cannot reject it anyway).
     """
 
-    def __init__(self, gains: OuterGains, trim: TrimPoint, dt: float):
-        super().__init__(gains.integrator_limit, dt, gains.sink_filter_tau)
-        self.g = gains
+    def __init__(self, config: ScenarioConfig, trim: TrimPoint, dt: float):
+        super().__init__(config.integrator_limit, dt, config.sink_filter_tau)
+        self.g = config
         self.theta_trim = trim.theta_star
-        self._notch = (NotchFilter(gains.sink_notch_omega,
-                                   gains.sink_notch_zeta, dt)
-                       if gains.sink_notch_omega > 0.0 else None)
+        self._notch = (NotchFilter(config.sink_notch_omega,
+                                   config.sink_notch_zeta, dt)
+                       if config.sink_notch_omega > 0.0 else None)
 
     def step(self, zdot_r: float, zdot_meas: float) -> float:
         g = self.g
@@ -211,9 +213,9 @@ class GuidancePID(_PIDElement):
     commands the path rate itself.
     """
 
-    def __init__(self, gains: OuterGains, dt: float):
-        super().__init__(gains.integrator_limit, dt, gains.deriv_filter_tau)
-        self.g = gains
+    def __init__(self, config: ScenarioConfig, dt: float):
+        super().__init__(config.integrator_limit, dt, config.deriv_filter_tau)
+        self.g = config
 
     def step(self, z_r: float, z_meas: float, feedforward: float) -> float:
         g = self.g

@@ -267,7 +267,9 @@ class Simulation:
             self.trim = _trim(params, self.model)
         except TrimNotConverged as exc:
             raise ConfigError(f"no trim point: {exc}") from exc
-        self.gains = config.pitch
+        # the config the pitch laws read: the run's, or a copy with the
+        # linearized partials; RunResult keeps the run's
+        self.pitch_cfg = config
         if config.use_local_partials:
             try:
                 linear = linearize(self.trim, params, self.model)
@@ -276,8 +278,8 @@ class Simulation:
             if linear.dqdot_dde_deg == 0.0:   # the pitch laws divide by it
                 raise ConfigError("use_local_partials: the linearized "
                                   "pitch.dqdot_dde at trim is 0")
-            self.gains = replace(config.pitch, dqdot_dq=linear.dqdot_dq,
-                                 dqdot_dde=linear.dqdot_dde_deg)
+            self.pitch_cfg = replace(config, dqdot_dq=linear.dqdot_dq,
+                                     dqdot_dde=linear.dqdot_dde_deg)
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
@@ -285,7 +287,7 @@ class Simulation:
         params = self.params
         model = self.model
         trim = self.trim
-        gains = self.gains
+        pitch_cfg = self.pitch_cfg
         dt = cfg.dt
         n_steps = int(round(cfg.resolved_duration() / dt))
         approach = cfg.scenario == "approach"
@@ -315,12 +317,11 @@ class Simulation:
         theta_r_lo = theta_star + math.radians(cfg.theta_r_low_deg)
         theta_r_hi = theta_star + math.radians(cfg.theta_r_high_deg)
 
-        outer = cfg.outer
-        opd = PitchOPD(gains, trim)
-        pid = PitchPID(gains, trim, outer.integrator_limit, dt)
-        vel = VelocityPID(outer, trim, params, dt)
-        sink = SinkPI(outer, trim, dt)
-        guid = GuidancePID(outer, dt)
+        opd = PitchOPD(pitch_cfg, trim)
+        pid = PitchPID(pitch_cfg, trim, dt)
+        vel = VelocityPID(cfg, trim, params, dt)
+        sink = SinkPI(cfg, trim, dt)
+        guid = GuidancePID(cfg, dt)
         use_pid = cfg.controller == "pid"
         use_truth = cfg.controller == "opd_truth"
 
@@ -332,9 +333,9 @@ class Simulation:
             drag_star = trim.thrust_star * math.cos(trim.alpha_star)
             thrust0 = max(0.0, (drag_star + params.m * params.g
                                 * math.sin(gamma0)) / math.cos(trim.alpha_star))
-            sink.preload((theta0 - theta_star) / outer.ki_s)
+            sink.preload((theta0 - theta_star) / cfg.ki_s)
             vel.preload((thrust0 - trim.thrust_star)
-                        / (params.m * outer.ki_v))
+                        / (params.m * cfg.ki_v))
 
         obs_p = cfg._obs_params
         # concatenated state: aircraft 6, engine 1, elevator 2, observer 3,
@@ -445,7 +446,7 @@ class Simulation:
                     qdot_now = state_derivative(v, th, al, q, de, t_eng, u_g,
                                                 w_g, model, params)[3]
                     d_truth = qdot_now - known_input(q, de, delta_e_trim,
-                                                     gains)
+                                                     pitch_cfg)
                     de_cmd = opd_step(theta_r, theta_meas, q, d_truth)
                 else:
                     de_cmd = opd_step(theta_r, theta_meas, ox2, ox3)
@@ -453,7 +454,7 @@ class Simulation:
                 thrust_cmd = vel_step(v_star, v)
                 de_cmd, thrust_cmd, sat_e, sat_t = saturate_inputs(
                     de_cmd, thrust_cmd, params)
-                h_theta = known_input(ox2, de_cmd, delta_e_trim, gains)
+                h_theta = known_input(ox2, de_cmd, delta_e_trim, pitch_cfg)
                 if sat_e:
                     sat_e_count += 1
                 if sat_t:

@@ -3,8 +3,7 @@ import math
 import pytest
 
 from carrierland.actuation import saturate_inputs
-from carrierland.config import (ConfigError, OuterGains, PitchGains,
-                                ScenarioConfig)
+from carrierland.config import ConfigError, ScenarioConfig
 from carrierland.control import (DEG2RAD, RAD2DEG, GuidancePID, NotchFilter,
                                  PitchOPD, PitchPID, SinkPI, VelocityPID,
                                  flight_path_generator, known_input)
@@ -16,21 +15,21 @@ def test_derive_pitch_gains_design_point():
     # the shipped kp_theta places the pitch error poles for a 2 %
     # settling time of 0.3 s at damping sqrt(2): kp = omega_n^2
     omega_n = 4.0 / (0.3 * math.sqrt(2.0))
-    assert PitchGains().kp_theta == pytest.approx(omega_n ** 2, abs=0.01)
+    assert ScenarioConfig().kp_theta == pytest.approx(omega_n ** 2, abs=0.01)
     # note: the shipped default kd_theta keeps the published 26.5186,
     # which differs slightly from 2 * damping * omega_n - dqdot_dq
 
 
 def test_pitch_gains_reject_zero_channel():
-    """The pitch laws divide by dqdot_dde; a config whose gains zero it
-    is rejected with its key's domain."""
+    """The pitch laws divide by dqdot_dde; a config that zeros it is
+    rejected with its key's domain."""
     with pytest.raises(ConfigError) as err:
-        ScenarioConfig(pitch=PitchGains(dqdot_dde=0.0))
+        ScenarioConfig(dqdot_dde=0.0)
     assert str(err.value).startswith("pitch.dqdot_dde must be ")
 
 
 def test_pitch_opd_at_reference(trim):
-    g = PitchGains()
+    g = ScenarioConfig()
     opd = PitchOPD(g, trim)
     cmd = opd.step(trim.theta_star, trim.theta_star, 0.0, 0.0)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
@@ -40,7 +39,7 @@ def test_pitch_opd_at_reference(trim):
 @pytest.mark.parametrize("d0", [0.05, -0.12, 0.3])
 def test_pitch_opd_pure_disturbance_cancellation(trim, d0):
     """A disturbance estimate shifts the elevator by -d0/dqdot_dde deg."""
-    g = PitchGains()
+    g = ScenarioConfig()
     opd = PitchOPD(g, trim)
     cmd = opd.step(trim.theta_star, trim.theta_star, 0.0, d0)
     expected = trim.delta_e_star + (-d0 / g.dqdot_dde) * DEG2RAD
@@ -49,7 +48,7 @@ def test_pitch_opd_pure_disturbance_cancellation(trim, d0):
 
 def test_known_input_uses_applied_deflection(trim, params):
     """When the demand exceeds the stops, h reflects the clipped input."""
-    g = PitchGains()
+    g = ScenarioConfig()
     opd = PitchOPD(g, trim)
     big_error = trim.theta_star - math.radians(20.0)  # huge pitch-up demand
     cmd = opd.step(trim.theta_star + math.radians(5.0), big_error, 0.0, 0.0)
@@ -64,27 +63,27 @@ def test_known_input_uses_applied_deflection(trim, params):
 
 
 def test_pitch_pid_zero_history(trim):
-    pid = PitchPID(PitchGains(), trim, OuterGains().integrator_limit, 1e-3)
+    pid = PitchPID(ScenarioConfig(), trim, 1e-3)
     for _ in range(5):
         cmd = pid.step(trim.theta_star, trim.theta_star)
     assert cmd == pytest.approx(trim.delta_e_star, abs=1e-15)
 
 
 def test_pitch_pid_integral_clamp(trim):
-    pid = PitchPID(PitchGains(), trim, 0.01, 1e-3)
+    pid = PitchPID(ScenarioConfig(integrator_limit=0.01), trim, 1e-3)
     for _ in range(20000):
         pid.step(trim.theta_star + 1.0, trim.theta_star)
     assert pid._int == 0.01
 
 
 def test_velocity_trim_feedforward(trim, params):
-    vel = VelocityPID(OuterGains(), trim, params, 1e-3)
+    vel = VelocityPID(ScenarioConfig(), trim, params, 1e-3)
     thrust = vel.step(69.1, 69.1)
     assert thrust == pytest.approx(trim.thrust_star, rel=1e-12)
 
 
 def test_velocity_integral_accumulates(trim, params):
-    g = OuterGains()
+    g = ScenarioConfig()
     vel = VelocityPID(g, trim, params, 0.1)
     t1 = vel.step(70.0, 69.0)
     t5 = None
@@ -94,13 +93,13 @@ def test_velocity_integral_accumulates(trim, params):
 
 
 def test_sink_trim_feedforward(trim):
-    sink = SinkPI(OuterGains(), trim, 1e-3)
+    sink = SinkPI(ScenarioConfig(), trim, 1e-3)
     theta_r = sink.step(0.0, 0.0)
     assert theta_r == pytest.approx(trim.theta_star, abs=1e-12)
 
 
 def test_sink_preload_gives_bumpless_start(trim):
-    g = OuterGains()
+    g = ScenarioConfig()
     sink = SinkPI(g, trim, 1e-3)
     target = trim.theta_star - math.radians(3.5)
     sink.preload((target - trim.theta_star) / g.ki_s)
@@ -108,13 +107,13 @@ def test_sink_preload_gives_bumpless_start(trim):
 
 
 def test_guidance_zero_error_passes_feedforward():
-    guid = GuidancePID(OuterGains(), 1e-3)
+    guid = GuidancePID(ScenarioConfig(), 1e-3)
     assert guid.step(10.0, 10.0, feedforward=-4.2) == \
         pytest.approx(-4.2, abs=1e-9)
 
 
 def test_guidance_initial_proportional_response():
-    g = OuterGains(kp_z=1.0, ki_z=0.5, kd_z=0.01)
+    g = ScenarioConfig(kp_z=1.0, ki_z=0.5, kd_z=0.01)
     guid = GuidancePID(g, 1e-3)
     # 1 m static offset at the first step: P-term only, derivative
     # filter primes on the first sample instead of spiking
@@ -123,7 +122,8 @@ def test_guidance_initial_proportional_response():
 
 
 def test_guidance_derivative_is_filtered():
-    g = OuterGains(kp_z=0.0, ki_z=0.0, kd_z=1.0, deriv_filter_tau=0.05)
+    g = ScenarioConfig(kp_z=0.0, ki_z=0.0, kd_z=1.0,
+                       deriv_filter_tau=0.05)
     guid = GuidancePID(g, 1e-3)
     guid.step(0.0, 0.0, 0.0)
     # a 1 m jump differentiated raw would give 1000 m/s; the filter
@@ -134,7 +134,7 @@ def test_guidance_derivative_is_filtered():
 
 
 def test_integrator_outputs_bounded(trim, params):
-    g = OuterGains(integrator_limit=0.5)
+    g = ScenarioConfig(integrator_limit=0.5)
     vel = VelocityPID(g, trim, params, 1e-2)
     sink = SinkPI(g, trim, 1e-2)
     for _ in range(100000):

@@ -31,7 +31,7 @@ from carrierland.environment import (SHIP_DENOM, SHIP_HEAVE_POWER_DB,
                                      _held_sigma, _ship_filter_derivative,
                                      deck_motion, held_ship_inputs,
                                      rng_streams, ship_step)
-from carrierland.config import OuterGains, PitchGains, ScenarioConfig
+from carrierland.config import ScenarioConfig
 from carrierland.integrate import rk4_step
 from carrierland.observer import ObserverParams, observer_derivative
 from carrierland import sim
@@ -773,14 +773,14 @@ class RefGuidancePID:
 
 
 # gains unlike the defaults and unlike each other, so a gain or limit
-# read from the wrong place changes a bit; the pitch law's limit is its
-# constructor argument, the outer laws' is OuterGains.integrator_limit
-_PID_PITCH = PitchGains(kp_theta2=41.3, ki_theta=23.7, kd_theta2=9.1,
-                        dqdot_dde=-0.0173, rate_filter_tau=0.02)
-_PID_PITCH_LIMIT = 0.37
-_PID_OUTER = OuterGains(kp_v=1.3, ki_v=0.47, kd_v=0.61, kp_s=0.0071,
-                        ki_s=0.023, kp_z=0.33, ki_z=0.027, kd_z=0.29,
-                        deriv_filter_tau=0.04, integrator_limit=0.71)
+# read from the wrong place changes a bit; the pitch law's config and the
+# outer laws' each have an integrator_limit of their own
+_PID_PITCH = ScenarioConfig(kp_theta2=41.3, ki_theta=23.7, kd_theta2=9.1,
+                            dqdot_dde=-0.0173, rate_filter_tau=0.02,
+                            integrator_limit=0.37)
+_PID_OUTER = ScenarioConfig(kp_v=1.3, ki_v=0.47, kd_v=0.61, kp_s=0.0071,
+                            ki_s=0.023, kp_z=0.33, ki_z=0.027, kd_z=0.29,
+                            deriv_filter_tau=0.04, integrator_limit=0.71)
 
 
 def _pid_inputs(seed):
@@ -804,8 +804,8 @@ def _pid_laws(kind, trim, params, outer, dt):
     one kind; the builder gives the law's and the reference's arguments,
     the reference taking dt on every step."""
     if kind == "pitch":
-        return (control.PitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT, dt),
-                RefPitchPID(_PID_PITCH, trim, _PID_PITCH_LIMIT),
+        return (control.PitchPID(_PID_PITCH, trim, dt),
+                RefPitchPID(_PID_PITCH, trim, _PID_PITCH.integrator_limit),
                 lambda r, m, _a: ((r, m), (r, m, dt), {}))
     if kind == "velocity":
         # the reference gets the measurement's rate from the harness: 0
@@ -850,7 +850,7 @@ def test_pid_family_laws_match_reference(trim, params, kind, outer_overrides,
                                          preload, dt):
     outer = replace(_PID_OUTER, **outer_overrides)
     law, ref, args = _pid_laws(kind, trim, params, outer, dt)
-    limit = _PID_PITCH_LIMIT if kind == "pitch" else outer.integrator_limit
+    limit = (_PID_PITCH if kind == "pitch" else outer).integrator_limit
     if preload is not None:
         law.preload(preload)
         ref.preload(preload)

@@ -179,29 +179,18 @@ def test_step_response_fold_matches_the_list_scans():
 # ------------------------------------------------------------- config
 def test_config_round_trip():
     base = ScenarioConfig(scenario="sink_step", seed=9)
-    cfg = dataclasses.replace(
-        base, pitch=dataclasses.replace(base.pitch, kp_theta=80.0),
-        outer=dataclasses.replace(base.outer, kp_z=0.7))
+    cfg = dataclasses.replace(base, kp_theta=80.0, kp_z=0.7)
     d = config_to_dict(cfg)
     again = config_from_dict(d)
     assert config_to_dict(again) == d
 
 
 def test_config_keys_name_every_config_field_once():
-    """The attribute paths of ScenarioConfig(), with its gain records
-    flattened, are exactly the paths CONFIG_KEYS maps to: no field
-    without a key, no key without a field.  Each field's metadata holds
-    its key's domain and name (None for the field's name), and that key
-    maps to the field."""
-    def paths(obj, prefix=""):
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            if dataclasses.is_dataclass(value):
-                yield from paths(value, f"{prefix}{f.name}.")
-            else:
-                yield prefix + f.name, f
-
-    fields = list(paths(ScenarioConfig()))
+    """The fields of ScenarioConfig are exactly the attributes CONFIG_KEYS
+    maps to: no field without a key, no key without a field.  Each
+    field's metadata holds its key's domain and name (None for the
+    field's name), and that key maps to the field."""
+    fields = [(f.name, f) for f in dataclasses.fields(ScenarioConfig)]
     for path, f in fields:
         assert set(f.metadata) == {"key", "domain"}, path
         entry = CONFIG_KEYS[f.metadata["key"] or f.name]
@@ -265,30 +254,30 @@ _KEY_TABLE = [
      False),
     ("obs.epsilon", "obs_epsilon", float, "> 0 and < 1", _TINY, _BELOW_1,
      False),
-    ("pitch.kp", "pitch.kp_theta", float, "finite", -_MAX, _MAX, False),
-    ("pitch.kd", "pitch.kd_theta", float, "finite", -_MAX, _MAX, False),
-    ("pitch.dqdot_dq", "pitch.dqdot_dq", float, "finite", -_MAX, _MAX, False),
-    ("pitch.dqdot_dde", "pitch.dqdot_dde", float, "nonzero and finite",
+    ("pitch.kp", "kp_theta", float, "finite", -_MAX, _MAX, False),
+    ("pitch.kd", "kd_theta", float, "finite", -_MAX, _MAX, False),
+    ("pitch.dqdot_dq", "dqdot_dq", float, "finite", -_MAX, _MAX, False),
+    ("pitch.dqdot_dde", "dqdot_dde", float, "nonzero and finite",
      -_MAX, _MAX, False),
-    ("pid.kp", "pitch.kp_theta2", float, "finite", -_MAX, _MAX, False),
-    ("pid.ki", "pitch.ki_theta", float, "finite", -_MAX, _MAX, False),
-    ("pid.kd", "pitch.kd_theta2", float, "finite", -_MAX, _MAX, False),
-    ("pid.tau", "pitch.rate_filter_tau", float, ">= 0", 0.0, _INF, False),
-    ("vel.kp", "outer.kp_v", float, "finite", -_MAX, _MAX, False),
-    ("vel.ki", "outer.ki_v", float, "finite", -_MAX, _MAX, False),
-    ("vel.kd", "outer.kd_v", float, "finite", -_MAX, _MAX, False),
-    ("sink.kp", "outer.kp_s", float, "finite", -_MAX, _MAX, False),
-    ("sink.ki", "outer.ki_s", float, "finite", -_MAX, _MAX, False),
-    ("sink.tau", "outer.sink_filter_tau", float, ">= 0", 0.0, _INF, False),
-    ("sink.notch_omega", "outer.sink_notch_omega", float, ">= 0 and finite",
+    ("pid.kp", "kp_theta2", float, "finite", -_MAX, _MAX, False),
+    ("pid.ki", "ki_theta", float, "finite", -_MAX, _MAX, False),
+    ("pid.kd", "kd_theta2", float, "finite", -_MAX, _MAX, False),
+    ("pid.tau", "rate_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("vel.kp", "kp_v", float, "finite", -_MAX, _MAX, False),
+    ("vel.ki", "ki_v", float, "finite", -_MAX, _MAX, False),
+    ("vel.kd", "kd_v", float, "finite", -_MAX, _MAX, False),
+    ("sink.kp", "kp_s", float, "finite", -_MAX, _MAX, False),
+    ("sink.ki", "ki_s", float, "finite", -_MAX, _MAX, False),
+    ("sink.tau", "sink_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("sink.notch_omega", "sink_notch_omega", float, ">= 0 and finite",
      0.0, _MAX, False),
-    ("sink.notch_zeta", "outer.sink_notch_zeta", float, ">= 0 and finite",
+    ("sink.notch_zeta", "sink_notch_zeta", float, ">= 0 and finite",
      0.0, _MAX, False),
-    ("guid.kp", "outer.kp_z", float, "finite", -_MAX, _MAX, False),
-    ("guid.ki", "outer.ki_z", float, "finite", -_MAX, _MAX, False),
-    ("guid.kd", "outer.kd_z", float, "finite", -_MAX, _MAX, False),
-    ("guid.tau", "outer.deriv_filter_tau", float, ">= 0", 0.0, _INF, False),
-    ("integrator_limit", "outer.integrator_limit", float, ">= 0", 0.0, _INF,
+    ("guid.kp", "kp_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.ki", "ki_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.kd", "kd_z", float, "finite", -_MAX, _MAX, False),
+    ("guid.tau", "deriv_filter_tau", float, ">= 0", 0.0, _INF, False),
+    ("integrator_limit", "integrator_limit", float, ">= 0", 0.0, _INF,
      False),
 ]
 
@@ -375,9 +364,9 @@ def test_a_derived_config_shares_no_writable_record():
     base = ScenarioConfig()
     derived = dataclasses.replace(base, seed=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        derived.pitch.kp_theta = 99.0
+        derived.kp_theta = 99.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        derived.outer.kp_z = 0.7
+        derived.kp_z = 0.7
     with pytest.raises(dataclasses.FrozenInstanceError):
         derived.seed = 2
     assert base == ScenarioConfig()
@@ -401,11 +390,11 @@ def test_a_derived_config_is_checked(key, value):
 def test_gain_override_paths():
     cfg = config_from_dict({"pitch.kp": 70.0, "vel.ki": 0.9, "sink.kp": 0.01,
                             "guid.kd": 0.5, "pid.tau": 0.02})
-    assert cfg.pitch.kp_theta == 70.0
-    assert cfg.outer.ki_v == 0.9
-    assert cfg.outer.kp_s == 0.01
-    assert cfg.outer.kd_z == 0.5
-    assert cfg.pitch.rate_filter_tau == 0.02
+    assert cfg.kp_theta == 70.0
+    assert cfg.ki_v == 0.9
+    assert cfg.kp_s == 0.01
+    assert cfg.kd_z == 0.5
+    assert cfg.rate_filter_tau == 0.02
 
 
 # ---------------------------------------------------------- scenarios
@@ -499,6 +488,19 @@ def test_dropping_a_trace_closes_its_file():
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
          code], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("module", [
+    "config", "control", "environment", "observer", "airframe", "trimlin",
+    "sim", "cli"])
+def test_each_module_imports_first(module):
+    """Each module imports on its own in a fresh interpreter, with every
+    warning an error: control.py names ScenarioConfig only for type
+    checking, as importing config.py there would be a cycle."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", f"import carrierland.{module}"],
+        capture_output=True, text=True, env=_child_env(), timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
@@ -723,14 +725,13 @@ def test_pinned_elevator_keeps_observer_error_finite():
 def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
     """Closed-loop airspeed-hold test rig: plant + engine lag + pitch hold."""
     from carrierland.actuation import saturate_inputs
-    from carrierland.config import OuterGains, PitchGains
     from carrierland.control import PitchOPD, VelocityPID
     from carrierland.observer import ObserverParams, observer_derivative
 
-    gains = PitchGains()
+    cfg = ScenarioConfig()
     dt = 1e-3
-    vel = VelocityPID(OuterGains(), trim, params, dt)
-    opd = PitchOPD(gains, trim)
+    vel = VelocityPID(cfg, trim, params, dt)
+    opd = PitchOPD(cfg, trim)
     obs_p = ObserverParams()
     v_r = trim.v_t_star + v_r_offset
     y = (trim.v_t_star, trim.theta_star, trim.alpha_star, 0.0, 0.0, 300.0,
@@ -744,7 +745,7 @@ def _velocity_loop_sim(v_r_offset, wind_u, duration, params, model, trim):
         thrust_cmd = vel.step(v_r, v)
         de_cmd, thrust_cmd, _, sat_thrust = saturate_inputs(de_cmd, thrust_cmd,
                                                             params)
-        h = known_input(y[8], de_cmd, trim.delta_e_star, gains)
+        h = known_input(y[8], de_cmd, trim.delta_e_star, cfg)
         y_op = th - trim.theta_star
 
         def f(_t, s):
@@ -804,7 +805,7 @@ def test_observer_known_input_uses_applied_elevator(controller, params,
                                 params)[3]
         h = qdot - d_true
         assert any(h == pytest.approx(
-            known_input(x2, stop, trim.delta_e_star, cfg.pitch),
+            known_input(x2, stop, trim.delta_e_star, cfg),
             rel=1e-9, abs=1e-12) for stop in stops), row[0]
 
 
@@ -822,11 +823,11 @@ def test_local_partials_come_from_linearize_only_when_on(monkeypatch,
                                                           trim):
     linear = linearize(trim, params, model)
     on = Simulation(ScenarioConfig(use_local_partials=True))
-    assert (on.gains.dqdot_dq, on.gains.dqdot_dde) == (
+    assert (on.pitch_cfg.dqdot_dq, on.pitch_cfg.dqdot_dde) == (
         linear.dqdot_dq, linear.dqdot_dde_deg)
     # the default model reproduces the published partials
-    assert on.gains.dqdot_dq == pytest.approx(-0.15, rel=1e-9)
-    assert on.gains.dqdot_dde == pytest.approx(-0.015, rel=1e-9)
+    assert on.pitch_cfg.dqdot_dq == pytest.approx(-0.15, rel=1e-9)
+    assert on.pitch_cfg.dqdot_dde == pytest.approx(-0.015, rel=1e-9)
     calls = []
 
     def counted(*args):
@@ -836,9 +837,28 @@ def test_local_partials_come_from_linearize_only_when_on(monkeypatch,
     monkeypatch.setattr(sim, "linearize", counted)
     off = Simulation(ScenarioConfig())
     assert calls == []
-    assert off.gains == ScenarioConfig().pitch
+    assert off.pitch_cfg == ScenarioConfig()
     Simulation(ScenarioConfig(use_local_partials=True))
     assert len(calls) == 1
+
+
+def test_local_partials_keep_every_other_override(params, model, trim):
+    """use_local_partials replaces only the two partials in the config the
+    pitch laws read; the run's own config, the one RunResult and
+    resolved_config.json keep, holds the partials as given."""
+    cfg = config_from_dict({"pitch.kp": 70.0, "pitch.dqdot_dq": -0.2,
+                            "integrator_limit": 0.5,
+                            "use_local_partials": "on"})
+    s = Simulation(cfg)
+    linear = linearize(trim, params, model)
+    assert s.pitch_cfg == dataclasses.replace(
+        cfg, dqdot_dq=linear.dqdot_dq, dqdot_dde=linear.dqdot_dde_deg)
+    assert (s.pitch_cfg.kp_theta, s.pitch_cfg.integrator_limit) == (70.0, 0.5)
+    assert s.pitch_cfg.dqdot_dq == pytest.approx(-0.15, rel=1e-9)
+    assert s.pitch_cfg.dqdot_dde == pytest.approx(-0.015, rel=1e-9)
+    assert s.cfg is cfg and s.cfg.dqdot_dq == -0.2
+    short = dataclasses.replace(cfg, duration=0.01)
+    assert Simulation(short).run().config is short
 
 
 def test_runs_of_one_airframe_share_one_trim_solve(monkeypatch, trim):
