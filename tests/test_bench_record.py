@@ -77,6 +77,32 @@ def test_calls_of_two_commits_are_rejected(tmp_path, capsys):
     assert not list(tmp_path.glob("BENCH_*.json"))
 
 
+_LINES = _stdout().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("text, message", [
+    # a killed or timed-out call: its stdout ends before the result line
+    pytest.param("".join(_LINES[:-1]), "the call of --seed 1 has no result "
+                 "line", id="no_result"),
+    pytest.param(_stdout(seed=2) + "".join(_LINES[:3]), "the call of --seed 1 "
+                 "has no result line", id="second_call_cut"),
+    pytest.param(_LINES[2] + _stdout(), "a line before any meta line",
+                 id="metric_first"),
+    pytest.param(_LINES[1] + _stdout(), "a line before any meta line",
+                 id="sha256_first"),
+])
+def test_an_incomplete_stdout_is_rejected_naming_its_file(tmp_path, capsys,
+                                                          text, message):
+    (tmp_path / "good.txt").write_text(_stdout(seed=3))
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert bench_record.main([str(tmp_path / "good.txt"), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("BENCH_*.json"))
+
+
 @pytest.mark.parametrize("values, expected", [
     ([3.0], (3.0, 3.0, 3.0)),
     ([1.0, 2.0, 3.0, 4.0, 5.0], (1.5, 3.0, 4.5)),

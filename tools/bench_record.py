@@ -56,12 +56,17 @@ def quartiles(values: list[float]) -> dict:
 
 def parse_calls(text: str) -> list[dict]:
     """One dict per perfbench call in a stdout: its meta and sha256
-    lines, its counts, and its metric lines' values and units."""
+    lines, its counts, and its metric lines' values and units.  Raises
+    ValueError on a call's line before any meta line, and on a call
+    without its result line, as a killed call leaves."""
     calls = []
     for line in text.splitlines():
         if line.startswith("meta "):
             calls.append({"meta": json.loads(line[5:]), "metrics": {},
                           "units": {}})
+        elif not calls:
+            if line.startswith(("sha256 ", "{")) or _METRIC.match(line):
+                raise ValueError(f"a line before any meta line: {line!r}")
         elif line.startswith("sha256 "):
             calls[-1]["sha256"] = line[7:]
         elif line.startswith("{"):
@@ -76,6 +81,11 @@ def parse_calls(text: str) -> list[dict]:
             calls[-1]["metrics"][m["name"]] = entry
             calls[-1]["units"][m["name"]] = {"unit": m["unit"],
                                              "better": m["better"]}
+    for call in calls:
+        if "correct" not in call:   # the result line, printed last
+            raise ValueError(f"the call of --seed "
+                             f"{call['meta'].get('bench_seed')} has no "
+                             "result line: killed or timed out?")
     return calls
 
 
@@ -120,8 +130,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     calls = []
     for path in args.stdout:
-        with open(path) as f:
-            calls += parse_calls(f.read())
+        try:
+            with open(path) as f:
+                calls += parse_calls(f.read())
+        except (OSError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
     try:
         bench = record(calls, args.tier1_s)
     except ValueError as exc:
