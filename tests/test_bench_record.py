@@ -90,6 +90,14 @@ _LINES = _stdout().splitlines(keepends=True)
                  id="metric_first"),
     pytest.param(_LINES[1] + _stdout(), "a line before any meta line",
                  id="sha256_first"),
+    pytest.param("".join(_LINES[:-1]) + '{"metrics": {}}\n',
+                 "a line without ('correct', 'attempted', 'failed')",
+                 id="result_without_counts"),
+    pytest.param('meta {"commit": "abc1234def"}\n' + "".join(_LINES[1:]),
+                 "a line without ('commit', 'workload', 'bench_seed', "
+                 "'loadavg_1m')", id="meta_without_seed"),
+    pytest.param("meta [1]\n" + "".join(_LINES[1:]), "a line without",
+                 id="meta_not_an_object"),
 ])
 def test_an_incomplete_stdout_is_rejected_naming_its_file(tmp_path, capsys,
                                                           text, message):
@@ -101,6 +109,18 @@ def test_an_incomplete_stdout_is_rejected_naming_its_file(tmp_path, capsys,
     assert err.startswith(f"error: {bad}: {message}")
     assert err.count("\n") == 1
     assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+def test_a_missing_input_or_an_unwritable_output_exits_2(tmp_path, capsys):
+    (tmp_path / "run.txt").write_text(_stdout())
+    missing = tmp_path / "missing.txt"
+    assert bench_record.main([str(missing)]) == 2
+    assert bench_record.main([str(tmp_path / "run.txt"), "--out",
+                              str(tmp_path / "no" / "bench.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"error: {missing}: ")
+    assert err[1].startswith("error: ") and "bench.json" in err[1]
 
 
 @pytest.mark.parametrize("values, expected", [

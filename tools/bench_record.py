@@ -54,25 +54,37 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
 
 
+_META_KEYS = ("commit", "workload", "bench_seed", "loadavg_1m")
+_COUNTS = ("correct", "attempted", "failed")
+
+
+def _json_with(line: str, text: str, keys: tuple) -> dict:
+    """The JSON object text of a meta or result line, which holds keys."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict) or not set(keys) <= obj.keys():
+        raise ValueError(f"a line without {keys}: {line!r}")
+    return obj
+
+
 def parse_calls(text: str) -> list[dict]:
     """One dict per perfbench call in a stdout: its meta and sha256
     lines, its counts, and its metric lines' values and units.  Raises
-    ValueError on a call's line before any meta line, and on a call
-    without its result line, as a killed call leaves."""
+    ValueError on a call's line before any meta line, on a meta or
+    result line without the keys read here, and on a call without its
+    result line, as a killed call leaves."""
     calls = []
     for line in text.splitlines():
         if line.startswith("meta "):
-            calls.append({"meta": json.loads(line[5:]), "metrics": {},
-                          "units": {}})
+            calls.append({"meta": _json_with(line, line[5:], _META_KEYS),
+                          "metrics": {}, "units": {}})
         elif not calls:
             if line.startswith(("sha256 ", "{")) or _METRIC.match(line):
                 raise ValueError(f"a line before any meta line: {line!r}")
         elif line.startswith("sha256 "):
             calls[-1]["sha256"] = line[7:]
         elif line.startswith("{"):
-            result = json.loads(line)
-            calls[-1].update({k: result[k]
-                              for k in ("correct", "attempted", "failed")})
+            result = _json_with(line, line, _COUNTS)
+            calls[-1].update({k: result[k] for k in _COUNTS})
         elif (m := _METRIC.match(line)) and m["value"] != "n/a":
             entry = {"value": float(m["value"])}
             if runs := _RUNS.search(m["how"]):
@@ -83,9 +95,8 @@ def parse_calls(text: str) -> list[dict]:
                                              "better": m["better"]}
     for call in calls:
         if "correct" not in call:   # the result line, printed last
-            raise ValueError(f"the call of --seed "
-                             f"{call['meta'].get('bench_seed')} has no "
-                             "result line: killed or timed out?")
+            raise ValueError(f"the call of --seed {call['meta']['bench_seed']}"
+                             " has no result line: killed or timed out?")
     return calls
 
 
@@ -142,9 +153,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     path = args.out or f"BENCH_{bench['commit'][:7]}.json"
-    with open(path, "w") as f:
-        json.dump(bench, f, indent=1, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(path, "w") as f:
+            json.dump(bench, f, indent=1, sort_keys=True)
+            f.write("\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(calls)} calls of {len(bench['workloads'])} workloads "
           f"-> {path}")
     return 0
