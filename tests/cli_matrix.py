@@ -47,8 +47,11 @@ models whose linearization at trim overflows (exit 2), one under
 linearize and one under use_local_partials=on; then `run --help` at
 COLUMNS=80, which pins the help text's list of config keys and their
 domains, and a model whose pitch angle overflows in an RK4 stage
-(cm_q and alpha_max_deg at 1e154, exit 3).  The whole matrix takes
-about 25 s on a 2-core x86 machine.  pytest does not collect this file.
+(cm_q and alpha_max_deg at 1e154, exit 3); and an approach whose deck
+warm-up, 0.05 s or 50 steps, is half a noise hold of 100 steps, so the
+run's first deck draw falls 50 steps in, where the warm-up's hold phase
+leaves it.  The whole matrix takes about 25 s on a 2-core x86 machine.
+pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -199,6 +202,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("model_angles_overflow",
                 ("run", "--scenario", "pitch_step", "--duration", "0.2",
                  "--set", "aero_model_path=model.json")))
+    out.append(("approach_warmup_half_hold",
+                ("run", "--scenario", "approach", "--ship", "on",
+                 "--set", "ship_warmup_s=0.05")))
     return out
 
 

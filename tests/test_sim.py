@@ -940,6 +940,45 @@ def test_pitch_noise_of_a_config_holds_as_its_run(monkeypatch):
         t += cfg.dt
 
 
+def test_the_run_continues_the_warm_up_hold_phase(monkeypatch):
+    """A deck warm-up of half a hold leaves the run half a hold from its
+    next draw: one warm-up draw at step 0, then run draws at run steps
+    50, 150, 250, ... (each a heave and a pitch draw)."""
+    from carrierland import environment
+    draws, clock = [], {"phase": None, "warmup": 0, "run": 0}
+
+    class Recorded:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def normal(self, mean, sigma):
+            draws.append((clock["phase"], clock[clock["phase"]] - 1))
+            return self.rng.normal(mean, sigma)
+
+    def counted(phase, fn):
+        def step(*args):
+            clock["phase"] = phase
+            clock[phase] += 1
+            return fn(*args)
+        return step
+
+    stream = environment.rng_stream
+    monkeypatch.setattr(environment, "rng_stream", lambda seed, name: (
+        Recorded(stream(seed, name)) if name == "ship" else
+        stream(seed, name)))
+    monkeypatch.setattr(environment, "ship_step",
+                        counted("warmup", environment.ship_step))
+    monkeypatch.setattr(sim, "held_ship_inputs",
+                        counted("run", sim.held_ship_inputs))
+    cfg = ScenarioConfig(scenario="approach", ship_on=True, ship_warmup_s=0.05,
+                         duration=0.5)
+    assert (cfg.dt, cfg.dt_noise) == (1e-3, 0.1)    # a hold of 100 steps
+    run_scenario(cfg)
+    assert clock["warmup"] == 50 and clock["run"] == 500
+    want = [("warmup", 0)] + [("run", n) for n in range(50, 500, 100)]
+    assert draws == [d for d in want for _ in ("heave", "pitch")]
+
+
 @pytest.mark.parametrize("controller, calls", [("opd", 100),
                                                ("opd_truth", 1000)])
 def test_pitch_acceleration_evaluated_once_per_step(monkeypatch, controller,
