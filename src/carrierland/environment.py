@@ -1,11 +1,12 @@
 """
 Stochastic environment: carrier deck motion, landing-point kinematics,
 air-wake wind and pitch measurement noise.  Each white source is held:
-it draws on the first step and then every hold-th step (next_hold_count),
-from its own RNG stream of one run seed: child i of SeedSequence(seed),
-ship 0, wind_u 1, wind_w 2, noise 3 (rng_stream).  A source is off
-exactly when it has no generator; it then draws nothing, so toggling one
-leaves the samples the others draw unchanged.
+it draws on step n exactly when n % hold == 0 (hold_steps), so its draws
+depend only on the step index and the hold.  It draws from its own RNG
+stream of one run seed: child i of SeedSequence(seed), ship 0, wind_u 1,
+wind_w 2, noise 3 (rng_stream).  A source is off exactly when it has no
+generator; it then draws nothing, so toggling one leaves the samples the
+others draw unchanged.
 
 Ship motion.  Heave z_g and deck pitch theta_s come from two
 fourth-order shaping filters sharing the denominator
@@ -71,12 +72,6 @@ def hold_steps(dt_noise: float, dt: float) -> int:
     return max(1, round(dt_noise / dt))
 
 
-def next_hold_count(k: int, hold: int) -> int:
-    """A held source's count of steps since its last draw, one step on
-    from k (-1: no draw yet); 0 when the source draws this step."""
-    return 0 if k < 0 or k + 1 >= hold else k + 1
-
-
 def _held_sigma(power_db: float, dt_noise: float) -> float:
     return math.sqrt(10.0 ** (power_db / 10.0) / dt_noise)
 
@@ -107,7 +102,7 @@ class ShipState:
     pitch_filter: tuple = (0.0, 0.0, 0.0, 0.0)
     u_heave: float = 0.0                   # held white-noise inputs
     u_pitch: float = 0.0
-    steps_since_draw: int = -1
+    steps: int = 0                         # deck steps taken
 
     # the filter outputs, as deck_motion forms them; kept as plain
     # expressions because long deck runs read them every step
@@ -156,19 +151,17 @@ def deck_motion(h0, h1, p2, p3):
             SHIP_HEAVE_NUM * h1 - LANDING_POINT_OFFSET * cos_s * theta_s_rate)
 
 
-def held_ship_inputs(k, u_heave, u_pitch, hold, rng, p: ShipParams):
-    """Advance the held white-noise inputs of the deck filters one step.
+def held_ship_inputs(n, u_heave, u_pitch, hold, rng, p: ShipParams):
+    """The held white-noise inputs of the deck filters on deck step n.
 
-    k counts the steps since the last draw (next_hold_count).  On a
-    draw step both inputs are redrawn from rng, or kept when rng is None
-    (ship motion off).  Returns (k, u_heave, u_pitch).
+    On a draw step, n % hold == 0, both inputs are redrawn from rng, or
+    kept when rng is None (ship motion off).  Returns (u_heave, u_pitch).
     """
-    k = next_hold_count(k, hold)
-    if k == 0 and rng is not None:
+    if n % hold == 0 and rng is not None:
         sigma_h, sigma_p = held_noise_scales("ship", p.dt_noise, p.noise_gain)
         u_heave = rng.normal(0.0, sigma_h)
         u_pitch = rng.normal(0.0, sigma_p)
-    return k, u_heave, u_pitch
+    return u_heave, u_pitch
 
 
 def _ship_filter_derivative(x, u):
@@ -212,13 +205,14 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
     """Advance both deck-motion filters one step of size dt.
 
     White-noise inputs are redrawn every dt_noise seconds and held in
-    between; dt must divide dt_noise.  The step is the exact zero-order
-    hold x <- Phi x + Gamma u, with the constants of _deck_zoh.
+    between (held_ship_inputs on step state.steps); dt must divide
+    dt_noise.  The step is the exact zero-order hold x <- Phi x + Gamma u,
+    with the constants of _deck_zoh.  The new state counts one step more.
     """
     p = params or ShipParams()
     hold, phi, gam = _deck_zoh(dt, p.dt_noise)
-    k, u_h, u_p = held_ship_inputs(state.steps_since_draw, state.u_heave,
-                                   state.u_pitch, hold, rng, p)
+    n = state.steps
+    u_h, u_p = held_ship_inputs(n, state.u_heave, state.u_pitch, hold, rng, p)
     (f00, f01, f02, f03, f10, f11, f12, f13, f20, f21, f22, f23,
      f30, f31, f32, f33), (g0, g1, g2, g3) = phi, gam
     h0, h1, h2, h3 = state.heave_filter
@@ -232,7 +226,7 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
          f10 * p0 + f11 * p1 + f12 * p2 + f13 * p3 + g1 * u_p,
          f20 * p0 + f21 * p1 + f22 * p2 + f23 * p3 + g2 * u_p,
          f30 * p0 + f31 * p1 + f32 * p2 + f33 * p3 + g3 * u_p),
-        u_h, u_p, k)
+        u_h, u_p, n + 1)
 
 
 def wake_steady(x_dist: float, cfg: ScenarioConfig):
@@ -278,7 +272,6 @@ class WindField:
         tau = WIND_LENGTH_SCALE / v_ref
         self._phi = math.exp(-cfg.dt / tau)
         self._hold = hold_steps(cfg.dt_noise, cfg.dt)
-        self._since_draw = -1
         self._in_sigma, sigma_u, sigma_w = held_noise_scales(
             "wind", cfg.dt_noise, cfg.turb_norm)
         # input gain giving the target stationary output variance
@@ -286,12 +279,12 @@ class WindField:
         self._gain_w = sigma_w * math.sqrt(2.0 * tau)
         self._held_u = self._held_w = self.u1 = self.w1 = 0.0
 
-    def sample(self, t: float, aircraft_x: float) -> WindSample:
-        """Advance the turbulence filters by dt and sample the total wind."""
+    def sample(self, k: int, t: float, aircraft_x: float) -> WindSample:
+        """Advance the turbulence filters by dt to step k of the run and
+        sample the total wind; the held inputs are redrawn on k % hold == 0."""
         if self.rng_u is None:
             return CALM
-        k = self._since_draw = next_hold_count(self._since_draw, self._hold)
-        if k == 0:
+        if k % self._hold == 0:
             self._held_u = self.rng_u.normal(0.0, self._in_sigma)
             self._held_w = self.rng_w.normal(0.0, self._in_sigma)
         phi = self._phi
@@ -319,14 +312,14 @@ class PitchNoise:
         self.rng = rng
         self._sigma = math.sqrt(10.0 ** (PITCH_NOISE_POWER_DB / 10.0))
         self._hold = hold_steps(cfg.noise_dt, cfg.dt)
-        self._since_draw = -1
         self._held = 0.0
 
-    def sample(self, t: float) -> float:
+    def sample(self, k: int, t: float) -> float:
+        """The noise at step k of the run, time t; the held component is
+        redrawn on k % hold == 0."""
         if self.rng is None:
             return 0.0
-        k = self._since_draw = next_hold_count(self._since_draw, self._hold)
-        if k == 0:
+        if k % self._hold == 0:
             self._held = self.rng.normal(0.0, self._sigma)
         return 0.001 * math.sin(7.0 * t) + self._held
 

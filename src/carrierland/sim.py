@@ -17,8 +17,9 @@ the measured pitch, the wind sample and all white-noise draws are
 computed once per step and held across the four RK4 stages.
 
 Each step of the loop in Simulation.run runs five stages: sample (held
-deck noise, deck motion, wind, pitch noise), control, record, integrate
-(one RK4 step) and project (actuator clamps, then a finite check).
+deck noise, deck motion, wind, pitch noise, drawn on the step index),
+control, record, integrate (one RK4 step) and project (actuator clamps,
+then a finite check).
 Control calls each element once: the flight-path generator, guidance
 and sink laws as the scenario needs them, the pitch law, the velocity
 law, saturation, and then control.known_input on the saturated
@@ -348,7 +349,7 @@ class Simulation:
         ship_rng = env.ship_rng
         ship_params = env.ship_params
         hold = hold_steps(cfg.dt_noise, dt)
-        ship_since_draw = env.ship.steps_since_draw
+        ship_steps = env.ship.steps
         wind_sample = env.wind.sample
         noise_sample = env.noise.sample
         guid_step, sink_step = guid.step, sink.step
@@ -407,12 +408,12 @@ class Simulation:
                  ox1, ox2, ox3, h0, h1, _, _, _, _, p2, p3) = y
 
                 # --- sample: per-step draws, held over the four RK4 stages
-                ship_since_draw, u_h, u_p = held_ship_inputs(
-                    ship_since_draw, u_h, u_p, hold, ship_rng, ship_params)
+                u_h, u_p = held_ship_inputs(ship_steps + k, u_h, u_p, hold,
+                                            ship_rng, ship_params)
                 z_g, theta_s, lp_x, lp_z, xl_rate, zl_rate = deck_motion(
                     h0, h1, p2, p3)
-                wind = wind_sample(t, x)
-                noise = noise_sample(t)
+                wind = wind_sample(k, t, x)
+                noise = noise_sample(k, t)
                 u_g = wind.u_g
                 w_g = wind.w_g
 

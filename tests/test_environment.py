@@ -166,10 +166,10 @@ def test_wake_periodic_continuous_in_time():
 
 def test_pitch_noise_periodic_component():
     noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=0.01), _ConstRng())
-    assert noise.sample(0.0) == 0.0
-    # rebuild so the hold counter does not matter
+    assert noise.sample(0, 0.0) == 0.0
+    # rebuild so the held draw does not matter
     noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=0.01), _ConstRng())
-    assert noise.sample(math.pi / 14.0) == pytest.approx(0.001, rel=1e-12)
+    assert noise.sample(0, math.pi / 14.0) == pytest.approx(0.001, rel=1e-12)
 
 
 def test_pitch_noise_variance_convention():
@@ -177,13 +177,14 @@ def test_pitch_noise_variance_convention():
     (sigma = 1 mrad at -60 dB)."""
     noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=1e-3),
                        np.random.default_rng(11))
-    draws = [noise.sample(0.0) for _ in range(100000)]
+    draws = [noise.sample(k, 0.0) for k in range(100000)]
     assert np.var(draws) == pytest.approx(1e-6, rel=0.05)
 
 
 def test_pitch_noise_disabled_is_zero_everywhere():
     noise = PitchNoise(ScenarioConfig(dt=1e-3), None)
-    assert all(noise.sample(t) == 0.0 for t in (0.0, 0.3, 1.7))
+    assert all(noise.sample(k, t) == 0.0
+               for k, t in ((0, 0.0), (300, 0.3), (1700, 1.7)))
 
 
 def test_wind_turbulence_stationary_moments():
@@ -191,7 +192,7 @@ def test_wind_turbulence_stationary_moments():
                    np.random.default_rng(9), v_ref=69.1)
     u1s, w1s = [], []
     for k in range(400000):
-        s = wf.sample(k * 1e-3, -2000.0)
+        s = wf.sample(k, k * 1e-3, -2000.0)
         u1s.append(s.u1)
         w1s.append(s.w1)
     u1s = np.array(u1s[40000:])
@@ -206,7 +207,7 @@ def test_wind_sample_components_sum():
     p = ScenarioConfig()
     wf = WindField(p, np.random.default_rng(2), np.random.default_rng(3),
                    v_ref=69.1)
-    s = wf.sample(1.0, -400.0)
+    s = wf.sample(0, 1.0, -400.0)
     assert s.u_g == pytest.approx(s.u1 + s.u2 + s.u3, rel=1e-12)
     assert s.w_g == pytest.approx(s.w1 + s.w2 + s.w3, rel=1e-12)
     assert (s.u1, s.w1) == (wf.u1, wf.w1)
@@ -216,7 +217,7 @@ def test_wind_sample_components_sum():
 
 def test_disabled_wind_returns_calm():
     wf = WindField(ScenarioConfig(), None, None, v_ref=69.1)
-    s = wf.sample(0.5, -400.0)
+    s = wf.sample(0, 0.5, -400.0)
     assert s.u_g == 0.0 and s.w_g == 0.0
 
 
@@ -244,7 +245,7 @@ def test_streams_independent_of_other_sources():
         out = []
         for k in range(2000):
             if also_wind:
-                wf.sample(k * 1e-3, -500.0)
+                wf.sample(k, k * 1e-3, -500.0)
             st = ship_step(st, 1e-3, streams["ship"], ShipParams())
             out.append(st.z_g)
         return out
@@ -258,8 +259,8 @@ def test_disabled_sources_draw_nothing():
     wf = WindField(ScenarioConfig(), None, None, v_ref=69.1)
     noise = PitchNoise(ScenarioConfig(dt=1e-3, noise_dt=1e-3), None)
     for k in range(1000):
-        assert wf.sample(k * 1e-3, -400.0) is CALM
-        assert noise.sample(k * 1e-3) == 0.0
+        assert wf.sample(k, k * 1e-3, -400.0) is CALM
+        assert noise.sample(k, k * 1e-3) == 0.0
     assert (wf.u1, wf.w1) == (0.0, 0.0)
 
 
@@ -275,28 +276,37 @@ class _CountingRng:
         return 1.0
 
 
-@pytest.mark.parametrize("dt, dt_noise", [
-    (1e-3, 0.1), (1e-3, 1e-3), (2e-3, 0.01), (5e-4, 0.1), (0.01, 0.05),
-])
-def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise):
+# (dt, dt_noise, late): late runs from step 3 hold + 1, every third step
+_HOLDS = [(1e-3, 0.1, False), (1e-3, 1e-3, False), (2e-3, 0.01, False),
+          (5e-4, 0.1, False), (0.01, 0.05, False), (2e-3, 0.01, True)]
+
+
+@pytest.mark.parametrize("dt, dt_noise, late", _HOLDS, ids=[
+    f"{dt}-{dt_noise}" + ("-late" if late else "") for dt, dt_noise, late
+    in _HOLDS])
+def test_held_sources_draw_on_the_first_step_then_every_hold(dt, dt_noise,
+                                                             late):
     """Each held source draws on steps 0, hold, 2 hold, ... and on no
-    other step, hold = hold_steps(dt_noise, dt)."""
+    other step, hold = hold_steps(dt_noise, dt), whichever steps it is
+    given."""
     hold = hold_steps(dt_noise, dt)
     assert hold == round(dt_noise / dt)
     n = 4 * hold + 3
+    steps = range(3 * hold + 1, 3 * hold + 1 + 3 * n, 3) if late else range(n)
     ship, wind_u, wind_w, noise_rng = (_CountingRng() for _ in range(4))
     p = ShipParams(dt_noise=dt_noise)
     wf = WindField(ScenarioConfig(dt=dt, dt_noise=dt_noise), wind_u, wind_w,
                    v_ref=69.1)
     noise = PitchNoise(ScenarioConfig(dt=dt, noise_dt=dt_noise), noise_rng)
-    k, u_h, u_p = -1, 0.0, 0.0
-    for step in range(n):
+    u_h, u_p = 0.0, 0.0
+    for step in steps:
         for rng in (ship, wind_u, wind_w, noise_rng):
             rng.step = step
-        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, ship, p)
-        wf.sample(step * dt, -400.0)
-        noise.sample(step * dt)
-    expected = list(range(0, n, hold))
+        u_h, u_p = held_ship_inputs(step, u_h, u_p, hold, ship, p)
+        wf.sample(step, step * dt, -400.0)
+        noise.sample(step, step * dt)
+    expected = [s for s in steps if s % hold == 0]
+    assert len(expected) >= 3
     assert ship.draws == [s for s in expected for _ in (0, 1)]  # heave, pitch
     assert wind_u.draws == wind_w.draws == noise_rng.draws == expected
 
@@ -335,12 +345,12 @@ def _environment_yield(cfg: ScenarioConfig, steps: int = 40) -> dict:
     wake terms and the pitch noise, for an aircraft 800 m ahead of the
     ship."""
     env = Environment(cfg, 69.1, 0.5)
-    winds = [env.wind.sample(k * cfg.dt, -800.0) for k in range(steps)]
+    winds = [env.wind.sample(k, k * cfg.dt, -800.0) for k in range(steps)]
     return {"deck": env.ship,
             "turbulence": [(s.u1, s.w1) for s in winds],
             "wake_steady": [(s.u2, s.w2) for s in winds],
             "wake_periodic": [(s.u3, s.w3) for s in winds],
-            "noise": [env.noise.sample(k * cfg.dt) for k in range(steps)]}
+            "noise": [env.noise.sample(k, k * cfg.dt) for k in range(steps)]}
 
 
 @pytest.mark.parametrize("key, value, moved", [

@@ -439,17 +439,20 @@ def test_deck_motion_matches_engine_lines():
         _bits(ref_engine_deck(0.0, 0.0, 0.0, 0.0, 0.0, ship_on=False))
 
 
-def ref_engine_ship_draws(rng, params, dt, n, since, u_heave, u_pitch,
+def ref_engine_ship_draws(rng, params, dt, n, first, u_heave, u_pitch,
                           ship_on=True):
-    """The engine's held deck-noise draws, one (k, u_h, u_p) per step."""
+    """The engine's held deck-noise draws over n deck steps from step
+    first, one (since, u_h, u_p) per step, since counting the steps since
+    the last draw with a counter of its own."""
     sig_h = _held_sigma(SHIP_HEAVE_POWER_DB, params.dt_noise) \
         * params.noise_gain
     sig_p = _held_sigma(SHIP_PITCH_POWER_DB, params.dt_noise) \
         * params.noise_gain
     hold = max(1, round(params.dt_noise / dt))
+    since = (first - 1) % hold
     out = []
     for _ in range(n):
-        if since < 0 or since + 1 >= hold:
+        if since + 1 >= hold:
             if ship_on:
                 u_heave = rng.normal(0.0, sig_h)
                 u_pitch = rng.normal(0.0, sig_p)
@@ -463,45 +466,46 @@ def ref_engine_ship_draws(rng, params, dt, n, since, u_heave, u_pitch,
 def ref_ship_step(state, dt, rng, p):
     """ship_step with its draw and hold logic written inline."""
     hold = max(1, round(p.dt_noise / dt))
-    k = state.steps_since_draw
-    if k < 0 or k + 1 >= hold:
+    if state.steps % hold == 0:
         u_h = rng.normal(0.0, _held_sigma(SHIP_HEAVE_POWER_DB, p.dt_noise)
                          * p.noise_gain)
         u_p = rng.normal(0.0, _held_sigma(SHIP_PITCH_POWER_DB, p.dt_noise)
                          * p.noise_gain)
-        k = 0
     else:
         u_h, u_p = state.u_heave, state.u_pitch
-        k += 1
-    return k, u_h, u_p
+    return state.steps + 1, u_h, u_p
 
 
-@pytest.mark.parametrize("dt_noise, start", [
+@pytest.mark.parametrize("dt_noise, last", [
     (0.1, -1), (0.1, 37), (0.05, 49), (0.001, -1), (0.02, 3),
 ])
-def test_held_ship_draws_match_engine(dt_noise, start):
+def test_held_ship_draws_match_engine(dt_noise, last):
+    # last: the deck step before the first one (-1: none), so the first
+    # step counts 0, 38, 50, 0 and 4
     dt = 0.001
     p = ShipParams(dt_noise=dt_noise, noise_gain=0.23)
     hold = max(1, round(dt_noise / dt))
     n = 5 * hold + 7      # several holds
+    steps = range(last + 1, last + 1 + n)
     ref = ref_engine_ship_draws(rng_streams(11)["ship"], p, dt, n,
-                                start, 0.25, -0.5)
+                                steps[0], 0.25, -0.5)
     rng = rng_streams(11)["ship"]
-    k, u_h, u_p = start, 0.25, -0.5
+    u_h, u_p = 0.25, -0.5
     got = []
-    for _ in range(n):
-        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, rng, p)
-        got.append((k, u_h, u_p))
+    for k in steps:
+        u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, rng, p)
+        got.append((k % hold, u_h, u_p))
     assert [r[0] for r in got] == [r[0] for r in ref]
     assert _bits(v for r in got for v in r[1:]) == \
         _bits(v for r in ref for v in r[1:])
     assert len({r[1] for r in got}) > 3          # it did redraw
-    # ship motion off: no draws, the counter still cycles
-    off = ref_engine_ship_draws(None, p, dt, n, start, 0.0, 0.0, ship_on=False)
-    k, u_h, u_p = start, 0.0, 0.0
-    for r in off:
-        k, u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, None, p)
-        assert (k, u_h, u_p) == r
+    # ship motion off: no draws, the hold phase still cycles
+    off = ref_engine_ship_draws(None, p, dt, n, steps[0], 0.0, 0.0,
+                                ship_on=False)
+    u_h, u_p = 0.0, 0.0
+    for k, r in zip(steps, off):
+        u_h, u_p = held_ship_inputs(k, u_h, u_p, hold, None, p)
+        assert (k % hold, u_h, u_p) == r
 
 
 def test_ship_step_draws_match_reference():
@@ -511,7 +515,7 @@ def test_ship_step_draws_match_reference():
     for _ in range(450):
         ref = ref_ship_step(st, 1e-3, ref_rng, p)
         st = ship_step(st, 1e-3, rng, p)
-        assert (st.steps_since_draw, st.u_heave, st.u_pitch) == ref
+        assert (st.steps, st.u_heave, st.u_pitch) == ref
 
 
 def test_deck_zoh_matches_rk4_step():

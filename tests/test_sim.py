@@ -930,13 +930,13 @@ def test_pitch_noise_of_a_config_holds_as_its_run(monkeypatch):
     (env,) = envs
     ref = PitchNoise(cfg, rng_stream(cfg.seed, "noise"))
     t = 0.0
-    for _ in range(200):
-        ref.sample(t)
+    for k in range(200):
+        ref.sample(k, t)
         t += cfg.dt
     # as many draws over the run, then in step with it
     assert ref.rng.bit_generator.state == env.noise.rng.bit_generator.state
-    for _ in range(25):
-        assert ref.sample(t) == env.noise.sample(t)
+    for k in range(200, 225):
+        assert ref.sample(k, t) == env.noise.sample(k, t)
         t += cfg.dt
 
 
