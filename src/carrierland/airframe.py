@@ -155,23 +155,28 @@ class AeroModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AeroModel":
-        required = {"cl_base", "cd_base", "cm_base", "cl_q", "cm_q",
-                    "cl_de", "cd_de", "cm_de", "alpha_min_deg", "alpha_max_deg"}
-        missing = required - set(d)
+        tables = ("cl_base", "cd_base", "cm_base")
+        scalars = ("cl_q", "cm_q", "cl_de", "cd_de", "cm_de")
+        angles = ("alpha_min_deg", "alpha_max_deg")
+        missing = set(tables + scalars + angles) - set(d)
         if missing:
             raise ValueError(f"aero model file missing keys: {sorted(missing)}")
+
+        def number(key, value):
+            # a JSON number; a bool is not one
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key}: expected a number, got {value!r}")
+            return float(value)
+
+        for key in tables:
+            if not isinstance(d[key], list):
+                raise ValueError(
+                    f"{key}: expected a list of numbers, got {d[key]!r}")
         return cls(
-            cl_base=tuple(float(c) for c in d["cl_base"]),
-            cd_base=tuple(float(c) for c in d["cd_base"]),
-            cm_base=tuple(float(c) for c in d["cm_base"]),
-            cl_q=float(d["cl_q"]),
-            cm_q=float(d["cm_q"]),
-            cl_de=float(d["cl_de"]),
-            cd_de=float(d["cd_de"]),
-            cm_de=float(d["cm_de"]),
-            alpha_min=math.radians(float(d["alpha_min_deg"])),
-            alpha_max=math.radians(float(d["alpha_max_deg"])),
-        )
+            **{key: tuple(number(key, c) for c in d[key]) for key in tables},
+            **{key: number(key, d[key]) for key in scalars},
+            **{key.removesuffix("_deg"): math.radians(number(key, d[key]))
+               for key in angles})
 
     @classmethod
     def from_file(cls, path) -> "AeroModel":

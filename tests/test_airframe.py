@@ -169,6 +169,13 @@ def test_aero_model_file_round_trip(tmp_path, model):
     assert AeroModel.from_file(path) == model
 
 
+def test_aero_model_takes_integer_values():
+    d = {**_shipped_model_dict(), "cm_base": [0, 1e308, 0, 0], "cl_q": 2}
+    model = AeroModel.from_dict(d)
+    assert model.cm_base == (0.0, 1e308, 0.0, 0.0) and model.cl_q == 2.0
+    assert all(type(c) is float for c in model.cm_base + (model.cl_q,))
+
+
 def test_aero_model_missing_key_rejected():
     d = _shipped_model_dict()
     del d["cm_de"]

@@ -493,6 +493,20 @@ _SHIPPED_MODEL = json.loads(resources.files("carrierland.data").joinpath(
      "cl_base must be finite"),
     ({**_SHIPPED_MODEL, "alpha_max_deg": math.inf},
      "alpha_max must be finite"),
+    # the shipped model with a value of the wrong JSON type
+    ({**_SHIPPED_MODEL, "cl_base": "1234"},
+     "cl_base: expected a list of numbers, got '1234'"),
+    ({**_SHIPPED_MODEL, "cd_base": {"0": 0.1}},
+     "cd_base: expected a list of numbers"),
+    ({**_SHIPPED_MODEL, "cm_base": [True, *_SHIPPED_MODEL["cm_base"][1:]]},
+     "cm_base: expected a number, got True"),
+    ({**_SHIPPED_MODEL, "cl_base": ["0.1", *_SHIPPED_MODEL["cl_base"][1:]]},
+     "cl_base: expected a number, got '0.1'"),
+    ({**_SHIPPED_MODEL, "cm_q": True}, "cm_q: expected a number, got True"),
+    ({**_SHIPPED_MODEL, "alpha_min_deg": False},
+     "alpha_min_deg: expected a number, got False"),
+    ({**_SHIPPED_MODEL, "cl_de": "0.5"}, "cl_de: expected a number, got '0.5'"),
+    ({**_SHIPPED_MODEL, "cd_de": None}, "cd_de: expected a number, got None"),
 ])
 def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
                                               fragment):
