@@ -107,8 +107,7 @@ def _newton_alpha(v: float, params: AircraftParams, model: AeroModel,
 
 
 def solve_trim(params: AircraftParams, model: AeroModel,
-               v_target: float = TRIM_AIRSPEED,
-               alpha_guess: float = math.radians(5.0)) -> TrimPoint:
+               v_target: float = TRIM_AIRSPEED) -> TrimPoint:
     """Solve steady level flight at (or as near as feasible to) v_target.
 
     Tries the candidate airspeed first; if the model cannot balance
@@ -136,7 +135,7 @@ def solve_trim(params: AircraftParams, model: AeroModel,
     for v in candidates:
         try:
             alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
-                                                        alpha_guess)
+                                                        math.radians(5.0))
         except (TrimNotConverged, OutOfTableRange) as exc:
             last_err = exc if isinstance(exc, TrimNotConverged) \
                 else TrimNotConverged(str(exc))

@@ -36,12 +36,14 @@ def test_trim_inside_actuator_envelope(trim, params):
     assert params.elevator_min < trim.delta_e_star < params.elevator_max
 
 
-def test_trim_guess_independent(params, model):
-    a = solve_trim(params, model, alpha_guess=math.radians(3.0))
-    b = solve_trim(params, model, alpha_guess=math.radians(9.0))
-    assert a.alpha_star == pytest.approx(b.alpha_star, abs=1e-6)
-    assert a.delta_e_star == pytest.approx(b.delta_e_star, abs=1e-6)
-    assert a.thrust_star == pytest.approx(b.thrust_star, rel=1e-6)
+def test_trim_guess_independent(params, model, trim):
+    # solve_trim's Newton solve for alpha, from two guesses, at the
+    # trim airspeed
+    a, b = (trimlin._newton_alpha(trim.v_t_star, params, model,
+                                  math.radians(guess)) for guess in (3.0, 9.0))
+    assert a[0] == pytest.approx(b[0], abs=1e-6)            # alpha
+    assert a[1] == pytest.approx(b[1], abs=1e-6)            # elevator
+    assert a[2] == pytest.approx(b[2], rel=1e-6)            # thrust
 
 
 def test_trim_infeasible_moment_raises(params):
