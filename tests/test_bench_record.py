@@ -16,11 +16,14 @@ _SPEC.loader.exec_module(bench_record)
 def _stdout(commit="abc1234def", step_us=20.0, rss=40.0, seed=1):
     meta = {"commit": commit, "workload": "approach", "bench_seed": seed,
             "loadavg_1m": 0.5}
+    # step_us None: no step_us line, as when every measured run failed
+    step = [] if step_us is None else [
+        f"approach step_us = {step_us:g} us (median of 41 runs, q1=19.5 "
+        "q3=21.25; lower is better)"]
     return "\n".join([
         "meta " + json.dumps(meta),
         f'sha256 {{"{seed}": {{"trace.csv": "00ff"}}}}',
-        f"approach step_us = {step_us:g} us (median of 41 runs, q1=19.5 "
-        "q3=21.25; lower is better)",
+        *step,
         f"approach peak_rss_mb = {rss:g} MB (of this process; lower is "
         "better)",
         json.dumps({"correct": True, "attempted": 42, "failed": 0,
@@ -56,6 +59,25 @@ def test_calls_of_a_workload_are_summarised_by_quartiles(tmp_path,
     assert call["metrics"] == {
         "step_us": {"value": 22.0, "q1": 19.5, "q3": 21.25, "n": 41},
         "peak_rss_mb": {"value": 40.0}}
+
+
+def test_a_metric_the_lowest_seed_call_lacks_is_kept(tmp_path):
+    """The call with the lowest --seed prints no step_us; the metric
+    comes from the calls that do, after that call's own metrics."""
+    paths = []
+    for seed, step_us in ((2, 30.0), (1, None), (3, 20.0)):
+        paths.append(tmp_path / f"run{seed}.txt")
+        paths[-1].write_text(_stdout(step_us=step_us, seed=seed))
+    out = tmp_path / "bench.json"
+    assert bench_record.main([*map(str, paths), "--out", str(out)]) == 0
+    approach = json.loads(out.read_text())["workloads"]["approach"]
+    assert approach["metrics"]["step_us"] == {
+        "unit": "us", "better": "lower", "median": 25.0, "q1": 17.5,
+        "q3": 32.5, "n": 2}
+    assert approach["metrics"]["peak_rss_mb"]["n"] == 3
+    calls = [c for p in paths for c in bench_record.parse_calls(p.read_text())]
+    assert list(bench_record.record(calls, None)["workloads"]["approach"]
+                ["metrics"]) == ["peak_rss_mb", "step_us"]
 
 
 def test_the_default_name_and_the_allocator_setting(tmp_path, monkeypatch):

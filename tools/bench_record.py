@@ -11,8 +11,8 @@ or of `--workload all`).  All must come from one commit, which their
 that commit>.json in the current directory, or to --out.
 
 Per workload the file holds:
-    metrics  each metric's median, q1, q3 and n over the calls, with
-             its unit and which way is better;
+    metrics  each metric's median, q1, q3 and n over the calls that
+             print it, with its unit and which way is better;
     meta     the `meta` line, as JSON, of the call with the lowest
              --seed (commit, versions, load average, seeds);
     sha256   that call's `sha256` line, as its JSON text: the output
@@ -115,8 +115,12 @@ def record(calls: list[dict], tier1_s: float | None) -> dict:
         out["MALLOC_MMAP_THRESHOLD_"] = threshold
     for name, group in sorted(workloads.items()):
         group.sort(key=lambda c: c["meta"]["bench_seed"])
+        units: dict = {}     # of every call, in first-seen order
+        for call in group:
+            for metric, unit in call["units"].items():
+                units.setdefault(metric, unit)
         metrics = {}
-        for metric, unit in group[0]["units"].items():
+        for metric, unit in units.items():
             values = [c["metrics"][metric]["value"] for c in group
                       if metric in c["metrics"]]
             metrics[metric] = {**unit, **quartiles(values)}
