@@ -50,8 +50,10 @@ domains, and a model whose pitch angle overflows in an RK4 stage
 (cm_q and alpha_max_deg at 1e154, exit 3); and an approach whose deck
 warm-up, 0.05 s or 50 steps, is half a noise hold of 100 steps, so the
 run's first deck draw falls 50 steps in, where the warm-up's hold phase
-leaves it.  The whole matrix takes about 25 s on a 2-core x86 machine.
-pytest does not collect this file.
+leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
+and trim at 1000 m/s, where no trim point exists (exit 2).  The whole
+matrix takes about 30 s on a 2-core x86 machine.  pytest does not
+collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
@@ -205,6 +207,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("approach_warmup_half_hold",
                 ("run", "--scenario", "approach", "--ship", "on",
                  "--set", "ship_warmup_s=0.05")))
+    out.append(("trim_airspeed_80", ("trim", "--airspeed", "80")))
+    out.append(("linearize_airspeed_80", ("linearize", "--airspeed", "80")))
+    out.append(("trim_no_point", ("trim", "--airspeed", "1000")))
     return out
 
 
