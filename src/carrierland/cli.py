@@ -37,8 +37,8 @@ from .airframe import AircraftParams
 from .config import (CONFIG_KEYS, CONTROLLERS, SCENARIOS, ConfigError,
                      ScenarioConfig, config_from_dict, config_to_dict)
 from .sim import (RunResult, compare_controllers, load_aero_model,
-                  run_scenario, write_trace_csv)
-from .trimlin import TrimNotConverged, eigenmodes, linearize, solve_trim
+                  run_scenario, trim_point, write_trace_csv)
+from .trimlin import TRIM_AIRSPEED, eigenmodes, linearize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_model_args(p):
     p.add_argument("--aero-model", help="path to an aero model JSON file")
-    p.add_argument("--airspeed", type=float, default=None,
+    p.add_argument("--airspeed", type=float, default=TRIM_AIRSPEED,
                    help="candidate trim airspeed, m/s")
 
 
@@ -159,11 +159,7 @@ def _trim_from_args(args):
     """(params, model, trim point) of the trim and linearize commands."""
     params = AircraftParams()
     model = load_aero_model(args.aero_model)
-    kwargs = {} if args.airspeed is None else {"v_target": args.airspeed}
-    try:
-        return params, model, solve_trim(params, model, **kwargs)
-    except TrimNotConverged as exc:
-        raise ConfigError(f"no trim point: {exc}") from exc
+    return params, model, trim_point(params, model, args.airspeed)
 
 
 def cmd_trim(args) -> int:

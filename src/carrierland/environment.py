@@ -29,8 +29,9 @@ by first-order low-pass filters matched to the spatial spectra
 200/(1+(100 Ohm)^2) and 71.6/(1+(100 Ohm)^2), a steady wake profile
 (u2, w2) linear in the distance X ahead of the ship's pitch centre, and
 a periodic wake component (u3, w3) phase-locked to the deck-pitch
-frequency.  Wake terms vanish outside 0 <= X < wake_extent (914 m).  The
-random wake component is omitted.
+frequency.  One call, wake, gives all four wake terms, which vanish
+outside 0 <= X < wake_extent (914 m).  The random wake component is
+omitted.
 
 Measurement noise.  Pitch measurement noise is 0.001 sin(7 t) plus
 zero-order-held Gaussian noise of power -60 dB.
@@ -229,28 +230,22 @@ def ship_step(state: ShipState, dt: float, rng: np.random.Generator,
         u_h, u_p, n + 1)
 
 
-def wake_steady(x_dist: float, cfg: ScenarioConfig):
-    """Steady wake components (u2, w2) at distance X ahead of the pitch
-    centre, zero outside the config's wake extent."""
-    if not 0.0 <= x_dist < cfg.wake_extent:
-        return 0.0, 0.0
-    return (0.002 * x_dist if x_dist > 0.0 else 0.0), -1.0 + 0.0013 * x_dist
-
-
 def wake_phase(t: float, x_dist: float, v_wd: float) -> float:
     """The periodic wake's phase, rad: rises in t and in X once v_wd > 0."""
     return WAKE_OMEGA_P * (2.28 * t + x_dist / (0.85 * v_wd)) + 0.1
 
 
-def wake_periodic(t: float, x_dist: float, cfg: ScenarioConfig):
-    """Periodic wake components (u3, w3), zero outside the wake extent."""
+def wake(t: float, x_dist: float, cfg: ScenarioConfig):
+    """Wake components (u2, w2, u3, w3) at time t and distance X ahead of
+    the pitch centre: the steady profile, then the periodic term, the
+    cosine of wake_phase; all zero outside the config's wake extent."""
     if not 0.0 <= x_dist < cfg.wake_extent:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     c = math.cos(wake_phase(t, x_dist, cfg.v_wd))
     scale = WAKE_THETA_S_AMP * cfg.v_wd
-    u3 = scale * (2.22 + 0.000091 * x_dist) * c
-    w3 = scale * (4.98 + 0.0018 * x_dist) * c
-    return u3, w3
+    return ((0.002 * x_dist if x_dist > 0.0 else 0.0), -1.0 + 0.0013 * x_dist,
+            scale * (2.22 + 0.000091 * x_dist) * c,
+            scale * (4.98 + 0.0018 * x_dist) * c)
 
 
 class WindField:
@@ -291,8 +286,7 @@ class WindField:
         self.u1 = phi * self.u1 + (1.0 - phi) * self._gain_u * self._held_u
         self.w1 = phi * self.w1 + (1.0 - phi) * self._gain_w * self._held_w
         x_dist = 0.0 - aircraft_x   # ahead of the ship; X = +0.0 at x = 0.0
-        u2, w2 = wake_steady(x_dist, self.cfg)
-        u3, w3 = wake_periodic(t, x_dist, self.cfg)
+        u2, w2, u3, w3 = wake(t, x_dist, self.cfg)
         # positional: keyword construction of the NamedTuple costs ~3x
         return WindSample(self.u1 + u2 + u3, self.w1 + w2 + w3,
                           self.u1, u2, u3, self.w1, w2, w3)

@@ -75,7 +75,8 @@ from .environment import (Environment, deck_motion, _ship_filter_derivative,
                           held_ship_inputs, hold_steps)
 from .integrate import rk4_step
 from .observer import observer_derivative
-from .trimlin import TrimNotConverged, TrimPoint, linearize, solve_trim
+from .trimlin import (TRIM_AIRSPEED, TrimNotConverged, TrimPoint, linearize,
+                      solve_trim)
 
 TRACE_HEADER = (
     "t", "v_t", "theta", "alpha", "q", "x", "z", "gamma", "delta_e",
@@ -249,11 +250,16 @@ def _square(x: float) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def _trim(params: AircraftParams, model: AeroModel) -> TrimPoint:
-    """solve_trim, once per airframe and aero model in a process: both
-    are frozen and hashable, and the TrimPoint is frozen, so runs share
-    it.  A failing solve raises and is not cached."""
-    return solve_trim(params, model)
+def trim_point(params: AircraftParams, model: AeroModel,
+               v_target: float = TRIM_AIRSPEED) -> TrimPoint:
+    """solve_trim, once per airframe, aero model and candidate airspeed in
+    a process: all are frozen and hashable, and the TrimPoint is frozen,
+    so runs and commands share it.  A failing solve raises ConfigError
+    and is not cached."""
+    try:
+        return solve_trim(params, model, v_target)
+    except TrimNotConverged as exc:
+        raise ConfigError(f"no trim point: {exc}") from exc
 
 
 class Simulation:
@@ -264,10 +270,7 @@ class Simulation:
         self.cfg = config
         self.params = params = (AircraftParams(t_max=config.t_max)
                                 if config.t_max else AircraftParams())
-        try:
-            self.trim = _trim(params, self.model)
-        except TrimNotConverged as exc:
-            raise ConfigError(f"no trim point: {exc}") from exc
+        self.trim = trim_point(params, self.model)
         # the config the pitch laws read: the run's, or a copy with the
         # linearized partials; RunResult keeps the run's
         self.pitch_cfg = config

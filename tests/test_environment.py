@@ -9,8 +9,7 @@ from carrierland.environment import (CALM, LANDING_POINT_OFFSET,
                                      ShipParams, ShipState, WindField,
                                      deck_motion, held_ship_inputs,
                                      hold_steps, rng_stream, rng_streams,
-                                     ship_step, wake_periodic, wake_phase,
-                                     wake_steady)
+                                     ship_step, wake, wake_phase)
 from carrierland.config import ScenarioConfig
 
 
@@ -115,40 +114,40 @@ def test_ship_off_keeps_a_level_deck():
 
 def test_wake_steady_profile_values():
     p = ScenarioConfig()
-    u2, w2 = wake_steady(500.0, p)
+    u2, w2 = wake(0.0, 500.0, p)[:2]
     assert u2 == pytest.approx(1.0)        # 0.002 * 500
     assert w2 == pytest.approx(-0.35)      # -1 + 0.0013 * 500
-    u2, w2 = wake_steady(0.0, p)
+    u2, w2 = wake(0.0, 0.0, p)[:2]
     assert u2 == 0.0
     assert w2 == -1.0
-    assert wake_steady(-10.0, p) == (0.0, 0.0)
-    assert wake_steady(950.0, p) == (0.0, 0.0)
+    assert wake(0.0, -10.0, p)[:2] == (0.0, 0.0)
+    assert wake(0.0, 950.0, p)[:2] == (0.0, 0.0)
 
 
 def test_wake_steady_u2_continuous_at_ship():
     eps = 1e-9
-    u2_plus, _ = wake_steady(eps, ScenarioConfig())
+    u2_plus, _ = wake(0.0, eps, ScenarioConfig())[:2]
     assert u2_plus == pytest.approx(0.0, abs=1e-8)
 
 
 def test_wake_periodic_example_value():
     p = ScenarioConfig()
-    u3, w3 = wake_periodic(0.0, 0.0, p)
+    u3, w3 = wake(0.0, 0.0, p)[2:]
     assert u3 == pytest.approx(0.05 * 10.0 * 2.22 * math.cos(0.1), rel=1e-9)
     assert u3 == pytest.approx(1.1045, abs=1e-3)
     assert w3 == pytest.approx(0.05 * 10.0 * 4.98 * math.cos(0.1), rel=1e-9)
-    assert wake_periodic(3.0, 1000.0, p) == (0.0, 0.0)
+    assert wake(3.0, 1000.0, p)[2:] == (0.0, 0.0)
 
 
 def test_wake_periodic_is_the_cosine_of_wake_phase():
-    """One phase expression: wake_periodic takes its cosine, and it rises
-    in t and X, so its value at the run's end and the wake's far edge
+    """One phase expression: the periodic wake takes its cosine, and it
+    rises in t and X, so its value at the run's end and the wake's far edge
     bounds the phases a run computes."""
     p = ScenarioConfig(v_wd=7.0)
     for t, x in ((0.0, 0.0), (2.5, 400.0), (30.0, 913.0)):
         c, scale = math.cos(wake_phase(t, x, p.v_wd)), 0.05 * p.v_wd
-        assert wake_periodic(t, x, p) == (scale * (2.22 + 0.000091 * x) * c,
-                                          scale * (4.98 + 0.0018 * x) * c)
+        assert wake(t, x, p)[2:] == (scale * (2.22 + 0.000091 * x) * c,
+                                     scale * (4.98 + 0.0018 * x) * c)
     assert wake_phase(0.0, 0.0, 7.0) < wake_phase(1.0, 0.0, 7.0) \
         < wake_phase(1.0, 10.0, 7.0)
     assert wake_phase(0.01, 2200.0, 1.3e-305) == math.inf
@@ -156,9 +155,9 @@ def test_wake_periodic_is_the_cosine_of_wake_phase():
 
 def test_wake_periodic_continuous_in_time():
     p = ScenarioConfig()
-    prev = wake_periodic(0.0, 400.0, p)
+    prev = wake(0.0, 400.0, p)[2:]
     for k in range(1, 400):
-        cur = wake_periodic(k * 1e-3, 400.0, p)
+        cur = wake(k * 1e-3, 400.0, p)[2:]
         assert abs(cur[0] - prev[0]) < 0.05
         assert abs(cur[1] - prev[1]) < 0.05
         prev = cur
@@ -211,8 +210,8 @@ def test_wind_sample_components_sum():
     assert s.u_g == pytest.approx(s.u1 + s.u2 + s.u3, rel=1e-12)
     assert s.w_g == pytest.approx(s.w1 + s.w2 + s.w3, rel=1e-12)
     assert (s.u1, s.w1) == (wf.u1, wf.w1)
-    assert (s.u2, s.w2) == wake_steady(400.0, p)
-    assert (s.u3, s.w3) == wake_periodic(1.0, 400.0, p)
+    assert (s.u2, s.w2) == wake(1.0, 400.0, p)[:2]
+    assert (s.u3, s.w3) == wake(1.0, 400.0, p)[2:]
 
 
 def test_disabled_wind_returns_calm():
@@ -348,8 +347,8 @@ def _environment_yield(cfg: ScenarioConfig, steps: int = 40) -> dict:
     winds = [env.wind.sample(k, k * cfg.dt, -800.0) for k in range(steps)]
     return {"deck": env.ship,
             "turbulence": [(s.u1, s.w1) for s in winds],
-            "wake_steady": [(s.u2, s.w2) for s in winds],
-            "wake_periodic": [(s.u3, s.w3) for s in winds],
+            "steady_wake": [(s.u2, s.w2) for s in winds],
+            "periodic_wake": [(s.u3, s.w3) for s in winds],
             "noise": [env.noise.sample(k, k * cfg.dt) for k in range(steps)]}
 
 
@@ -358,9 +357,9 @@ def _environment_yield(cfg: ScenarioConfig, steps: int = 40) -> dict:
     ("dt_noise", 0.05, {"deck", "turbulence"}),
     ("noise_dt", 0.005, {"noise"}),
     ("ship_noise_gain", 0.2, {"deck"}),
-    ("v_wd", 12.0, {"wake_periodic"}),
+    ("v_wd", 12.0, {"periodic_wake"}),
     ("turb_norm", 0.8, {"turbulence"}),
-    ("wake_extent", 700.0, {"wake_steady", "wake_periodic"}),
+    ("wake_extent", 700.0, {"steady_wake", "periodic_wake"}),
 ])
 def test_each_environment_key_reaches_the_environment(key, value, moved):
     """Changing one config key alone changes exactly the parts of what

@@ -1081,7 +1081,7 @@ def test_step_response_to_a_zero_target_has_no_steady_state_error(target):
 
 
 def test_pitch_step_to_a_zero_target_runs(tmp_path):
-    trim = sim._trim(sim.AircraftParams(), sim.load_aero_model(None))
+    trim = sim.trim_point(sim.AircraftParams(), sim.load_aero_model(None))
     step = math.degrees(-trim.theta_star)
     assert trim.theta_star + math.radians(step) == 0.0
     assert cli_main(["run", "--scenario", "pitch_step", "--set",
