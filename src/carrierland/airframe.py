@@ -155,6 +155,9 @@ class AeroModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AeroModel":
+        if not isinstance(d, dict):
+            raise ValueError("expected a JSON object of model fields, "
+                             f"got {type(d).__name__}")
         tables = ("cl_base", "cd_base", "cm_base")
         scalars = ("cl_q", "cm_q", "cl_de", "cd_de", "cm_de")
         angles = ("alpha_min_deg", "alpha_max_deg")

@@ -480,7 +480,7 @@ _SHIPPED_MODEL = json.loads(resources.files("carrierland.data").joinpath(
 @pytest.mark.parametrize("model_json, fragment", [
     ({"cl_base": [0.1]}, "missing keys"),
     ("not json", "aero model"),
-    ([1, 2], "aero model"),
+    ([1, 2], "expected a JSON object of model fields, got list"),
     pytest.param(_DEEP_JSON, "recursion depth", id="nested-recursion depth"),
     # the shipped model with an integer no float can hold
     ({**_SHIPPED_MODEL, "cl_q": 10 ** 400},
@@ -507,6 +507,10 @@ _SHIPPED_MODEL = json.loads(resources.files("carrierland.data").joinpath(
      "alpha_min_deg: expected a number, got False"),
     ({**_SHIPPED_MODEL, "cl_de": "0.5"}, "cl_de: expected a number, got '0.5'"),
     ({**_SHIPPED_MODEL, "cd_de": None}, "cd_de: expected a number, got None"),
+    # a top level that is not a JSON object, as the file's text
+    ("5", "expected a JSON object of model fields, got int"),
+    ("null", "expected a JSON object of model fields, got NoneType"),
+    ('"x"', "expected a JSON object of model fields, got str"),
 ])
 def test_bad_aero_model_file_is_a_usage_error(tmp_path, capsys, model_json,
                                               fragment):
