@@ -21,7 +21,9 @@ reproduces that run byte-for-byte when passed back via --config.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 model abort
 (simulation left its valid envelope), 4 run completed but a required
-settling check failed (--require-settled).
+settling check failed (--require-settled), 141 (128 + SIGPIPE) the
+reader of stdout or stderr left early; nothing more is printed, and
+output files already written stay.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_ABORT = 3
 EXIT_UNSETTLED = 4
+EXIT_BROKEN_PIPE = 141
 
 OUT_ROOT_ENV = "CARRIERLAND_OUT"
 
@@ -52,7 +55,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's exit flush cannot
+        # raise too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -11,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from carrierland.cli import (EXIT_ABORT, EXIT_OK, EXIT_UNSETTLED, EXIT_USAGE,
-                             build_parser, main)
+import carrierland
+from carrierland.cli import (EXIT_ABORT, EXIT_BROKEN_PIPE, EXIT_OK,
+                             EXIT_UNSETTLED, EXIT_USAGE, build_parser, main)
 from carrierland.airframe import AeroModel, AircraftParams
 from carrierland.config import (CONFIG_KEYS, CONTROLLERS, SCENARIOS,
                                 ConfigError, ScenarioConfig, config_from_dict,
@@ -136,6 +139,34 @@ def test_require_settled_exit_code(tmp_path, capsys):
                    "--seed", "2", "--wind", "on", "--noise", "on",
                    "--require-settled", "--out", str(out))
     assert code == EXIT_UNSETTLED
+
+
+@pytest.mark.parametrize("stderr_too", [False, True],
+                         ids=["stdout", "stdout_and_stderr"])
+@pytest.mark.parametrize("argv, files", [
+    (("trim",), []),
+    (("run", "--scenario", "pitch_step", "--duration", "0.5"),
+     ["metrics.json", "resolved_config.json", "trace.csv"]),
+])
+def test_a_reader_that_leaves_early_is_not_an_error(tmp_path, argv, files,
+                                                    stderr_too):
+    """`carrierland trim 2>&1 | head -0`: a reader that closed the pipe
+    ends the program with 128 + SIGPIPE and nothing on stderr, as a shell
+    reports for a writer whose reader left, not with a usage error or a
+    traceback; the output files already written stay."""
+    out = ("--out", str(tmp_path)) if files else ()
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "carrierland.cli", *argv, *out],
+            stdout=write, stderr=write if stderr_too else subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(
+                Path(carrierland.__file__).parents[1])), timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr or b"") == (EXIT_BROKEN_PIPE, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 @pytest.mark.parametrize("command", ["compare", "sweep"])
