@@ -59,8 +59,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # stdout goes to devnull, so the interpreter's exit flush cannot
-        # raise too
+        # the reader left: point stdout at devnull so that the
+        # interpreter's exit flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except (ConfigError, OSError) as exc:
