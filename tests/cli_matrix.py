@@ -51,8 +51,10 @@ domains, and a model whose pitch angle overflows in an RK4 stage
 warm-up, 0.05 s or 50 steps, is half a noise hold of 100 steps, so the
 run's first deck draw falls 50 steps in, where the warm-up's hold phase
 leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
-and trim at 1000 m/s, where no trim point exists (exit 2).  The whole
-matrix takes about 30 s on a 2-core x86 machine.  pytest does not
+and trim at 1000 m/s, where no trim point exists (exit 2); last, an
+approach on a -30 deg glide slope, a climb whose equilibrium start
+thrust lies above t_max.  The whole matrix takes about 30 s on a 2-core
+x86 machine.  pytest does not
 collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
@@ -210,6 +212,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("trim_airspeed_80", ("trim", "--airspeed", "80")))
     out.append(("linearize_airspeed_80", ("linearize", "--airspeed", "80")))
     out.append(("trim_no_point", ("trim", "--airspeed", "1000")))
+    out.append(("approach_climb_thrust_limit",
+                ("run", "--scenario", "approach",
+                 "--set", "glide_slope_deg=-30", "--duration", "1")))
     return out
 
 

@@ -391,14 +391,16 @@ def test_actuator_kernel_matches_engine_terms():
 def test_actuator_projection_matches_engine_block():
     params = AircraftParams()
     lo, hi = params.elevator_min, params.elevator_max
+    odd = (-math.inf, math.inf, math.nan)
     thrusts = (-1.0, -0.0, 0.0, 5e4, params.t_max,
-               math.nextafter(params.t_max, math.inf), 1e6)
+               math.nextafter(params.t_max, math.inf), 1e6) + odd
     deflections = (lo - 0.1, math.nextafter(lo, -1.0), lo, -0.0, 0.0, hi,
-                   math.nextafter(hi, 1.0), hi + 0.1)
+                   math.nextafter(hi, 1.0), hi + 0.1) + odd
+    rates = (-2.0, -5e-324, -0.0, 0.0, 5e-324, 2.0) + odd
     seen = set()
     for thrust in thrusts:
         for de in deflections:
-            for de_rate in (-2.0, -0.0, 0.0, 2.0):
+            for de_rate in rates:
                 got = project_actuator_states(thrust, de, de_rate, params)
                 ref = ref_engine_projection(thrust, de, de_rate, params)
                 assert _bits(got[:3]) == _bits(ref[:3])

@@ -55,6 +55,20 @@ def test_trim_infeasible_moment_raises(params):
         solve_trim(params, stub)
 
 
+@pytest.mark.parametrize("limits, message", [
+    ({"t_max": 1000.0}, "trim thrust 19481 N outside [0, 1000]"),
+    ({"elevator_min": -1e-6, "elevator_max": 1e-6},
+     "trim elevator outside deflection range"),
+], ids=["thrust", "elevator"])
+def test_trim_outside_actuator_range_names_the_channel(params, model, limits,
+                                                       message):
+    # every candidate airspeed balances outside the narrowed range; the
+    # last candidate's reason is raised
+    with pytest.raises(TrimNotConverged) as info:
+        solve_trim(replace(params, **limits), model, 30.0)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("alpha_deg", [-4.9, -2.0, 0.0, 7.1, 20.0, 39.9])
 @pytest.mark.parametrize("v", [40.0, 69.1, 120.0])
 def test_closed_forms_zero_pitch_and_path_rates(params, model, v, alpha_deg):
