@@ -62,25 +62,13 @@ def saturate_inputs(delta_e_cmd: float, thrust_cmd: float,
 def project_actuator_states(thrust, de, de_rate, params: AircraftParams):
     """Project actuator states back onto their physical ranges.
 
-    Returns (thrust, de, de_rate, projected).  The elevator rate is
-    zeroed when it drives the surface further into the stop it is
-    pinned at; `projected` tells whether any state was moved.
+    Returns (thrust, de, de_rate, projected).  The states are clamped by
+    saturate_inputs, the commands' rule; the elevator rate is zeroed
+    when it drives the surface further into the stop it is pinned at.
+    `projected` tells whether any state was moved.
     """
-    projected = False
-    if thrust < 0.0:
-        thrust = 0.0
-        projected = True
-    elif thrust > params.t_max:
-        thrust = params.t_max
-        projected = True
-    if de < params.elevator_min:
-        de = params.elevator_min
-        if de_rate < 0.0:
-            de_rate = 0.0
-        projected = True
-    elif de > params.elevator_max:
-        de = params.elevator_max
-        if de_rate > 0.0:
-            de_rate = 0.0
-        projected = True
-    return thrust, de, de_rate, projected
+    de_sat, thrust, sat_e, sat_t = saturate_inputs(de, thrust, params)
+    # pinned at the lower stop exactly when the clamp raised de
+    if sat_e and (de_rate < 0.0 if de < de_sat else de_rate > 0.0):
+        de_rate = 0.0
+    return thrust, de_sat, de_rate, sat_e or sat_t

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .actuation import saturate_inputs
 from .airframe import (AeroModel, AircraftParams, OutOfTableRange,
                        dynamic_pressure, rigid_body_derivative,
                        state_derivative)
@@ -131,26 +132,23 @@ def solve_trim(params: AircraftParams, model: AeroModel,
         candidates.append(v_target + 2.0 * k)
         if v_target - 2.0 * k > 10.0:
             candidates.append(v_target - 2.0 * k)
-    last_err = None
     for v in candidates:
         try:
             alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
                                                         math.radians(5.0))
         except (TrimNotConverged, OutOfTableRange) as exc:
-            last_err = exc if isinstance(exc, TrimNotConverged) \
-                else TrimNotConverged(str(exc))
+            err = str(exc)
             continue
-        if not (0.0 <= thrust <= params.t_max):
-            last_err = TrimNotConverged(
-                f"trim thrust {thrust:.0f} N outside [0, {params.t_max:.0f}]")
-            continue
-        if not (params.elevator_min <= delta_e <= params.elevator_max):
-            last_err = TrimNotConverged("trim elevator outside deflection range")
-            continue
-        return TrimPoint(v_t_star=v, theta_star=alpha, alpha_star=alpha,
-                         q_star=0.0, gamma_star=0.0, delta_e_star=delta_e,
-                         thrust_star=thrust, residuals=res)
-    raise TrimNotConverged(str(last_err) if last_err else "no feasible trim")
+        _, _, sat_e, sat_t = saturate_inputs(delta_e, thrust, params)
+        if sat_t:
+            err = f"trim thrust {thrust:.0f} N outside [0, {params.t_max:.0f}]"
+        elif sat_e:
+            err = "trim elevator outside deflection range"
+        else:
+            return TrimPoint(v_t_star=v, theta_star=alpha, alpha_star=alpha,
+                             q_star=0.0, gamma_star=0.0, delta_e_star=delta_e,
+                             thrust_star=thrust, residuals=res)
+    raise TrimNotConverged(err)   # candidates holds v_target: err is bound
 
 
 @np.errstate(all="ignore")   # an overflow is raised below, not warned
