@@ -1092,6 +1092,16 @@ def test_pitch_step_to_a_zero_target_runs(tmp_path):
     assert metrics["steady_state_error"] is None
 
 
+def test_a_climbing_approach_starts_its_engine_at_t_max():
+    # a -30 deg glide slope is a climb whose equilibrium thrust lies
+    # above t_max; the engine starts at its limit
+    run = Simulation(config_from_dict({
+        "scenario": "approach", "glide_slope_deg": -30.0, "ship_on": False,
+        "duration": 0.01}))
+    row0 = next(iter(run.run().trace))
+    assert row0[TRACE_HEADER.index("thrust")] == run.params.t_max
+
+
 # ------------------------------------------------------------ aborts
 _TABLE_LOW = ("OutOfTableRange: alpha = -5.001950550062759 deg outside "
               "table range [-5.0, 40.0] deg")
