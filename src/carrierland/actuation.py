@@ -9,8 +9,11 @@ Elevator: unit-DC-gain second-order servo,
 with w_a = 30.74 rad/s, zeta_a = 0.509.
 
 Commands are clamped to the physical limits before entering the
-actuator dynamics, and the actuator states are clamped again after each
-integration step so the servo cannot integrate past its stops.
+actuator dynamics, and the actuator states are clamped after each
+integration step by the commands' rule, saturate_inputs, so the servo
+cannot integrate past its stops.  saturate_inputs is the one statement
+of the range, elevator in [elevator_min, elevator_max] and thrust in
+[0, t_max]; trim feasibility reads it too.
 """
 
 from __future__ import annotations

@@ -329,8 +329,9 @@ class Simulation:
         use_pid = cfg.controller == "pid"
         use_truth = cfg.controller == "opd_truth"
 
-        # descending starts carry the matching equilibrium thrust and
-        # pre-loaded integrators so the path capture is bumpless
+        # starts on the glide path carry the matching equilibrium thrust,
+        # within [0, t_max], and pre-loaded integrators so the path
+        # capture is bumpless
         theta0 = trim.alpha_star + gamma0
         thrust0 = trim.thrust_star
         if gamma0 != 0.0:

@@ -109,15 +109,20 @@ def _newton_alpha(v: float, params: AircraftParams, model: AeroModel,
 
 def solve_trim(params: AircraftParams, model: AeroModel,
                v_target: float = TRIM_AIRSPEED) -> TrimPoint:
-    """Solve steady level flight at (or as near as feasible to) v_target.
+    """Solve steady level flight at the first feasible candidate airspeed.
 
-    Tries the candidate airspeed first; if the model cannot balance
-    there (lift ceiling, thrust limit, an alpha iterate off the table),
-    walks the airspeed outward until a feasible point is found.
+    The candidates are v_target, v_target + 2, v_target - 2,
+    v_target + 4, ... out to v_target +- 50 m/s, a downward one only
+    while it is above 10 m/s.  A candidate is feasible when the model
+    balances there (lift ceiling, alpha iterates on the table) with
+    thrust and elevator that saturate_inputs leaves unclamped.  The
+    first feasible candidate need not be the nearest feasible airspeed:
+    5 m/s gives 43 m/s, though 42 m/s, which 30 m/s gives, is feasible.
 
-    Raises TrimNotConverged when no candidate admits a solution, or when
-    v_target is not positive or so small or large that the moment scale
-    q S c_bar of a candidate underflows to 0 or overflows.
+    Raises TrimNotConverged, with the last candidate's reason, when no
+    candidate admits a solution, or when v_target is not positive or so
+    small or large that the moment scale q S c_bar of a candidate
+    underflows to 0 or overflows.
     """
     scale = params.s_ref * params.c_bar
     if not (v_target > 0.0

@@ -69,6 +69,14 @@ def test_trim_outside_actuator_range_names_the_channel(params, model, limits,
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("v_target, v_trim", [(5.0, 43.0), (30.0, 42.0)])
+def test_trim_takes_the_first_feasible_candidate_airspeed(params, model,
+                                                          v_target, v_trim):
+    # 5 m/s only steps upward, 5, 7, ..., 41, 43, and so passes over 42,
+    # which 30 m/s reaches after 30, 32, 28, ..., 40, 20
+    assert solve_trim(params, model, v_target).v_t_star == v_trim
+
+
 @pytest.mark.parametrize("alpha_deg", [-4.9, -2.0, 0.0, 7.1, 20.0, 39.9])
 @pytest.mark.parametrize("v", [40.0, 69.1, 120.0])
 def test_closed_forms_zero_pitch_and_path_rates(params, model, v, alpha_deg):
