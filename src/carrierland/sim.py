@@ -336,9 +336,9 @@ class Simulation:
         thrust0 = trim.thrust_star
         if gamma0 != 0.0:
             drag_star = trim.thrust_star * math.cos(trim.alpha_star)
-            thrust0 = min(max(0.0, (drag_star + params.m * params.g
-                                    * math.sin(gamma0))
-                              / math.cos(trim.alpha_star)), params.t_max)
+            thrust0 = ((drag_star + params.m * params.g * math.sin(gamma0))
+                       / math.cos(trim.alpha_star))
+            thrust0 = min(max(0.0, thrust0), params.t_max)
             sink.preload((theta0 - theta_star) / cfg.ki_s)
             vel.preload((thrust0 - trim.thrust_star)
                         / (params.m * cfg.ki_v))
