@@ -54,8 +54,7 @@ leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
 and trim at 1000 m/s, where no trim point exists (exit 2); last, an
 approach on a -30 deg glide slope, a climb whose equilibrium start
 thrust lies above t_max.  The whole matrix takes about 30 s on a 2-core
-x86 machine.  pytest does not
-collect this file.
+x86 machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
 OUT/<case>.stdout and OUT/<case>.stderr, so a change meant to move
