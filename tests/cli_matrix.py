@@ -53,7 +53,8 @@ run's first deck draw falls 50 steps in, where the warm-up's hold phase
 leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
 and trim at 1000 m/s, where no trim point exists (exit 2); last, an
 approach on a -30 deg glide slope, a climb whose equilibrium start
-thrust lies above t_max.  The whole matrix takes about 30 s on a 2-core
+thrust lies above t_max; and a pitch step whose t_max of 20000 N lies
+below the trim thrust at 69.1 m/s.  The whole matrix takes about 30 s on a 2-core
 x86 machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
@@ -214,6 +215,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("approach_climb_thrust_limit",
                 ("run", "--scenario", "approach",
                  "--set", "glide_slope_deg=-30", "--duration", "1")))
+    out.append(("run_t_max_20000",
+                ("run", "--scenario", "pitch_step", "--set", "t_max=20000",
+                 "--duration", "0.5")))
     return out
 
 
