@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_model_args(p):
     p.add_argument("--aero-model", help="path to an aero model JSON file")
     p.add_argument("--airspeed", type=float, default=TRIM_AIRSPEED,
-                   help="candidate trim airspeed, m/s")
+                   help="trim airspeed, m/s")
 
 
 def _add_run_args(p, controller_choice=True):

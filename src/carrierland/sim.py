@@ -252,14 +252,14 @@ def _square(x: float) -> float:
 @functools.lru_cache(maxsize=8)
 def trim_point(params: AircraftParams, model: AeroModel,
                v_target: float = TRIM_AIRSPEED) -> TrimPoint:
-    """solve_trim, once per airframe, aero model and candidate airspeed in
-    a process: all are frozen and hashable, and the TrimPoint is frozen,
-    so runs and commands share it.  A failing solve raises ConfigError
-    and is not cached."""
+    """solve_trim, once per airframe, aero model and airspeed in a
+    process: all are frozen and hashable, and the TrimPoint is frozen, so
+    runs and commands share it.  A failing solve raises ConfigError with
+    its message, naming the airspeed, and is not cached."""
     try:
         return solve_trim(params, model, v_target)
     except TrimNotConverged as exc:
-        raise ConfigError(f"no trim point: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 class Simulation:

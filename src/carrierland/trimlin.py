@@ -1,10 +1,10 @@
 """
 Steady-level-flight trim and small-perturbation linear model.
 
-Trim solves level flight (gamma = 0, q = 0, theta = alpha) at a fixed
-candidate airspeed.  There the pitching moment is linear in elevator
-and the along-path force linear in thrust, so both have closed forms
-at any alpha:
+Trim solves level flight (gamma = 0, q = 0, theta = alpha) at the
+airspeed asked for.  There the pitching moment is linear in elevator and
+the along-path force linear in thrust, so both have closed forms at any
+alpha:
 
     delta_e = -cm_base(alpha) / cm_de          (M = 0)
     T       = q_bar S C_D(alpha, delta_e) / cos(alpha)    (V_T' = 0)
@@ -32,7 +32,7 @@ from .airframe import (AeroModel, AircraftParams, OutOfTableRange,
                        state_derivative)
 
 TRIM_AIRSPEED = 69.1  # m/s, nominal approach speed
-TRIM_MAX_ITER = 200   # Newton iterations on alpha per candidate airspeed
+TRIM_MAX_ITER = 200   # Newton iterations on alpha
 TRIM_TOL = 1e-10      # rad/s, the |alpha'| a trim point leaves
 
 
@@ -108,52 +108,33 @@ def _newton_alpha(v: float, params: AircraftParams, model: AeroModel,
 
 
 def solve_trim(params: AircraftParams, model: AeroModel,
-               v_target: float = TRIM_AIRSPEED) -> TrimPoint:
-    """Solve steady level flight at the first feasible candidate airspeed.
+               v: float = TRIM_AIRSPEED) -> TrimPoint:
+    """Solve steady level flight at airspeed v.
 
-    The candidates are v_target, v_target + 2, v_target - 2,
-    v_target + 4, ... out to v_target +- 50 m/s, a downward one only
-    while it is above 10 m/s.  A candidate is feasible when the model
-    balances there (lift ceiling, alpha iterates on the table) with
-    thrust and elevator that saturate_inputs leaves unclamped.  The
-    first feasible candidate need not be the nearest feasible airspeed:
-    5 m/s gives 43 m/s, though 42 m/s, which 30 m/s gives, is feasible.
-
-    Raises TrimNotConverged, with the last candidate's reason, when no
-    candidate admits a solution, or when v_target is not positive or so
-    small or large that the moment scale q S c_bar of a candidate
-    underflows to 0 or overflows.
+    Raises TrimNotConverged, naming v and the reason, when v is not
+    positive or so small or large that the moment scale q S c_bar
+    underflows to 0 or overflows, when the model does not balance at v
+    (lift ceiling, an alpha iterate off the table), or when the trim
+    thrust or elevator lies outside the range saturate_inputs clamps to.
     """
-    scale = params.s_ref * params.c_bar
-    if not (v_target > 0.0
-            and dynamic_pressure(v_target, params.rho) * scale > 0.0
-            and math.isfinite(dynamic_pressure(v_target + 50.0, params.rho)
-                              * scale)):
-        raise TrimNotConverged(
-            f"airspeed must be > 0 with q S c_bar in float range, "
-            f"got {v_target!r}")
-    candidates = [v_target]
-    for k in range(1, 26):
-        candidates.append(v_target + 2.0 * k)
-        if v_target - 2.0 * k > 10.0:
-            candidates.append(v_target - 2.0 * k)
-    for v in candidates:
-        try:
-            alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
-                                                        math.radians(5.0))
-        except (TrimNotConverged, OutOfTableRange) as exc:
-            err = str(exc)
-            continue
+    try:
+        if not (v > 0.0 and 0.0 < dynamic_pressure(v, params.rho)
+                * params.s_ref * params.c_bar < math.inf):
+            raise TrimNotConverged(
+                "airspeed must be > 0 with q S c_bar in float range")
+        alpha, delta_e, thrust, res = _newton_alpha(v, params, model,
+                                                    math.radians(5.0))
         _, _, sat_e, sat_t = saturate_inputs(delta_e, thrust, params)
         if sat_t:
-            err = f"trim thrust {thrust:.0f} N outside [0, {params.t_max:.0f}]"
-        elif sat_e:
-            err = "trim elevator outside deflection range"
-        else:
-            return TrimPoint(v_t_star=v, theta_star=alpha, alpha_star=alpha,
-                             q_star=0.0, gamma_star=0.0, delta_e_star=delta_e,
-                             thrust_star=thrust, residuals=res)
-    raise TrimNotConverged(err)   # candidates holds v_target: err is bound
+            raise TrimNotConverged(
+                f"trim thrust {thrust:.0f} N outside [0, {params.t_max:.0f}]")
+        if sat_e:
+            raise TrimNotConverged("trim elevator outside deflection range")
+    except (TrimNotConverged, OutOfTableRange) as exc:
+        raise TrimNotConverged(f"no trim point at {v:g} m/s: {exc}") from exc
+    return TrimPoint(v_t_star=v, theta_star=alpha, alpha_star=alpha,
+                     q_star=0.0, gamma_star=0.0, delta_e_star=delta_e,
+                     thrust_star=thrust, residuals=res)
 
 
 @np.errstate(all="ignore")   # an overflow is raised below, not warned

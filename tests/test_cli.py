@@ -413,6 +413,8 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
       "--duration", "0.01"), "wake_extent / v_wd or duration is too large"),
     (("--scenario", "approach", "--wind", "on", "--set", "v_wd=1.3e-305",
       "--set", "wake_extent=2200"), "the wake phase is not finite"),
+    # trim thrust at 69.1 m/s above t_max: no other airspeed is tried
+    (("--set", "t_max=20000"), "22592 N"),
 ])
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, argv, fragment):
     # argv comes last, so that its own --duration wins

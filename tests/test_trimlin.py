@@ -56,25 +56,23 @@ def test_trim_infeasible_moment_raises(params):
 
 
 @pytest.mark.parametrize("limits, message", [
-    ({"t_max": 1000.0}, "trim thrust 19481 N outside [0, 1000]"),
+    ({"t_max": 1000.0},
+     "no trim point at 69.1 m/s: trim thrust 22592 N outside [0, 1000]"),
     ({"elevator_min": -1e-6, "elevator_max": 1e-6},
-     "trim elevator outside deflection range"),
+     "no trim point at 69.1 m/s: trim elevator outside deflection range"),
 ], ids=["thrust", "elevator"])
 def test_trim_outside_actuator_range_names_the_channel(params, model, limits,
                                                        message):
-    # every candidate airspeed balances outside the narrowed range; the
-    # last candidate's reason is raised
     with pytest.raises(TrimNotConverged) as info:
-        solve_trim(replace(params, **limits), model, 30.0)
+        solve_trim(replace(params, **limits), model)
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("v_target, v_trim", [(5.0, 43.0), (30.0, 42.0)])
-def test_trim_takes_the_first_feasible_candidate_airspeed(params, model,
-                                                          v_target, v_trim):
-    # 5 m/s only steps upward, 5, 7, ..., 41, 43, and so passes over 42,
-    # which 30 m/s reaches after 30, 32, 28, ..., 40, 20
-    assert solve_trim(params, model, v_target).v_t_star == v_trim
+def test_trim_at_an_infeasible_airspeed_names_it(params, model):
+    # no other airspeed is tried, though 43 m/s trims
+    with pytest.raises(TrimNotConverged, match="^no trim point at 5 m/s: "):
+        solve_trim(params, model, 5.0)
+    assert solve_trim(params, model, 43.0).v_t_star == 43.0
 
 
 @pytest.mark.parametrize("alpha_deg", [-4.9, -2.0, 0.0, 7.1, 20.0, 39.9])
@@ -97,16 +95,15 @@ def test_default_model_residuals_at_rounding(trim):
     assert max(abs(r) for r in trim.residuals) <= 1e-12
 
 
-def test_trim_off_table_iterate_tries_next_airspeed(params, model, trim):
-    # the table ends between the trim alphas of 69.1 and 71.1 m/s
+def test_trim_off_table_iterate_names_the_airspeed(params, model, trim):
+    # the table ends just below the trim alpha of 69.1 m/s
     narrow = replace(model, alpha_max=trim.alpha_star - math.radians(0.05))
-    with pytest.raises(OutOfTableRange):
+    with pytest.raises(OutOfTableRange) as table:
         trimlin._newton_alpha(trim.v_t_star, params, narrow,
                               math.radians(5.0))
-    tp = solve_trim(params, narrow)
-    assert tp.v_t_star == trim.v_t_star + 2.0
-    assert tp.alpha_star < narrow.alpha_max
-    assert max(abs(r) for r in tp.residuals) < 1e-10
+    with pytest.raises(TrimNotConverged) as info:
+        solve_trim(params, narrow)
+    assert str(info.value) == f"no trim point at 69.1 m/s: {table.value}"
 
 
 def test_trim_propagates_balance_bugs(monkeypatch, params, model):
