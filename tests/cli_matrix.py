@@ -53,8 +53,9 @@ run's first deck draw falls 50 steps in, where the warm-up's hold phase
 leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
 and trim at 1000 m/s, where no trim point exists (exit 2); last, an
 approach on a -30 deg glide slope, a climb whose equilibrium start
-thrust lies above t_max; and a pitch step whose t_max of 20000 N lies
-below the trim thrust at 69.1 m/s.  The whole matrix takes about 30 s on a 2-core
+thrust lies above t_max; a pitch step whose t_max of 20000 N lies
+below the trim thrust at 69.1 m/s (exit 2); and an approach on a 90 deg
+glide slope, outside the key's domain.  The whole matrix takes about 30 s on a 2-core
 x86 machine.  pytest does not collect this file.
 
 Each case's stdout and stderr are kept next to the manifest, as
@@ -218,6 +219,9 @@ def cases() -> list[tuple[str, tuple[str, ...]]]:
     out.append(("run_t_max_20000",
                 ("run", "--scenario", "pitch_step", "--set", "t_max=20000",
                  "--duration", "0.5")))
+    out.append(("glide_slope_90",
+                ("run", "--scenario", "approach", "--ship", "off",
+                 "--set", "glide_slope_deg=90", "--duration", "0.1")))
     return out
 
 
