@@ -96,7 +96,9 @@ class ScenarioConfig:
     initial_altitude: float = key(_FINITE, 300.0)  # m, pitch/sink scenarios
     pitch_step_deg: float = key(_FINITE, 1.0)
     sink_rate_cmd: float = key(_FINITE, 10.0)      # m/s, descent positive
-    glide_slope_deg: float = key(_FINITE, 3.5)
+    glide_slope_deg: float = key(Domain(   # negative: a climb
+        "> -90 and < 90", math.nextafter(-90.0, 0.0),
+        math.nextafter(90.0, 0.0)), 3.5)
     theta_r_low_deg: float = key(_FINITE, -12.0)   # theta_r clamp about trim
     theta_r_high_deg: float = key(_FINITE, 8.0)
     trace_decimation: int = key(Domain(">= 1", 1, math.inf), 10)

@@ -348,7 +348,7 @@ def test_malformed_config_json_is_a_usage_error(tmp_path, capsys):
     (("--wind", "on", "--set", "turb_norm=-1"), "turb_norm must be >= 0"),
     (("--set", "ship_noise_gain=nan"), "ship_noise_gain must be >="),
     (("--set", "ship_noise_gain=-0.0"), "ship_noise_gain must be >="),
-    (("--set", "glide_slope_deg=inf"), "glide_slope_deg must be finite"),
+    (("--set", "glide_slope_deg=inf"), "glide_slope_deg must be < 90"),
     (("--wind", "on", "--set", "v_wd=1e-320"), "wake_extent / v_wd"),
     (("--set", "pitch.dqdot_dde=0"), "pitch.dqdot_dde must be nonzero"),
     (("--scenario", "approach", "--set", "vel.ki=0"), "vel.ki and sink.ki"),

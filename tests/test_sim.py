@@ -225,8 +225,8 @@ _KEY_TABLE = [
      False),
     ("pitch_step_deg", "pitch_step_deg", float, "finite", -_MAX, _MAX, False),
     ("sink_rate_cmd", "sink_rate_cmd", float, "finite", -_MAX, _MAX, False),
-    ("glide_slope_deg", "glide_slope_deg", float, "finite", -_MAX, _MAX,
-     False),
+    ("glide_slope_deg", "glide_slope_deg", float, "> -90 and < 90",
+     math.nextafter(-90.0, 0.0), math.nextafter(90.0, 0.0), False),
     ("theta_r_low_deg", "theta_r_low_deg", float, "finite", -_MAX, _MAX,
      False),
     ("theta_r_high_deg", "theta_r_high_deg", float, "finite", -_MAX, _MAX,
