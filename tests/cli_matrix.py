@@ -50,7 +50,7 @@ domains, and a model whose pitch angle overflows in an RK4 stage
 (cm_q and alpha_max_deg at 1e154, exit 3); and an approach whose deck
 warm-up, 0.05 s or 50 steps, is half a noise hold of 100 steps, so the
 run's first deck draw falls 50 steps in, where the warm-up's hold phase
-leaves it; then trim and linearize at a candidate airspeed of 80 m/s,
+leaves it; then trim and linearize at an airspeed of 80 m/s,
 and trim at 1000 m/s, where no trim point exists (exit 2); last, an
 approach on a -30 deg glide slope, a climb whose equilibrium start
 thrust lies above t_max; a pitch step whose t_max of 20000 N lies
