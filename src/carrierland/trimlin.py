@@ -37,7 +37,7 @@ TRIM_TOL = 1e-10      # rad/s, the |alpha'| a trim point leaves
 
 
 class TrimNotConverged(RuntimeError):
-    """The trim iteration failed to reach the residual tolerance."""
+    """No trim point at the airspeed asked for; the message says why."""
 
 
 @dataclass(frozen=True)
