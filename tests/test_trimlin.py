@@ -68,11 +68,15 @@ def test_trim_outside_actuator_range_names_the_channel(params, model, limits,
     assert str(info.value) == message
 
 
-def test_trim_at_an_infeasible_airspeed_names_it(params, model):
-    # no other airspeed is tried, though 43 m/s trims
-    with pytest.raises(TrimNotConverged, match="^no trim point at 5 m/s: "):
-        solve_trim(params, model, 5.0)
-    assert solve_trim(params, model, 43.0).v_t_star == 43.0
+@pytest.mark.parametrize("v_target, v_trim", [(5.0, 43.0), (30.0, 42.0)])
+def test_trim_takes_the_first_feasible_candidate_airspeed(params, model,
+                                                          v_target, v_trim):
+    # the airspeed asked is the only candidate: 5 and 30 m/s do not trim
+    # and raise naming themselves, though 43 and 42 m/s trim at themselves
+    with pytest.raises(TrimNotConverged,
+                       match=f"^no trim point at {v_target:g} m/s: "):
+        solve_trim(params, model, v_target)
+    assert solve_trim(params, model, v_trim).v_t_star == v_trim
 
 
 @pytest.mark.parametrize("alpha_deg", [-4.9, -2.0, 0.0, 7.1, 20.0, 39.9])
